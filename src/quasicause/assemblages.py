@@ -21,8 +21,8 @@ from .decompose import CommonCauseRealization
 from .errors import InvalidAssemblage
 from .nonsignalling import MultipartiteChannel, check_nonsignalling
 from .procs import LinearProcess
-from .theories import QUANT, coords_to_density, density_to_coords, hermitian_basis
-from .wires import UNIT, Signature, SystemType, classical, quantum
+from .theories import QUANT, coords_to_density, density_to_coords
+from .wires import UNIT, Signature, classical, quantum, ravel_index
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,9 @@ def assemblage_to_channel(asm: Assemblage, tol: float = 1e-9) -> MultipartiteCha
     n_out = math.prod(asm.outcomes) * d * d
     matrix = np.zeros((n_out, n_in))
     for x in iproduct(*[range(n) for n in asm.settings]):
-        col = 0
-        for dim, digit in zip(asm.settings, x):
-            col = col * dim + digit
+        col = ravel_index(x, asm.settings)
         for a in iproduct(*[range(n) for n in asm.outcomes]):
-            row = 0
-            for dim, digit in zip(asm.outcomes, a):
-                row = row * dim + digit
-            base = row * d * d
+            base = ravel_index(a, asm.outcomes) * d * d
             matrix[base:base + d * d, col] = asm.element(a, x)
     body = LinearProcess(
         Signature(tuple(w for w, _ in wings)),
@@ -148,15 +143,10 @@ def extract_assemblage(channel: MultipartiteChannel, tol: float = 1e-9) -> Assem
     table = np.zeros(outcomes + settings + (d * d,))
     matrix = channel.body.matrix.astype(float)
     for x in iproduct(*[range(n) for n in settings]):
-        col = 0
-        for dim, digit in zip(settings, x):
-            col = col * dim + digit
+        col = ravel_index(x, settings)
         for a in iproduct(*[range(n) for n in outcomes]):
-            row = 0
-            for dim, digit in zip(outcomes, a):
-                row = row * dim + digit
-            base = row * d * d
-            table[tuple(a) + tuple(x)] = matrix[base:base + d * d, col]
+            base = ravel_index(a, outcomes) * d * d
+            table[a + x] = matrix[base:base + d * d, col]
     return Assemblage(settings, outcomes, d, table)
 
 

@@ -21,16 +21,17 @@ afterwards; span, equivalence and suite queries are pure reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import exact
 from .decompose import (
     CommonCauseRealization,
+    _arithmetic,
     build_realization,
     decompose_quasimixture,
     default_frames,
@@ -53,7 +54,6 @@ from .procs import (
     effective_tol,
     identity,
     max_abs_diff,
-    number,
     permutation,
 )
 from .theories import Theory, discard_effect
@@ -65,18 +65,6 @@ class RegisteredChannel:
     channel: MultipartiteChannel
     realization: CommonCauseRealization
     residual: object
-
-
-@dataclass(frozen=True)
-class EquivClassHandle:
-    """A representative diagram with its evaluated process."""
-
-    term: Term
-    process: LinearProcess
-
-    @property
-    def signature(self):
-        return self.process.inputs, self.process.outputs
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,7 @@ def register(
     qm = decompose_quasimixture(channel, frames=frames, tol=tol, ns_report=report)
     realization = build_realization(channel, qm, frames, channel_id=channel_id)
     residual = verify_realization(channel, realization, tol)
-    tolerance = effective_tol(realization.xi.arithmetic, tol)
+    tolerance = effective_tol(_arithmetic(realization), tol)
     if residual > tolerance:
         raise ResidualTooLarge(
             f"realization of {channel_id} misses by {residual}"
@@ -173,6 +161,7 @@ def register(
 
     gt.registered[channel_id] = RegisteredChannel(channel, realization, residual)
     gt._span_cache.clear()
+    # diagrams need the dense k^m xi as a generator; it is built here once
     gt.bind(f"xi:{channel_id}", realization.xi)
     for i, eta in enumerate(realization.etas, start=1):
         gt.bind(f"eta{i}:{channel_id}", eta)
@@ -245,43 +234,13 @@ def is_in_base(
     return gt.base.valid(gt.eval(term, extra), tol)
 
 
-def discard_ext(
-    gt: GeneratedTheory, ext_type: SystemType, tol: Optional[object] = None
-) -> LinearProcess:
-    """The unique effect on a branded ancilla: feed the wing's reference
-    state into its eta and discard the output. Independence from the chosen
-    probe state over the whole base frame is asserted."""
+def _probe_discard(gt: GeneratedTheory, ext_type: SystemType):
+    """Feed each base frame state of the wing's input beside the ancilla into
+    its eta and discard the output. Returns the effect that the reference
+    state gives, and the largest gap to it over the frame states."""
     owner = gt._ext_owner.get(ext_type.id)
     if owner is None:
         raise UnknownType(f"{ext_type.id} is not a registered extension type")
-    channel_id, wing = owner
-    entry = gt.registered[channel_id]
-    eta = entry.realization.etas[wing - 1]
-    w_in, w_out = entry.channel.wings[wing - 1]
-    dis_out = discard_effect(eta.outputs, exact=eta.arithmetic == RATIONAL)
-
-    def probe(state_proc):
-        front = compose_par(state_proc, identity(sig(ext_type)))
-        return compose_seq(compose_seq(front, eta), dis_out)
-
-    reference = probe(gt.base.reference_state(w_in))
-    tolerance = effective_tol(reference.arithmetic, tol)
-    worst = 0
-    for s in gt.base.state_frame(w_in):
-        gap = max_abs_diff(probe(s), reference)
-        worst = max(worst, gap)
-    if worst > tolerance:
-        raise ResidualTooLarge(
-            f"extension discard depends on the probe state (gap {worst})"
-        )
-    return reference
-
-
-def discard_ext_deviation(
-    gt: GeneratedTheory, ext_type: SystemType
-) -> object:
-    """Max gap of the probe-state independence check (0 when exact)."""
-    owner = gt._ext_owner[ext_type.id]
     channel_id, wing = owner
     entry = gt.registered[channel_id]
     eta = entry.realization.etas[wing - 1]
@@ -296,7 +255,28 @@ def discard_ext_deviation(
     worst = 0
     for s in gt.base.state_frame(w_in):
         worst = max(worst, max_abs_diff(probe(s), reference))
-    return worst
+    return reference, worst
+
+
+def discard_ext(
+    gt: GeneratedTheory, ext_type: SystemType, tol: Optional[object] = None
+) -> LinearProcess:
+    """The unique effect on a branded ancilla: feed the wing's reference
+    state into its eta and discard the output. Independence from the chosen
+    probe state over the whole base frame is asserted."""
+    reference, worst = _probe_discard(gt, ext_type)
+    if worst > effective_tol(reference.arithmetic, tol):
+        raise ResidualTooLarge(
+            f"extension discard depends on the probe state (gap {worst})"
+        )
+    return reference
+
+
+def discard_ext_deviation(
+    gt: GeneratedTheory, ext_type: SystemType
+) -> object:
+    """Max gap of the probe-state independence check (0 when exact)."""
+    return _probe_discard(gt, ext_type)[1]
 
 
 # -- generated spans -------------------------------------------------------
@@ -631,8 +611,7 @@ def kernel_perturbation(
     move weight between two ancilla points without changing any product of
     extension discards (each is an all-ones row, so any zero-sum vector is
     invisible at depth 1)."""
-    entry = gt.registered[channel_id]
-    xi = entry.realization.xi
+    xi = gt.bindings[f"xi:{channel_id}"]
     vec = np.array(xi.matrix, dtype=xi.matrix.dtype)
     if vec.shape[0] < 2:
         raise ValueError("carrier too small to perturb")
@@ -664,8 +643,7 @@ def _kernel_mixture_checks(gt, channel_id, rng, extra):
 
 def _planted_inequivalent(gt, channel_id, extra) -> EquivResult:
     """Shift xi's total weight; the product of extension discards sees it."""
-    entry = gt.registered[channel_id]
-    xi = entry.realization.xi
+    xi = gt.bindings[f"xi:{channel_id}"]
     vec = np.array(xi.matrix, dtype=xi.matrix.dtype)
     bump = Fraction(3, 10) if xi.arithmetic == RATIONAL else 0.3
     vec[0, 0] = vec[0, 0] + bump

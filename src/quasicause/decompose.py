@@ -16,15 +16,15 @@ The realization packages the mixture as a correlated quasi-state ``xi`` on
 fresh branded ancilla wires plus one controlled channel ``eta_i`` per wing:
 ``xi`` places coefficient c_k on the k-th diagonal point of the ancilla
 product, and ``eta_i`` applies the k-th frame member when its ancilla reads
-k. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the channel.
+k. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the channel. Since
+``xi`` is diagonal, its k coefficients are the stored state; the dense k^m
+vector is a derived view, built only when a diagram needs it as a generator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,15 +39,17 @@ from .errors import (
 )
 from .nonsignalling import MultipartiteChannel, NSReport, check_nonsignalling
 from .procs import (
+    FLOAT64,
     RATIONAL,
     LinearProcess,
+    add,
     compose_seq,
     effective_tol,
     max_abs_diff,
     scale,
 )
 from .theories import Theory, discard_effect, hybrid_valid
-from .wires import CLASSICAL, Signature, SystemType, extension, sig
+from .wires import CLASSICAL, EMPTY, Signature, SystemType, extension, sig
 
 PRUNE = 1e-12
 
@@ -131,9 +133,13 @@ class TypeBrand:
 
 @dataclass(frozen=True)
 class CommonCauseRealization:
+    """The shared state is ``coefficients``: c_k sits on the diagonal point
+    (k, ..., k) of the ancilla product, one ancilla per wing, each of carrier
+    ``len(coefficients)``. ``eta_i`` reads the k-th frame member off ancilla
+    value k."""
+
     channel_id: str
     ancilla_types: Tuple[SystemType, ...]
-    xi: LinearProcess
     etas: Tuple[LinearProcess, ...]
     brands: Tuple[TypeBrand, ...]
     frame: Tuple[WingFrame, ...]
@@ -144,18 +150,31 @@ class CommonCauseRealization:
     def carrier_dim(self) -> int:
         return len(self.coefficients)
 
+    @property
+    def xi(self) -> LinearProcess:
+        """Dense view of the shared state, built on each access: a k^m
+        vector on the ancilla product, zero off the diagonal."""
+        k, m = len(self.coefficients), len(self.ancilla_types)
+        exact = _arithmetic(self) == RATIONAL
+        vec = np.zeros((k,) * m, dtype=object if exact else float)
+        vec[(np.arange(k),) * m] = self.coefficients
+        return LinearProcess(EMPTY, Signature(self.ancilla_types), vec.reshape(-1, 1))
+
+
+def _arithmetic(realization: CommonCauseRealization) -> str:
+    """RATIONAL when the coefficients and every eta are exact."""
+    exact = not any(isinstance(c, float) for c in realization.coefficients) and all(
+        e.arithmetic == RATIONAL for e in realization.etas
+    )
+    return RATIONAL if exact else FLOAT64
+
 
 def deterministic_frame(in_type: SystemType, out_type: SystemType) -> Tuple[LinearProcess, ...]:
     """All functions input point -> output point, as 0/1 channels."""
     n, p = in_type.vdim, out_type.vdim
     members = []
-    for code in range(p ** n):
-        digits = []
-        rem = code
-        for _ in range(n):
-            digits.append(rem % p)
-            rem //= p
-        digits.reverse()  # leftmost input point most significant
+    # leftmost input point most significant
+    for digits in product(range(p), repeat=n):
         m = np.zeros((p, n), dtype=object)
         for x, o in enumerate(digits):
             m[o, x] = 1
@@ -169,41 +188,15 @@ def measure_prepare_frame(
     """Two-outcome measure-and-prepare family over the theory frames."""
     ref = theory.reference_state(out_type)
     u = theory.discard(in_type)
-    base = compose_outer(ref, u)
-    members = [base]
+    # rho -> e(rho) s is the effect e followed by the state s
+    members = [compose_seq(u, ref)]
     for e in theory.effect_frame(in_type):
         for s in theory.state_frame(out_type):
             if max_abs_diff(s, ref) <= effective_tol(s.arithmetic):
                 continue
-            hit = compose_outer(s, e)
-            miss_weight = subtract_rows(u, e)
-            miss = compose_outer(ref, miss_weight)
-            members.append(add_processes(hit, miss))
+            miss = compose_seq(add(u, scale(-1, e)), ref)
+            members.append(add(compose_seq(e, s), miss))
     return tuple(members)
-
-
-def compose_outer(s: LinearProcess, e: LinearProcess) -> LinearProcess:
-    """rho -> e(rho) * s as a single wing channel."""
-    fm, em = s.matrix, e.matrix
-    if fm.dtype == object and em.dtype != object:
-        fm = fm.astype(float)
-    if em.dtype == object and fm.dtype != object:
-        em = em.astype(float)
-    return LinearProcess(e.inputs, s.outputs, fm @ em)
-
-
-def subtract_rows(u: LinearProcess, e: LinearProcess) -> LinearProcess:
-    um, em = u.matrix, e.matrix
-    if um.dtype != em.dtype:
-        um, em = um.astype(float), em.astype(float)
-    return LinearProcess(u.inputs, u.outputs, um - em)
-
-
-def add_processes(f: LinearProcess, g: LinearProcess) -> LinearProcess:
-    fm, gm = f.matrix, g.matrix
-    if fm.dtype != gm.dtype:
-        fm, gm = fm.astype(float), gm.astype(float)
-    return LinearProcess(f.inputs, f.outputs, fm + gm)
 
 
 def local_channel_frame(
@@ -259,21 +252,6 @@ def _wing_major_tensor(channel: MultipartiteChannel) -> np.ndarray:
         order.extend([i, m + i])
     t = np.transpose(t, order)
     return t.reshape(tuple(o * i for o, i in zip(out_dims, in_dims)))
-
-
-def _unreorganize(tensor: np.ndarray, channel: MultipartiteChannel) -> np.ndarray:
-    out_dims = tuple(w.vdim for _, w in channel.wings)
-    in_dims = tuple(w.vdim for w, _ in channel.wings)
-    m = channel.m
-    interleaved = []
-    for o, i in zip(out_dims, in_dims):
-        interleaved.extend([o, i])
-    t = tensor.reshape(tuple(interleaved))
-    order = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
-    t = np.transpose(t, order)
-    total_out = math.prod(out_dims)
-    total_in = math.prod(in_dims)
-    return t.reshape(total_out, total_in)
 
 
 def _mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -335,15 +313,9 @@ def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
         f = frame.retained_matrix(as_float=not exact_mode)
         dual = exact.pinv(f) if exact_mode else np.linalg.pinv(f)
         tensor = _mode_product(tensor, dual, axis)
-    full_sizes = tuple(len(f) for f in frames)
-    full = np.zeros(math.prod(full_sizes), dtype=object if exact_mode else float)
-    for combo in np.ndindex(tensor.shape):
-        digits = [frames[i].retained[j] for i, j in enumerate(combo)]
-        index = 0
-        for digit, size in zip(digits, full_sizes):
-            index = index * size + digit
-        full[index] = tensor[combo]
-    return full
+    full = np.zeros(tuple(len(f) for f in frames), dtype=object if exact_mode else float)
+    full[np.ix_(*(f.retained for f in frames))] = tensor
+    return full.reshape(-1)
 
 
 def _min_negativity_coefficients(channel, frames) -> np.ndarray:
@@ -374,20 +346,14 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
 def _pruned_terms(coeffs, frame_sizes, exact_mode):
     terms: List[Tuple[object, Tuple[int, ...]]] = []
     dropped = 0
-    for k, c in enumerate(coeffs):
+    for c, indices in zip(coeffs, product(*map(range, frame_sizes))):
         if exact_mode:
             if c == 0:
                 continue
         elif abs(c) <= PRUNE:
             dropped += c
             continue
-        indices = []
-        rem = k
-        for size in reversed(frame_sizes):
-            indices.append(rem % size)
-            rem //= size
-        indices.reverse()
-        terms.append((c if exact_mode else float(c), tuple(indices)))
+        terms.append((c if exact_mode else float(c), indices))
     if not exact_mode and terms and dropped:
         # keep the affine sum at exactly one; the touched coefficient moves
         # by at most the pruned mass
@@ -437,7 +403,8 @@ def build_realization(
     frames: Optional[Sequence[WingFrame]] = None,
     channel_id: Optional[str] = None,
 ) -> CommonCauseRealization:
-    """Package a quasi-mixture as (xi, eta_1..eta_m) on branded ancillas."""
+    """Package a quasi-mixture as (coefficients, eta_1..eta_m) on branded
+    ancillas; the coefficients are the diagonal shared state ``xi``."""
     if frames is None:
         frames = default_frames(channel)
     frames = tuple(frames)
@@ -455,30 +422,18 @@ def build_realization(
         TypeBrand(a, channel_id, i + 1, k_terms) for i, a in enumerate(ancillas)
     )
 
-    xi_len = k_terms ** channel.m
-    xi_vec = np.zeros((xi_len, 1), dtype=object if exact_mode else float)
-    stride = 0
-    for power in range(channel.m):
-        stride = stride * k_terms + 1
-    for k, (c, _) in enumerate(qm.terms):
-        xi_vec[k * stride, 0] = c
-    xi = LinearProcess(Signature(()), Signature(ancillas), xi_vec)
-
     etas = []
     for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
-        v_out, v_in = w_out.vdim, w_in.vdim
-        mat = np.zeros((v_out, v_in * k_terms), dtype=object if exact_mode else float)
-        for k, (_, indices) in enumerate(qm.terms):
-            member = frame.members[indices[i]].matrix
-            if not exact_mode:
-                member = member.astype(float)
-            for o in range(v_out):
-                for x in range(v_in):
-                    mat[o, x * k_terms + k] = member[o, x]
+        # stack the chosen members along a trailing ancilla axis, so column
+        # x * k_terms + k holds column x of term k's member
+        chosen = [frame.members[indices[i]].matrix for _, indices in qm.terms]
+        mat = np.stack(chosen, axis=-1).reshape(w_out.vdim, w_in.vdim * k_terms)
+        if not exact_mode:
+            mat = mat.astype(float)
         eta = LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat)
-        if not hybrid_valid(eta):
-            raise ResidualTooLarge(f"eta for wing {i + 1} fails instrument validity")
-        _assert_discard_preserving(eta)
+        problem = _eta_problem(eta)
+        if problem:
+            raise ResidualTooLarge(f"eta for wing {i + 1} {problem}")
         etas.append(eta)
 
     total = sum(c for c, _ in qm.terms)
@@ -489,7 +444,6 @@ def build_realization(
     return CommonCauseRealization(
         channel_id=channel_id,
         ancilla_types=ancillas,
-        xi=xi,
         etas=tuple(etas),
         brands=brands,
         frame=frames,
@@ -498,13 +452,17 @@ def build_realization(
     )
 
 
-def _assert_discard_preserving(eta: LinearProcess):
+def _eta_problem(eta: LinearProcess) -> Optional[str]:
+    """Why ``eta`` is not a valid, discard-preserving local channel of the
+    base theory, or None when it is one."""
+    if not hybrid_valid(eta):
+        return "fails instrument validity"
     u_out = discard_effect(eta.outputs, exact=eta.arithmetic == RATIONAL)
     u_in = discard_effect(eta.inputs, exact=eta.arithmetic == RATIONAL)
-    lhs = compose_seq(eta, u_out)
-    gap = max_abs_diff(lhs, u_in)
+    gap = max_abs_diff(compose_seq(eta, u_out), u_in)
     if gap > effective_tol(eta.arithmetic):
-        raise ResidualTooLarge(f"eta is not discard-preserving (gap {gap})")
+        return f"is not discard-preserving (gap {gap})"
+    return None
 
 
 def verify_realization(
@@ -515,10 +473,14 @@ def verify_realization(
     """Recontract the realization network and return the max-abs residual.
 
     This contraction path is independent of build_realization: it works from
-    the xi vector and eta matrices alone, staging one tensordot per wing so
-    the ancilla product never meets a dense Kronecker blow-up.
+    the coefficients and eta matrices alone. Every wing's ancilla reads the
+    same index k of the diagonal state, so each eta_i, as an (out_i, in_i, k)
+    tensor, is multiplied into the running product along a shared k axis
+    that is summed once at the end: O(k * D_in * D_out) entries, never the
+    k^m dense ``xi``.
     """
     m = channel.m
+    k = len(realization.coefficients)
     if len(realization.etas) != m or len(realization.ancilla_types) != m:
         raise SignatureMismatch("realization wing count differs from channel")
     for i, eta in enumerate(realization.etas):
@@ -527,36 +489,23 @@ def verify_realization(
             raise SignatureMismatch(f"eta {i + 1} input signature mismatch")
         if eta.outputs.wires != (w_out,):
             raise SignatureMismatch(f"eta {i + 1} output signature mismatch")
-    if realization.xi.outputs.wires != realization.ancilla_types:
-        raise SignatureMismatch("xi is not a state on the ancilla product")
+    if any(a.vdim != k for a in realization.ancilla_types):
+        raise SignatureMismatch("an ancilla carrier differs from the coefficient count")
 
-    k = realization.ancilla_types[0].vdim
     exact_mode = (
-        realization.xi.arithmetic == RATIONAL
-        and all(e.arithmetic == RATIONAL for e in realization.etas)
-        and channel.body.arithmetic == RATIONAL
+        _arithmetic(realization) == RATIONAL and channel.body.arithmetic == RATIONAL
     )
 
     def cast(a):
         return a if exact_mode else a.astype(float)
 
-    tensor = cast(realization.xi.matrix[:, 0]).reshape((k,) * m)
-    for i, eta in enumerate(realization.etas):
-        v_in = channel.wings[i][0].vdim
-        v_out = channel.wings[i][1].vdim
-        eta_t = cast(eta.matrix).reshape(v_out, v_in, k)
-        # the next ancilla axis sits after the 2i (out, in) axes added so far
-        tensor = np.tensordot(eta_t, tensor, axes=([2], [2 * i]))
-    # axes now run (o_m, x_m, o_{m-1}, x_{m-1}, ..., o_1, x_1)
-    order = []
-    for i in range(m):
-        order.append(2 * (m - 1 - i))
-    for i in range(m):
-        order.append(2 * (m - 1 - i) + 1)
-    tensor = np.transpose(tensor, order)
-    out_total = math.prod(w.vdim for _, w in channel.wings)
-    in_total = math.prod(w.vdim for w, _ in channel.wings)
-    rebuilt = tensor.reshape(out_total, in_total)
+    tensor = np.array(realization.coefficients, dtype=object if exact_mode else float)
+    for eta, (w_in, w_out) in zip(realization.etas, channel.wings):
+        eta_t = cast(eta.matrix).reshape(w_out.vdim, w_in.vdim, k)
+        # axes (o_1, x_1, ..., o_i, x_i, k) after this wing
+        tensor = tensor[..., None, None, :] * eta_t
+    tensor = tensor.sum(axis=-1)
+    order = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
+    rebuilt = np.transpose(tensor, order).reshape(channel.body.matrix.shape)
     body = cast(channel.body.matrix)
-    residual = abs(rebuilt - body).max()
-    return residual
+    return abs(rebuilt - body).max()

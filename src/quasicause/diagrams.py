@@ -99,12 +99,3 @@ def eval_diagram(term: Term, bindings: Bindings) -> LinearProcess:
         )
     raise TypeError(f"not a diagram term: {term!r}")
 
-
-def leaves(term: Term) -> Tuple[str, ...]:
-    if isinstance(term, Leaf):
-        return (term.name,)
-    if isinstance(term, Seq):
-        return leaves(term.first) + leaves(term.then)
-    if isinstance(term, (Par, Mix)):
-        return leaves(term.left) + leaves(term.right)
-    raise TypeError(f"not a diagram term: {term!r}")

@@ -5,6 +5,8 @@ Channels serialize wing types plus a row-major matrix; rationals travel as
 inline everything third-party verification needs (frames, coefficients, eta
 matrices), so `verify` never re-runs a solver or frame construction: it
 rebuilds the realization from the file and recontracts against the channel.
+The shared state travels as its k diagonal coefficients, which are also the
+rebuilt realization's state; the dense k^m ``xi`` is never formed here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -22,11 +24,13 @@ from .decompose import (
     QuasiMixture,
     TypeBrand,
     WingFrame,
+    _arithmetic,
+    _eta_problem,
     verify_realization,
 )
 from .errors import SchemaError
 from .nonsignalling import MultipartiteChannel, NSReport
-from .procs import RATIONAL, LinearProcess
+from .procs import RATIONAL, LinearProcess, effective_tol
 from .theories import BASIS_CONVENTION, QUANT, STOCH
 from .wires import CLASSICAL, QUANTUM, Signature, SystemType, classical, extension, quantum, sig
 
@@ -159,28 +163,6 @@ def save_channel(channel: MultipartiteChannel, path: str) -> str:
     return channel_digest(obj)
 
 
-def load_process(path: str) -> LinearProcess:
-    """Raw process loader for expression bindings (no channel validity)."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    arithmetic = obj.get("arithmetic")
-    wings = obj.get("wings")
-    if wings is not None:
-        ins = Signature(tuple(_wing_type_from_json(w["in"]) for w in wings))
-        outs = Signature(tuple(_wing_type_from_json(w["out"]) for w in wings))
-    else:
-        ins = Signature(tuple(
-            _wing_type_from_json(w) for w in obj.get("inputs", [])
-        ))
-        outs = Signature(tuple(
-            _wing_type_from_json(w) for w in obj.get("outputs", [])
-        ))
-    matrix = decode_matrix(
-        obj.get("matrix", []), (outs.dim, ins.dim), arithmetic == RATIONAL
-    )
-    return LinearProcess(ins, outs, matrix)
-
-
 # -- ns reports ---------------------------------------------------------------
 
 def ns_report_to_json(report: NSReport) -> Dict:
@@ -212,7 +194,7 @@ def certificate_to_json(
     return {
         "version": FORMAT_VERSION,
         "channelDigest": digest,
-        "arithmetic": realization.xi.arithmetic,
+        "arithmetic": _arithmetic(realization),
         "basisConvention": BASIS_CONVENTION,
         "solverMode": qm.mode,
         "tolerance": encode_number(tolerance),
@@ -260,7 +242,7 @@ def certificate_to_json(
 def realization_from_certificate(
     obj: Dict, channel: MultipartiteChannel
 ) -> CommonCauseRealization:
-    """Rebuild xi and the etas from certificate data alone."""
+    """Rebuild the coefficients and the etas from certificate data alone."""
     exact = obj.get("arithmetic") == RATIONAL
     real = obj.get("realization")
     if not isinstance(real, dict):
@@ -291,14 +273,6 @@ def realization_from_certificate(
         if not isinstance(k, int) or not 0 <= k < carrier:
             raise SchemaError(f"xi index {k!r} outside carrier")
         coeffs[k] = decode_number(entry.get("c"), exact)
-    xi_len = carrier ** m
-    xi_vec = np.zeros((xi_len, 1), dtype=object if exact else float)
-    stride = 0
-    for _ in range(m):
-        stride = stride * carrier + 1
-    for k, c in enumerate(coeffs):
-        xi_vec[k * stride, 0] = c
-    xi = LinearProcess(Signature(()), Signature(tuple(ancillas)), xi_vec)
 
     etas_json = real.get("etas", [])
     if len(etas_json) != m:
@@ -316,7 +290,6 @@ def realization_from_certificate(
     return CommonCauseRealization(
         channel_id=channel_id,
         ancilla_types=tuple(ancillas),
-        xi=xi,
         etas=tuple(etas),
         brands=tuple(brands),
         frame=frames,
@@ -344,9 +317,19 @@ def _frame_from_json(obj: Dict, wing) -> WingFrame:
 def verify_certificate(
     cert: Dict, channel_obj: Dict, tol=None
 ) -> Tuple[bool, object, str]:
-    """Digest check plus independent recontraction; no solver involved.
+    """Digest check, then the realization claim re-checked from the file
+    alone, with no solver involved:
 
-    Returns (ok, residual, detail).
+    - every eta is a valid, discard-preserving local channel;
+    - the coefficients sum to one, exactly in rational mode;
+    - the recontraction residual is within the tolerance.
+
+    The tolerance is ``tol``, by default ``effective_tol`` of the
+    certificate's arithmetic; the certificate's declared ``"tolerance"``
+    can only tighten it, and also bounds the float coefficient sum.
+
+    Returns (ok, residual, detail); on failure ``detail`` names every check
+    that failed.
     """
     if cert.get("version") != FORMAT_VERSION:
         return False, None, f"unsupported certificate version {cert.get('version')!r}"
@@ -356,12 +339,27 @@ def verify_certificate(
     channel = channel_from_json(channel_obj)
     realization = realization_from_certificate(cert, channel)
     residual = verify_realization(channel, realization)
+    exact = cert.get("arithmetic") == RATIONAL
     if tol is None:
-        declared = cert.get("tolerance")
-        tol = decode_number(declared, cert.get("arithmetic") == RATIONAL)
-    ok = residual <= tol
-    detail = f"recontraction residual {residual} vs tolerance {tol}"
-    return ok, residual, detail
+        tol = effective_tol(cert.get("arithmetic"))
+    declared = cert.get("tolerance")
+    if declared is not None:
+        tol = min(tol, decode_number(declared, exact))
+
+    failed = []
+    for i, eta in enumerate(realization.etas, start=1):
+        problem = _eta_problem(eta)
+        if problem:
+            failed.append(f"eta {i} {problem}")
+    total = sum(realization.coefficients)
+    sums_to_one = total == 1 if exact else abs(total - 1) <= tol
+    if not sums_to_one:
+        failed.append(f"coefficients sum to {total}, not 1")
+    if not residual <= tol:
+        failed.append(f"recontraction residual {residual} exceeds tolerance {tol}")
+    if failed:
+        return False, residual, "; ".join(failed)
+    return True, residual, f"recontraction residual {residual} within tolerance {tol}"
 
 
 def save_certificate(obj: Dict, path: str):

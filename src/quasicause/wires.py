@@ -48,10 +48,6 @@ class SystemType:
         if self.kind == EXTENSION and self.brand is None:
             raise ValueError("extension wire needs a brand")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.vdim == 1 and self.kind != EXTENSION
-
     def __repr__(self):
         return f"SystemType({self.id!r}, {self.kind}, vdim={self.vdim})"
 

@@ -23,7 +23,7 @@ from quasicause.completion import (
     state_span,
 )
 from quasicause.diagrams import Leaf, Mix, Par, Seq, eval_diagram
-from quasicause.errors import NotNonSignalling, SignatureMismatch, WrongKind
+from quasicause.errors import NotNonSignalling, SignatureMismatch, UnknownType, WrongKind
 from quasicause.nonsignalling import assemble_common_cause
 from quasicause.procs import compose_seq, max_abs_diff
 from tests.helpers import (
@@ -98,6 +98,16 @@ def test_discard_ext_all_ones(stoch_theory):
     eff = discard_ext(gt, anc)
     assert all(x == 1 for x in eff.matrix[0])
     assert discard_ext_deviation(gt, anc) == 0
+
+
+def test_discard_of_unregistered_type_raises(stoch_theory):
+    other = new_theory(STOCH)
+    register(other, pr_box(), channel_id="elsewhere")
+    anc = other.registered["elsewhere"].realization.ancilla_types[0]
+    with pytest.raises(UnknownType):
+        discard_ext(stoch_theory, anc)
+    with pytest.raises(UnknownType):
+        discard_ext_deviation(stoch_theory, anc)
 
 
 def test_state_span_ranks(stoch_theory):

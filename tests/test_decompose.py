@@ -1,16 +1,21 @@
 """Quasi-mixture decomposition, realization packaging, and verification."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from quasicause import QUANT, STOCH, classical, process, quantum, sig, state
+from quasicause import QUANT, STOCH, classical, extension, process, quantum, sig, state
 from quasicause.boxes import pr_box, product_channel, swap_channel
 from quasicause.decompose import (
     MIN_NEGATIVITY,
     MIN_NORM,
+    CommonCauseRealization,
     build_realization,
     decompose_quasimixture,
     default_frames,
@@ -30,6 +35,7 @@ from quasicause.theories import discard_effect, hybrid_valid
 from tests.helpers import (
     random_cptp_transfer,
     random_density_coords,
+    random_stochastic_float,
     random_stochastic_rational,
 )
 
@@ -177,16 +183,15 @@ def test_realization_ancillas_are_branded():
 def test_tampered_xi_fails_verification():
     chan = pr_box()
     real = build_realization(chan, decompose_quasimixture(chan))
-    xi_vec = np.array(real.xi.matrix, dtype=object)
-    xi_vec[0, 0] = xi_vec[0, 0] + F(1, 1000)
+    coefficients = list(real.coefficients)
+    coefficients[0] = coefficients[0] + F(1, 1000)
     tampered = real.__class__(
         channel_id=real.channel_id,
         ancilla_types=real.ancilla_types,
-        xi=LinearProcess(real.xi.inputs, real.xi.outputs, xi_vec),
         etas=real.etas,
         brands=real.brands,
         frame=real.frame,
-        coefficients=real.coefficients,
+        coefficients=tuple(coefficients),
         term_indices=real.term_indices,
     )
     residual = verify_realization(chan, tampered)
@@ -201,6 +206,14 @@ def test_verify_signature_mismatch():
     other = product_channel(STOCH, [ident, ident])
     with pytest.raises(SignatureMismatch):
         verify_realization(other, real)
+
+
+def test_verify_rejects_coefficients_off_the_carrier():
+    chan = pr_box()
+    real = build_realization(chan, decompose_quasimixture(chan))
+    short = replace(real, coefficients=real.coefficients[:-1])
+    with pytest.raises(SignatureMismatch):
+        verify_realization(chan, short)
 
 
 def test_classical_cc_roundtrip_exact():
@@ -256,3 +269,41 @@ def test_tripartite_binary_roundtrip_exact():
     qm = decompose_quasimixture(chan)
     real = build_realization(chan, qm)
     assert verify_realization(chan, real) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    dims=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  min_size=3, max_size=3),
+    exact=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_recontraction_matches_dense_oracle(m, k, dims, exact, seed):
+    """The shared-index recontraction against the dense common-cause wiring
+    of the k^m xi, on random classical common-cause channels: bit-equal in
+    rational mode, within 1e-12 in binary64."""
+    wings = [(classical(a), classical(b)) for a, b in dims[:m]]
+    assume(k ** m * math.prod(w.vdim for w, _ in wings) <= 256)
+    rng = np.random.default_rng(seed)
+    stochastic = random_stochastic_rational if exact else random_stochastic_float
+
+    ancillas = tuple(extension("rand", i + 1, k) for i in range(m))
+    etas = tuple(
+        LinearProcess(sig(w_in, anc), sig(w_out),
+                      stochastic(rng, w_out.vdim, w_in.vdim * k))
+        for (w_in, w_out), anc in zip(wings, ancillas)
+    )
+    real = CommonCauseRealization(
+        channel_id="rand", ancilla_types=ancillas, etas=etas, brands=(),
+        frame=(), coefficients=tuple(stochastic(rng, k, 1)[:, 0]),
+        term_indices=(),
+    )
+    oracle = assemble_common_cause(real.xi, etas, STOCH)
+    residual = verify_realization(oracle, real)
+    if exact:
+        assert oracle.body.arithmetic == "rational"
+        assert residual == 0
+    else:
+        assert residual <= 1e-12

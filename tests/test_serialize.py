@@ -132,6 +132,56 @@ def test_tampered_eta_fails():
     assert not ok
 
 
+def float_qubit_channel():
+    rng = np.random.default_rng(7)
+    shared = state(random_density_coords(rng, (2, 2)), sig(QUBIT, QUBIT),
+                   exact=False)
+    locals_ = [
+        process(random_cptp_transfer(rng, (2, 2), (2,)),
+                sig(QUBIT, QUBIT), sig(QUBIT))
+        for _ in range(2)
+    ]
+    return assemble_common_cause(shared, locals_, QUANT)
+
+
+def certificate_pair(exact):
+    if exact:
+        return make_certificate(pr_box(), 0)
+    return make_certificate(float_qubit_channel(), 1e-9)
+
+
+def scaled(c, factor, exact):
+    return str(Fraction(c) * factor) if exact else c * float(factor)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_doubled_eta_with_halved_xi_is_rejected(exact):
+    # the recontraction is unchanged, but eta_1 is no channel and xi sums to 1/2
+    cert, obj = certificate_pair(exact)
+    bad = json.loads(json.dumps(cert))
+    real = bad["realization"]
+    real["etas"][0] = [scaled(x, 2, exact) for x in real["etas"][0]]
+    for entry in real["xi"]:
+        entry["c"] = scaled(entry["c"], Fraction(1, 2), exact)
+    ok, _, detail = verify_certificate(bad, obj)
+    assert not ok
+    assert "eta 1" in detail and "coefficients sum" in detail
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_declared_tolerance_cannot_loosen_the_check(exact):
+    cert, obj = certificate_pair(exact)
+    bad = json.loads(json.dumps(cert))
+    entry = bad["realization"]["xi"][0]
+    entry["c"] = (str(Fraction(entry["c"]) + Fraction(1, 1000)) if exact
+                  else entry["c"] + 1e-3)
+    bad["tolerance"] = "100"
+    ok, residual, detail = verify_certificate(bad, obj)
+    assert not ok
+    assert residual > 0
+    assert "recontraction residual" in detail
+
+
 def test_assemblage_roundtrip():
     asm = bb84_assemblage()
     back = assemblage_from_json(json.loads(json.dumps(assemblage_to_json(asm))))
