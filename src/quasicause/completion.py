@@ -28,10 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import exact
 from .decompose import (
     CommonCauseRealization,
     _arithmetic,
+    _independent_columns,
     build_realization,
     decompose_quasimixture,
     default_frames,
@@ -363,43 +363,27 @@ def effect_candidates(
     ]
 
 
-def _max_rank_subset(candidates, exact_mode: bool):
-    kept = []
-    vectors: List[np.ndarray] = []
-    for term, proc in candidates:
-        vec = proc.matrix.reshape(-1)
-        trial = vectors + [vec if exact_mode else vec.astype(float)]
-        stacked = np.stack(trial, axis=1)
-        if exact_mode:
-            r = exact.rank(stacked)
-        else:
-            r = int(np.linalg.matrix_rank(stacked, tol=1e-9))
-        if r == len(trial):
-            kept.append((term, proc))
-            vectors.append(trial[-1])
-    return kept
+def _span(gt: GeneratedTheory, key, candidates):
+    """Cached leftmost-first maximal-rank subset of ``candidates()``."""
+    if key not in gt._span_cache:
+        cands = candidates()
+        exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
+        stacked = np.stack([p.matrix.reshape(-1) for _, p in cands], axis=1)
+        kept = _independent_columns(stacked if exact_mode else stacked.astype(float), exact_mode)
+        gt._span_cache[key] = [cands[j] for j in kept]
+    return gt._span_cache[key]
 
 
 def state_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated states of a wire."""
     depth = depth or gt.tester_depth
-    key = ("state", t.id, depth)
-    if key not in gt._span_cache:
-        cands = state_candidates(gt, t, depth)
-        exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
-        gt._span_cache[key] = _max_rank_subset(cands, exact_mode)
-    return gt._span_cache[key]
+    return _span(gt, ("state", t.id, depth), lambda: state_candidates(gt, t, depth))
 
 
 def effect_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated effects of a wire."""
     depth = depth or gt.tester_depth
-    key = ("effect", t.id, depth)
-    if key not in gt._span_cache:
-        cands = effect_candidates(gt, t, depth)
-        exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
-        gt._span_cache[key] = _max_rank_subset(cands, exact_mode)
-    return gt._span_cache[key]
+    return _span(gt, ("effect", t.id, depth), lambda: effect_candidates(gt, t, depth))
 
 
 # -- operational equivalence ----------------------------------------------

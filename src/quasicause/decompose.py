@@ -48,7 +48,7 @@ from .procs import (
     max_abs_diff,
     scale,
 )
-from .theories import Theory, discard_effect, hybrid_valid
+from .theories import Theory, instrument_problem
 from .wires import CLASSICAL, EMPTY, Signature, SystemType, extension, sig
 
 PRUNE = 1e-12
@@ -73,12 +73,8 @@ class WingFrame:
 
     def __post_init__(self):
         if not self.retained:
-            f = self.matrix(as_float=not self.exact)
-            if self.exact:
-                kept = exact.independent_columns(f)
-            else:
-                kept = _independent_columns_float(f)
-            object.__setattr__(self, "retained", tuple(kept))
+            kept = _independent_columns(self.matrix(as_float=not self.exact), self.exact)
+            object.__setattr__(self, "retained", kept)
 
     def __len__(self):
         return len(self.members)
@@ -96,11 +92,15 @@ class WingFrame:
         return self.matrix(as_float)[:, list(self.retained)]
 
 
-def _independent_columns_float(f: np.ndarray, tol: float = 1e-9) -> Tuple[int, ...]:
+def _independent_columns(matrix: np.ndarray, exact_mode: bool) -> Tuple[int, ...]:
+    """Leftmost-first maximal linearly independent column subset: the pivots
+    of one exact ``rref`` in rational mode, a greedy rank test at 1e-9 in
+    binary64."""
+    if exact_mode:
+        return exact.independent_columns(matrix)
     kept: List[int] = []
-    for j in range(f.shape[1]):
-        trial = f[:, kept + [j]]
-        if np.linalg.matrix_rank(trial, tol=tol) == len(kept) + 1:
+    for j in range(matrix.shape[1]):
+        if np.linalg.matrix_rank(matrix[:, kept + [j]], tol=1e-9) == len(kept) + 1:
             kept.append(j)
     return tuple(kept)
 
@@ -431,7 +431,7 @@ def build_realization(
         if not exact_mode:
             mat = mat.astype(float)
         eta = LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat)
-        problem = _eta_problem(eta)
+        problem = instrument_problem(eta)
         if problem:
             raise ResidualTooLarge(f"eta for wing {i + 1} {problem}")
         etas.append(eta)
@@ -450,19 +450,6 @@ def build_realization(
         coefficients=tuple(c for c, _ in qm.terms),
         term_indices=tuple(idx for _, idx in qm.terms),
     )
-
-
-def _eta_problem(eta: LinearProcess) -> Optional[str]:
-    """Why ``eta`` is not a valid, discard-preserving local channel of the
-    base theory, or None when it is one."""
-    if not hybrid_valid(eta):
-        return "fails instrument validity"
-    u_out = discard_effect(eta.outputs, exact=eta.arithmetic == RATIONAL)
-    u_in = discard_effect(eta.inputs, exact=eta.arithmetic == RATIONAL)
-    gap = max_abs_diff(compose_seq(eta, u_out), u_in)
-    if gap > effective_tol(eta.arithmetic):
-        return f"is not discard-preserving (gap {gap})"
-    return None
 
 
 def verify_realization(

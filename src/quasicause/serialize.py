@@ -25,13 +25,12 @@ from .decompose import (
     TypeBrand,
     WingFrame,
     _arithmetic,
-    _eta_problem,
     verify_realization,
 )
 from .errors import SchemaError
 from .nonsignalling import MultipartiteChannel, NSReport
 from .procs import RATIONAL, LinearProcess, effective_tol
-from .theories import BASIS_CONVENTION, QUANT, STOCH
+from .theories import BASIS_CONVENTION, QUANT, STOCH, instrument_problem
 from .wires import CLASSICAL, QUANTUM, Signature, SystemType, classical, extension, quantum, sig
 
 FORMAT_VERSION = 1
@@ -46,22 +45,32 @@ def encode_number(x) -> object:
 
 
 def decode_number(x, exact: bool):
-    if exact:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, int):
-            return Fraction(x)
-        raise SchemaError(f"rational file holds non-rational entry {x!r}")
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+    """A "p/q" string or an int in either mode, or a JSON float in binary64
+    mode; anything else, and anything non-finite, is a SchemaError."""
+    if isinstance(x, bool) or not isinstance(x, (str, int) if exact else (str, int, float)):
+        raise SchemaError(f"{'rational' if exact else 'float64'} file holds entry {x!r}")
+    try:
+        value = Fraction(x) if isinstance(x, str) else x
+        value = Fraction(value) if exact else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
+        raise SchemaError(f"bad number {x!r}") from err
+    if not exact and not math.isfinite(value):
+        raise SchemaError(f"non-finite number {x!r}")
+    return value
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` when it is a ``kind``, else a SchemaError naming ``what``."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{what} must be a JSON {kind.__name__}, not {type(value).__name__}")
+    return value
 
 
 def encode_matrix(matrix: np.ndarray) -> List[object]:
     return [encode_number(x) for x in matrix.reshape(-1)]
 
 def decode_matrix(flat, shape: Tuple[int, int], exact: bool) -> np.ndarray:
-    if len(flat) != shape[0] * shape[1]:
+    if len(_expect(flat, list, "matrix")) != shape[0] * shape[1]:
         raise SchemaError(
             f"matrix length {len(flat)} does not match shape {shape}"
         )
@@ -84,7 +93,7 @@ def _wing_type_to_json(t: SystemType) -> Dict:
 
 
 def _wing_type_from_json(obj: Dict) -> SystemType:
-    kind = obj.get("kind")
+    kind = _expect(obj, dict, "wire").get("kind")
     dim = obj.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError(f"bad wire dim {dim!r}")
@@ -125,8 +134,9 @@ def channel_from_json(obj: Dict) -> MultipartiteChannel:
     if arithmetic not in (RATIONAL, "float64"):
         raise SchemaError(f"unknown arithmetic {arithmetic!r}")
     wings = []
-    for w in obj.get("wings", []):
-        wings.append((_wing_type_from_json(w["in"]), _wing_type_from_json(w["out"])))
+    for w in _expect(obj.get("wings", []), list, "wings"):
+        w = _expect(w, dict, "wing")
+        wings.append((_wing_type_from_json(w.get("in")), _wing_type_from_json(w.get("out"))))
     if not wings:
         raise SchemaError("channel needs at least one wing")
     in_sig = Signature(tuple(w for w, _ in wings))
@@ -252,35 +262,36 @@ def realization_from_certificate(
         raise SchemaError(f"bad carrier {carrier!r}")
     channel_id = real.get("channelId", "cert")
     m = channel.m
-    brands_json = real.get("brands", [])
+    brands_json = _expect(real.get("brands", []), list, "brands")
     if len(brands_json) != m:
         raise SchemaError("one brand per wing required")
     ancillas = []
     brands = []
     for b in brands_json:
-        if b.get("carrier") != carrier:
+        if _expect(b, dict, "brand").get("carrier") != carrier:
             raise SchemaError("brand carrier disagrees with realization")
-        anc = extension(b.get("channel", channel_id), int(b.get("wing", 0)),
-                        carrier)
+        wing = _expect(b.get("wing", 0), int, "brand wing")
+        anc = extension(b.get("channel", channel_id), wing, carrier)
         ancillas.append(anc)
-        brands.append(TypeBrand(anc, b.get("channel", channel_id),
-                                int(b.get("wing", 0)), carrier))
+        brands.append(TypeBrand(anc, b.get("channel", channel_id), wing, carrier))
 
-    coeff_entries = real.get("xi", [])
     coeffs = [decode_number(0, exact)] * carrier
-    for entry in coeff_entries:
-        k = entry.get("k")
+    for entry in _expect(real.get("xi", []), list, "xi"):
+        k = _expect(entry, dict, "xi entry").get("k")
         if not isinstance(k, int) or not 0 <= k < carrier:
             raise SchemaError(f"xi index {k!r} outside carrier")
         coeffs[k] = decode_number(entry.get("c"), exact)
 
-    etas_json = real.get("etas", [])
+    etas_json = _expect(real.get("etas", []), list, "etas")
     if len(etas_json) != m:
         raise SchemaError("one eta per wing required")
     etas = []
     for i, flat in enumerate(etas_json):
         w_in, w_out = channel.wings[i]
-        mat = decode_matrix(flat, (w_out.vdim, w_in.vdim * carrier), exact)
+        try:
+            mat = decode_matrix(flat, (w_out.vdim, w_in.vdim * carrier), exact)
+        except SchemaError as err:
+            raise SchemaError(f"eta {i + 1}: {err}") from err
         etas.append(LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat))
 
     frames = tuple(
@@ -348,7 +359,7 @@ def verify_certificate(
 
     failed = []
     for i, eta in enumerate(realization.etas, start=1):
-        problem = _eta_problem(eta)
+        problem = instrument_problem(eta)
         if problem:
             failed.append(f"eta {i} {problem}")
     total = sum(realization.coefficients)

@@ -5,6 +5,14 @@ column-stochastic matrices. ``QUANT`` adds quantum wires in trace-orthonormal
 Hermitian coordinates (transfer matrices are real), with instrument-style
 validity for classical/quantum hybrids.
 
+Every validity predicate here (``stoch_valid``, ``quant_valid``,
+``hybrid_valid``, ``Theory.valid``) is one call to ``instrument_problem``.
+Its tolerance follows ``procs.effective_tol``, the one home of the rule:
+with no quantum wire the process's own arithmetic decides (0 for rationals,
+so exact processes are checked exactly; 1e-9 for binary64), and with a
+quantum wire the check runs in binary64 at 1e-9. An explicit ``tol``
+overrides both.
+
 Basis convention (``gellmann-v1``), fixed bit-exactly for certificates: for
 Hilbert dimension d the ordered basis is
 
@@ -124,25 +132,21 @@ def transfer_from_kraus(
 def choi_of_transfer(
     transfer: np.ndarray, in_dims: Tuple[int, ...], out_dims: Tuple[int, ...]
 ) -> np.ndarray:
-    """Choi matrix sum_kl E_kl (x) Phi(E_kl) reconstructed from a transfer matrix."""
+    """Choi matrix sum_kl E_kl (x) Phi(E_kl) reconstructed from a transfer
+    matrix; leading axes of ``transfer`` are batch axes."""
     d_in = math.prod(in_dims) if in_dims else 1
     d_out = math.prod(out_dims) if out_dims else 1
     u_in = vec_basis_matrix(tuple(in_dims))
     u_out = vec_basis_matrix(tuple(out_dims))
     superop = u_out @ transfer.astype(complex) @ u_in.conj().T
+    batch = transfer.shape[:-2]
+    n = len(batch)
     choi = (
-        superop.reshape(d_out, d_out, d_in, d_in)
-        .transpose(2, 0, 3, 1)
-        .reshape(d_in * d_out, d_in * d_out)
+        superop.reshape(batch + (d_out, d_out, d_in, d_in))
+        .transpose(tuple(range(n)) + (n + 2, n, n + 3, n + 1))
+        .reshape(batch + (d_in * d_out, d_in * d_out))
     )
-    return 0.5 * (choi + choi.conj().T)
-
-
-def min_choi_eigenvalue(
-    transfer: np.ndarray, in_dims: Tuple[int, ...], out_dims: Tuple[int, ...]
-) -> float:
-    choi = choi_of_transfer(transfer, tuple(in_dims), tuple(out_dims))
-    return float(np.linalg.eigvalsh(choi).min())
+    return 0.5 * (choi + choi.swapaxes(-1, -2).conj())
 
 
 def _wire_kinds(p: LinearProcess) -> set:
@@ -172,83 +176,82 @@ def discard_effect(signature: Signature, exact: bool = True) -> LinearProcess:
     return out
 
 
+def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optional[str]:
+    """Why ``p`` is not a valid instrument, or None when it is one.
+
+    The matrix is regrouped once into blocks indexed by (classical output a,
+    classical input x), each a transfer matrix from the quantum inputs to the
+    quantum outputs; extension carriers count as classical. ``p`` is valid
+    when every block is completely positive and, for every x, the blocks
+    summed over a preserve the discard. With no quantum wire the blocks are
+    1x1 and this is column-stochasticity: entries >= 0, columns summing to 1.
+
+    The tolerance is ``procs.effective_tol`` of the process's arithmetic with
+    no quantum wire (0 for rationals: the check is exact) and of binary64
+    with one (the Choi spectrum is computed in floats). Every comparison
+    fails closed, so a NaN entry is never valid.
+    """
+    n_out = len(p.outputs)
+    wires = tuple(p.outputs) + tuple(p.inputs)
+
+    def axes(quantum: bool, inputs: bool) -> List[int]:
+        return [
+            i for i, w in enumerate(wires)
+            if (w.kind == QUANTUM) == quantum and (i >= n_out) == inputs
+        ]
+
+    def dim(group: List[int]) -> int:
+        return math.prod(wires[i].vdim for i in group)
+
+    cout, cin, qout, qin = axes(False, False), axes(False, True), axes(True, False), axes(True, True)
+    quantum = bool(qout or qin)
+    matrix = p.matrix.astype(float) if quantum else p.matrix
+    eps = effective_tol(FLOAT64 if quantum else p.arithmetic, tol)
+    blocks = (
+        matrix.reshape(tuple(w.vdim for w in wires))
+        .transpose(cout + cin + qout + qin)
+        .reshape(dim(cout), dim(cin), dim(qout), dim(qin))
+    )
+
+    if not quantum:
+        low = blocks.min()  # a 1x1 block is its own Choi eigenvalue
+    elif np.isfinite(blocks).all():  # eigvalsh may return garbage, not NaN, on NaN input
+        in_dims, out_dims = ([wires[i].hilbert_dim for i in group] for group in (qin, qout))
+        low = np.linalg.eigvalsh(choi_of_transfer(blocks, in_dims, out_dims)).min()
+    else:
+        low = np.nan
+    if not low >= -eps:
+        return f"is not completely positive (lowest Choi eigenvalue {low})"
+
+    u_out, u_in = (
+        discard_effect(Signature(tuple(wires[i] for i in group))).matrix[0].astype(matrix.dtype)
+        for group in (qout, qin)
+    )
+    gap = abs(np.tensordot(u_out, blocks.sum(axis=0), axes=(0, 1)) - u_in).max()
+    if not gap <= eps:
+        return f"is not discard-preserving (gap {gap})"
+    return None
+
+
 def stoch_valid(p: LinearProcess, tol: Optional[float] = None) -> bool:
-    """Column-stochastic test: entries in [0,1], columns summing to one."""
+    """Column-stochastic test: entries >= 0, columns summing to one."""
     if _wire_kinds(p) - {CLASSICAL}:
         raise WrongKind("stochastic validity applies to all-classical wires")
-    eps = effective_tol(p.arithmetic, tol)
-    m = p.matrix
-    if m.size and (m.min() < -eps or m.max() > 1 + eps):
-        return False
-    col_sums = m.sum(axis=0)
-    return all(abs(s - 1) <= eps for s in col_sums)
+    return instrument_problem(p, tol) is None
 
 
 def quant_valid(p: LinearProcess, tol: Optional[float] = None) -> bool:
     """Channel test for all-quantum wires: trace preserving and completely
     positive (Choi minimum eigenvalue >= -tol)."""
-    kinds = _wire_kinds(p)
-    if kinds - {QUANTUM}:
+    if _wire_kinds(p) - {QUANTUM}:
         raise WrongKind("quantum validity applies to all-quantum wires")
-    eps = tol if tol is not None else 1e-9
-    m = p.matrix.astype(float)
-    u_out = discard_effect(p.outputs, exact=False).matrix[0]
-    u_in = discard_effect(p.inputs, exact=False).matrix[0]
-    if np.abs(u_out @ m - u_in).max(initial=0.0) > eps:
-        return False
-    in_dims = tuple(w.hilbert_dim for w in p.inputs)
-    out_dims = tuple(w.hilbert_dim for w in p.outputs)
-    return min_choi_eigenvalue(m, in_dims, out_dims) >= -eps
+    return instrument_problem(p, tol) is None
 
 
 def hybrid_valid(p: LinearProcess, tol: Optional[float] = None) -> bool:
-    """Instrument test for mixed classical/quantum wires.
-
-    For every classical-input basis point x the slice must decompose over
-    classical-output points a into completely positive blocks whose sum is
-    trace preserving. Extension carriers count as classical here (they hold
-    point-distribution coordinates by construction). With no quantum wires
-    this reduces to column-stochasticity.
-    """
-    eps = tol if tol is not None else 1e-9
-    in_wires, out_wires = tuple(p.inputs), tuple(p.outputs)
-    m = p.matrix.astype(float)
-    tensor = m.reshape(p.outputs.dims + p.inputs.dims)
-
-    cin = [i for i, w in enumerate(in_wires) if w.kind != QUANTUM]
-    qin = [i for i, w in enumerate(in_wires) if w.kind == QUANTUM]
-    cout = [i for i, w in enumerate(out_wires) if w.kind != QUANTUM]
-    qout = [i for i, w in enumerate(out_wires) if w.kind == QUANTUM]
-    n_out = len(out_wires)
-
-    qin_dims = tuple(in_wires[i].hilbert_dim for i in qin)
-    qout_dims = tuple(out_wires[i].hilbert_dim for i in qout)
-    qin_v = math.prod(w.vdim for w in (in_wires[i] for i in qin)) if qin else 1
-    qout_v = math.prod(w.vdim for w in (out_wires[i] for i in qout)) if qout else 1
-    u_qin = discard_effect(
-        Signature(tuple(in_wires[i] for i in qin)), exact=False
-    ).matrix[0]
-    u_qout = discard_effect(
-        Signature(tuple(out_wires[i] for i in qout)), exact=False
-    ).matrix[0]
-
-    for x in iproduct(*[range(in_wires[i].vdim) for i in cin]):
-        index = [slice(None)] * (n_out + len(in_wires))
-        for axis, value in zip(cin, x):
-            index[n_out + axis] = value
-        sliced = tensor[tuple(index)]
-        total = np.zeros((qout_v, qin_v))
-        for a in iproduct(*[range(out_wires[i].vdim) for i in cout]):
-            sub = [slice(None)] * sliced.ndim
-            for pos, value in zip(cout, a):
-                sub[pos] = value
-            block = sliced[tuple(sub)].reshape(qout_v, qin_v)
-            if min_choi_eigenvalue(block, qin_dims, qout_dims) < -eps:
-                return False
-            total += block
-        if np.abs(u_qout @ total - u_qin).max(initial=0.0) > eps:
-            return False
-    return True
+    """Instrument test for mixed classical/quantum wires; see
+    ``instrument_problem``."""
+    return instrument_problem(p, tol) is None
 
 
 @dataclass(frozen=True)
@@ -277,11 +280,7 @@ class Theory:
             raise WrongKind("extension wires are outside the base theory")
         if QUANTUM in kinds and not self.quantum_allowed:
             raise WrongKind(f"{self.name} has no quantum wires")
-        if kinds <= {CLASSICAL}:
-            return stoch_valid(p, tol)
-        if kinds <= {QUANTUM}:
-            return quant_valid(p, tol)
-        return hybrid_valid(p, tol)
+        return instrument_problem(p, tol) is None
 
     def discard(self, t: SystemType) -> LinearProcess:
         self._require(t)

@@ -10,7 +10,9 @@ from itertools import product
 
 import numpy as np
 
-from quasicause.theories import hermitian_basis, vec_basis_matrix
+from quasicause import exact
+from quasicause.theories import discard_effect, hermitian_basis, vec_basis_matrix
+from quasicause.wires import QUANTUM, Signature
 
 F = Fraction
 
@@ -106,3 +108,81 @@ def classical_conditionals(matrix, out_dims, in_dims):
                 row = row * d + digit
             table[(a, x)] = matrix[row, col]
     return table
+
+
+def min_choi_eigenvalue(transfer, in_dims, out_dims):
+    """Lowest eigenvalue of sum_kl E_kl (x) Phi(E_kl), assembled block by
+    block from the images of the matrix units E_kl."""
+    d_in, d_out = math.prod(in_dims), math.prod(out_dims)
+    u_in, u_out = vec_basis_matrix(tuple(in_dims)), vec_basis_matrix(tuple(out_dims))
+    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for k, l in product(range(d_in), repeat=2):
+        unit = np.zeros(d_in * d_in)
+        unit[k * d_in + l] = 1
+        image = u_out @ (transfer @ (u_in.conj().T @ unit))
+        choi[k * d_out:(k + 1) * d_out, l * d_out:(l + 1) * d_out] = image.reshape(d_out, d_out)
+    return float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+
+
+def hybrid_valid_oracle(p, tol=None):
+    """Instrument test, one classical (input, output) point at a time: every
+    block completely positive, and for each classical input the blocks
+    summed over classical outputs trace preserving."""
+    eps = tol if tol is not None else 1e-9
+    in_wires, out_wires = tuple(p.inputs), tuple(p.outputs)
+    m = p.matrix.astype(float)
+    tensor = m.reshape(p.outputs.dims + p.inputs.dims)
+
+    cin = [i for i, w in enumerate(in_wires) if w.kind != QUANTUM]
+    qin = [i for i, w in enumerate(in_wires) if w.kind == QUANTUM]
+    cout = [i for i, w in enumerate(out_wires) if w.kind != QUANTUM]
+    qout = [i for i, w in enumerate(out_wires) if w.kind == QUANTUM]
+    n_out = len(out_wires)
+
+    qin_dims = tuple(in_wires[i].hilbert_dim for i in qin)
+    qout_dims = tuple(out_wires[i].hilbert_dim for i in qout)
+    qin_v = math.prod(w.vdim for w in (in_wires[i] for i in qin)) if qin else 1
+    qout_v = math.prod(w.vdim for w in (out_wires[i] for i in qout)) if qout else 1
+    u_qin = discard_effect(
+        Signature(tuple(in_wires[i] for i in qin)), exact=False
+    ).matrix[0]
+    u_qout = discard_effect(
+        Signature(tuple(out_wires[i] for i in qout)), exact=False
+    ).matrix[0]
+
+    for x in product(*[range(in_wires[i].vdim) for i in cin]):
+        index = [slice(None)] * (n_out + len(in_wires))
+        for axis, value in zip(cin, x):
+            index[n_out + axis] = value
+        sliced = tensor[tuple(index)]
+        total = np.zeros((qout_v, qin_v))
+        for a in product(*[range(out_wires[i].vdim) for i in cout]):
+            sub = [slice(None)] * sliced.ndim
+            for pos, value in zip(cout, a):
+                sub[pos] = value
+            block = sliced[tuple(sub)].reshape(qout_v, qin_v)
+            if min_choi_eigenvalue(block, qin_dims, qout_dims) < -eps:
+                return False
+            total += block
+        if np.abs(u_qout @ total - u_qin).max(initial=0.0) > eps:
+            return False
+    return True
+
+
+def greedy_rank_subset(candidates, exact_mode):
+    """Leftmost-first maximal-rank subset of (term, process) candidates, one
+    rank computation per candidate."""
+    kept = []
+    vectors = []
+    for term, proc in candidates:
+        vec = proc.matrix.reshape(-1)
+        trial = vectors + [vec if exact_mode else vec.astype(float)]
+        stacked = np.stack(trial, axis=1)
+        if exact_mode:
+            r = exact.rank(stacked)
+        else:
+            r = int(np.linalg.matrix_rank(stacked, tol=1e-9))
+        if r == len(trial):
+            kept.append((term, proc))
+            vectors.append(trial[-1])
+    return kept

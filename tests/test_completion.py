@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quasicause import QUANT, STOCH, classical, process, quantum, sig, state
+from quasicause import QUANT, RATIONAL, STOCH, classical, process, quantum, sig, state
+from quasicause.assemblages import bb84_assemblage, realize_assemblage
 from quasicause.boxes import pr_box, swap_channel
 from quasicause.completion import (
     GeneratedTheory,
@@ -20,6 +21,7 @@ from quasicause.completion import (
     quotient_suite,
     recomposition_term,
     register,
+    state_candidates,
     state_span,
 )
 from quasicause.diagrams import Leaf, Mix, Par, Seq, eval_diagram
@@ -27,6 +29,7 @@ from quasicause.errors import NotNonSignalling, SignatureMismatch, UnknownType, 
 from quasicause.nonsignalling import assemble_common_cause
 from quasicause.procs import compose_seq, max_abs_diff
 from tests.helpers import (
+    greedy_rank_subset,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_rational,
@@ -288,3 +291,25 @@ def test_base_boundary_diagrams_stay_valid_quant():
             gt, rng, recomposition_term(gt, cid), in_wires, out_wires, extra
         )
         assert is_in_base(gt, term, extra)
+
+
+def test_spans_keep_the_greedy_leftmost_subset():
+    gt = new_theory(QUANT)
+    register(gt, pr_box(), channel_id="pr")
+    realize_assemblage(gt, bb84_assemblage(), "bb84")
+    wires = {
+        w
+        for entry in gt.registered.values()
+        for w in entry.realization.ancilla_types
+        + tuple(t for pair in entry.channel.wings for t in pair)
+    }
+    for w in sorted(wires, key=lambda w: w.id):
+        for depth in (1, 2):
+            for span, candidates in (
+                (state_span, state_candidates),
+                (effect_span, effect_candidates),
+            ):
+                cands = candidates(gt, w, depth)
+                exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
+                want = [term for term, _ in greedy_rank_subset(cands, exact_mode)]
+                assert [term for term, _ in span(gt, w, depth)] == want

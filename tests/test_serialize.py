@@ -23,8 +23,10 @@ from quasicause.serialize import (
     channel_digest,
     channel_from_json,
     channel_to_json,
+    realization_from_certificate,
     verify_certificate,
 )
+from quasicause.theories import hybrid_valid
 from tests.helpers import (
     random_cptp_transfer,
     random_density_coords,
@@ -152,6 +154,79 @@ def certificate_pair(exact):
 
 def scaled(c, factor, exact):
     return str(Fraction(c) * factor) if exact else c * float(factor)
+
+
+def test_zero_weight_slot_with_a_negative_eta_entry_is_rejected():
+    # one more carrier slot with coefficient 0 leaves the recontraction and
+    # the coefficient sum exact; its eta columns read (-1e-12, 1 + 1e-12)
+    cert, obj = make_certificate(pr_box(), 0)
+    bad = json.loads(json.dumps(cert))
+    real = bad["realization"]
+    k = real["carrier"]
+    real["carrier"] = k + 1
+    for brand in real["brands"]:
+        brand["carrier"] = k + 1
+    tiny = Fraction(1, 10**12)
+    forged = np.array([str(-tiny), str(1 + tiny)], dtype=object)[:, None, None]
+    for i, flat in enumerate(real["etas"]):
+        eta = np.array(flat, dtype=object).reshape(2, 2, k)  # (output, input, slot)
+        grown = np.concatenate([eta, np.broadcast_to(forged, (2, 2, 1))], axis=2)
+        real["etas"][i] = grown.reshape(-1).tolist()
+    ok, residual, detail = verify_certificate(bad, obj)
+    assert residual == 0
+    assert not ok
+    assert "eta 1" in detail and "eta 2" in detail
+
+
+def test_nan_eta_entry_is_rejected():
+    cert, obj = certificate_pair(exact=False)
+    bad = json.loads(json.dumps(cert))
+    bad["realization"]["etas"][0][0] = float("nan")
+    with pytest.raises(SchemaError, match="eta 1"):
+        verify_certificate(bad, obj)
+    # the same eta reaching the validity check in memory fails it
+    chan = channel_from_json(obj)
+    eta = realization_from_certificate(cert, chan).etas[0]
+    matrix = eta.matrix.copy()
+    matrix[0, 0] = np.nan
+    assert not hybrid_valid(process(matrix, eta.inputs, eta.outputs))
+
+
+def _set(path, value):
+    def mutate(obj):
+        *keys, last = path
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+# case -> (file, mutation, exact)
+MALFORMED = {
+    "wing missing in": ("channel", lambda o: o["wings"][0].pop("in"), True),
+    "wings not a list": ("channel", _set(["wings"], 3), True),
+    "matrix not a list": ("channel", _set(["matrix"], 7), True),
+    "NaN entry": ("channel", _set(["matrix", 0], float("nan")), False),
+    "Infinity entry": ("channel", _set(["matrix", 0], float("inf")), False),
+    "-Infinity entry": ("channel", _set(["matrix", 0], float("-inf")), False),
+    "xi entry not an object": ("certificate", _set(["realization", "xi", 0], 5), True),
+    "brand wing not an int": ("certificate", _set(["realization", "brands", 0, "wing"], "x"), True),
+    "eta not a list": ("certificate", _set(["realization", "etas", 0], 3), True),
+    "declared tolerance not a number": ("certificate", _set(["tolerance"], "abc"), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_files_raise_schema_error(case):
+    target, mutate, exact = MALFORMED[case]
+    cert, obj = certificate_pair(exact)
+    cert = json.loads(json.dumps(cert))
+    mutate(obj if target == "channel" else cert)
+    with pytest.raises(SchemaError):
+        if target == "channel":
+            channel_from_json(obj)
+        else:
+            verify_certificate(cert, obj)
 
 
 @pytest.mark.parametrize("exact", [True, False])

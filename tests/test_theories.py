@@ -6,9 +6,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicause import (
     QUANT,
+    QUANTUM,
     STOCH,
     classical,
     compose_par,
@@ -26,6 +29,7 @@ from quasicause.theories import (
     embed_stochastic,
     hermitian_basis,
     hybrid_valid,
+    instrument_problem,
     quant_valid,
     stoch_valid,
     transfer_from_kraus,
@@ -37,7 +41,12 @@ BIT = classical(2)
 QUBIT = quantum(2)
 
 
-from tests.helpers import random_cptp_transfer
+from tests.helpers import (
+    hybrid_valid_oracle,
+    random_cptp_transfer,
+    random_stochastic_float,
+    random_stochastic_rational,
+)
 
 
 def test_hermitian_basis_orthonormal():
@@ -195,3 +204,136 @@ def test_choi_vec_basis_roundtrip():
     s = u @ t.astype(complex) @ u.conj().T
     rho_out2 = (s @ rho.reshape(4)).reshape(2, 2)
     assert np.abs(rho_out - rho_out2).max() < 1e-10
+
+
+TRIT = classical(3)
+QUBIT_TRANSPOSE = np.diag([1.0, 1.0, -1.0, 1.0])
+
+
+def _dims(wires):
+    return tuple(w.vdim for w in wires)
+
+
+def _from_blocks(blocks, ins, outs):
+    """Process whose (classical out a, classical in x) block is blocks[a, x],
+    a transfer matrix from the quantum inputs to the quantum outputs."""
+    wires = tuple(outs) + tuple(ins)
+    n_out = len(outs)
+    groups = [
+        [i for i, w in enumerate(wires) if (w.kind == QUANTUM) == q and (i >= n_out) == side]
+        for q in (False, True) for side in (False, True)
+    ]
+    order = [i for group in groups for i in group]
+    tensor = blocks.reshape(tuple(wires[i].vdim for i in order))
+    matrix = tensor.transpose(np.argsort(order)).reshape(sig(*outs).dim, sig(*ins).dim)
+    return process(matrix, sig(*ins), sig(*outs))
+
+
+def _random_instrument(rng, ins, outs):
+    """blocks[a, x] = p(a|x) T_ax with p column-stochastic and every T_ax a
+    random channel from the quantum inputs to the quantum outputs."""
+    cout = [w for w in outs if w.kind != QUANTUM]
+    cin = [w for w in ins if w.kind != QUANTUM]
+    qout = tuple(w.hilbert_dim for w in outs if w.kind == QUANTUM)
+    qin = tuple(w.hilbert_dim for w in ins if w.kind == QUANTUM)
+    n_a, n_x = sig(*cout).dim, sig(*cin).dim
+    p = random_stochastic_float(rng, n_a, n_x)
+    env = max(2, math.prod(qin))  # the Stinespring isometry needs d_out * env >= d_in
+    return np.array([
+        [p[a, x] * random_cptp_transfer(rng, qin, qout, env) for x in range(n_x)]
+        for a in range(n_a)
+    ]), qin, qout
+
+
+WIRE_LISTS = st.lists(st.sampled_from([BIT, TRIT, QUBIT]), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ins=WIRE_LISTS,
+    outs=WIRE_LISTS,
+    perturbation=st.sampled_from([None, "transpose", "sum", "entry"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_instrument_kernel_matches_block_oracle(ins, outs, perturbation, seed):
+    rng = np.random.default_rng(seed)
+    blocks, qin, qout = _random_instrument(rng, ins, outs)
+    n_a, n_x = blocks.shape[:2]
+    a, x = int(rng.integers(n_a)), int(rng.integers(n_x))
+    if perturbation == "transpose" and not (qin and qout):
+        perturbation = "sum"  # a positive map that is not CP needs quantum wires on both sides
+    if perturbation == "transpose":
+        # transpose the first input qubit onto the first output qubit, trace
+        # out the other inputs and prepare the other outputs maximally mixed
+        mixed = np.zeros(blocks.shape[2] // 4)
+        mixed[0] = 1 / math.prod(qout[1:]) ** 0.5
+        trace = np.zeros(blocks.shape[3] // 4)
+        trace[0] = math.prod(qin[1:]) ** 0.5
+        # T_ax[0, 0] = 1 for a channel, so blocks[a, x, 0, 0] is p(a|x)
+        blocks[a, x] = blocks[a, x, 0, 0] * np.kron(QUBIT_TRANSPOSE, np.outer(mixed, trace))
+    elif perturbation == "sum":
+        # feed 1e-6 tr(rho) of the maximally mixed state into block (a, x):
+        # still completely positive, no longer trace preserving
+        mixed = np.zeros(blocks.shape[2])
+        mixed[0] = 1 / math.prod(qout) ** 0.5
+        trace = np.zeros(blocks.shape[3])
+        trace[0] = math.prod(qin) ** 0.5
+        blocks[a, x] += 1e-6 * np.outer(mixed, trace)
+    elif perturbation == "entry":
+        j = int(rng.integers(blocks[a, x].size))
+        if not qin and not qout and n_a > 1:
+            blocks[(a + 1) % n_a, x] += blocks[a, x] + 1e-6  # keep the column sum
+        blocks[a, x].flat[j] = -1e-6
+    p = _from_blocks(blocks, ins, outs)
+    verdict = instrument_problem(p) is None
+    assert verdict == hybrid_valid_oracle(p)
+    assert verdict == QUANT.valid(p)
+    if perturbation is None:
+        assert verdict
+    elif perturbation != "entry" or not (qin or qout):
+        assert not verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ins=st.lists(st.sampled_from([BIT, TRIT]), max_size=2),
+    outs=st.lists(st.sampled_from([BIT, TRIT]), max_size=2),
+    forgery=st.sampled_from([None, "negative", "sum"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_instrument_kernel_is_exact_on_rational_classical(ins, outs, forgery, seed):
+    rng = np.random.default_rng(seed)
+    n_out, n_in = sig(*outs).dim, sig(*ins).dim
+    m = random_stochastic_rational(rng, n_out, n_in)
+    i, j = int(rng.integers(n_out)), int(rng.integers(n_in))
+    tiny = F(1, 10**12)
+    if forgery == "negative":
+        # move entry (i, j) and 1e-12 more to the next row, leaving -1e-12:
+        # the column sum is unchanged
+        m[(i + 1) % n_out, j] += m[i, j] + tiny
+        m[i, j] = -tiny
+    elif forgery == "sum":
+        m[i, j] += tiny
+    p = process(m, sig(*ins), sig(*outs))
+    stochastic = all(x >= 0 for x in m.flat) and all(sum(col) == 1 for col in m.T)
+    assert (instrument_problem(p) is None) == stochastic
+    assert stoch_valid(p) == STOCH.valid(p) == stochastic
+    assert stochastic == (forgery is None)
+
+
+@pytest.mark.parametrize("ins, outs", [
+    ((BIT,), (BIT,)),
+    ((QUBIT,), (QUBIT,)),
+    ((BIT, QUBIT), (QUBIT,)),
+    ((QUBIT,), (BIT,)),
+])
+def test_nan_entry_is_never_valid(ins, outs):
+    rng = np.random.default_rng(3)
+    blocks, _, _ = _random_instrument(rng, ins, outs)
+    p = _from_blocks(blocks, ins, outs)
+    assert instrument_problem(p) is None
+    matrix = p.matrix.copy()
+    matrix[-1, -1] = np.nan
+    bad = process(matrix, p.inputs, p.outputs)
+    assert instrument_problem(bad) is not None
+    assert not hybrid_valid(bad)
