@@ -6,6 +6,15 @@ outputs, and numbers have neither. Two arithmetic backends share one code
 path: exact rationals (object arrays holding ints and ``Fraction``) and
 binary64. Composition promotes to binary64 whenever either operand uses it.
 
+Wire shuffles and identities are 0/1 matrices with a single 1 per column.
+Those built by :func:`permutation` and :func:`identity` (and their sequential
+and parallel composites) also carry, privately, the row of each column's 1.
+Composing with such an operand moves rows or columns of the other matrix
+instead of multiplying it, so the result is the dense product entry for
+entry, rational entries are copied rather than recomputed, and the other
+operand's arithmetic is kept (a binary64 operand still gives binary64).
+Every other operand takes the dense ``@`` / ``np.kron`` path.
+
 All values are immutable after construction and all operations are pure, so
 independent diagrams can be evaluated concurrently.
 """
@@ -25,8 +34,6 @@ from .wires import (
     Signature,
     SystemType,
     check_permutation,
-    ravel_index,
-    unravel_index,
 )
 
 RATIONAL = "rational"
@@ -70,6 +77,9 @@ class LinearProcess:
     inputs: Signature
     outputs: Signature
     matrix: np.ndarray
+
+    # Row of each column's single 1; set only by _indexed, never a field.
+    _rows = None
 
     def __post_init__(self):
         matrix = self.matrix
@@ -160,14 +170,20 @@ def number(x: Number) -> LinearProcess:
     return process([[x]], EMPTY, EMPTY)
 
 
+def _indexed(inputs: Signature, outputs: Signature, rows: np.ndarray) -> LinearProcess:
+    """The rational 0/1 bijection whose column c has its 1 in row rows[c]."""
+    n = len(rows)
+    matrix = np.zeros((n, n), dtype=object)
+    matrix[rows, np.arange(n)] = 1
+    p = LinearProcess(inputs, outputs, matrix)
+    object.__setattr__(p, "_rows", _freeze(rows))
+    return p
+
+
 def identity(signature: Union[Signature, SystemType]) -> LinearProcess:
     if isinstance(signature, SystemType):
         signature = Signature((signature,))
-    n = signature.dim
-    matrix = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        matrix[i, i] = 1
-    return LinearProcess(signature, signature, matrix)
+    return _indexed(signature, signature, np.arange(signature.dim))
 
 
 def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
@@ -176,14 +192,27 @@ def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
         raise TypeMismatch(
             f"cannot wire {f.outputs!r} into {g.inputs!r}: ordered type lists differ"
         )
-    fm, gm = _promote(f, g)
-    return LinearProcess(f.inputs, g.outputs, gm @ fm)
+    if f._rows is not None and g._rows is not None:
+        return _indexed(f.inputs, g.outputs, g._rows[f._rows])
+    if g._rows is not None:
+        matrix = np.empty_like(f.matrix)
+        matrix[g._rows] = f.matrix
+    elif f._rows is not None:
+        matrix = g.matrix[:, f._rows]
+    else:
+        fm, gm = _promote(f, g)
+        matrix = gm @ fm
+    return LinearProcess(f.inputs, g.outputs, matrix)
 
 
 def compose_par(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     """Place ``f`` and ``g`` side by side (f's wires leftmost)."""
+    inputs, outputs = f.inputs + g.inputs, f.outputs + g.outputs
+    if f._rows is not None and g._rows is not None:
+        rows = f._rows[:, None] * len(g._rows) + g._rows
+        return _indexed(inputs, outputs, rows.reshape(-1))
     fm, gm = _promote(f, g)
-    return LinearProcess(f.inputs + g.inputs, f.outputs + g.outputs, np.kron(fm, gm))
+    return LinearProcess(inputs, outputs, np.kron(fm, gm))
 
 
 def convex_mix(p: Number, f: LinearProcess, g: LinearProcess) -> LinearProcess:
@@ -204,19 +233,16 @@ def permutation(signature: Signature, order: Sequence[int]) -> LinearProcess:
     """Wire shuffle: output slot s carries input wire order[s] (0-based).
 
     The matrix is the 0/1 reindexing of mixed-radix coordinates; it is
-    doubly stochastic.
+    doubly stochastic. The process also keeps the row of each column's 1,
+    so composing it with another process reorders that process's rows or
+    columns: no arithmetic, exact in rational mode, and the other operand's
+    arithmetic decides the result's.
     """
     order = check_permutation(order, len(signature))
     out_sig = Signature(tuple(signature.wires[p] for p in order))
-    dims = signature.dims
-    out_dims = out_sig.dims
-    n = signature.dim
-    matrix = np.zeros((n, n), dtype=object)
-    for col in range(n):
-        digits = unravel_index(col, dims)
-        row = ravel_index([digits[p] for p in order], out_dims)
-        matrix[row, col] = 1
-    return LinearProcess(signature, out_sig, matrix)
+    # rows[c]: the output index whose digits are c's digits taken in `order`
+    rows = np.arange(signature.dim).reshape(out_sig.dims).transpose(np.argsort(order))
+    return _indexed(signature, out_sig, rows.reshape(-1))
 
 
 def swap(a: SystemType, b: SystemType) -> LinearProcess:

@@ -294,10 +294,14 @@ def realization_from_certificate(
             raise SchemaError(f"eta {i + 1}: {err}") from err
         etas.append(LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat))
 
+    frames_json = _expect(obj.get("frames", []), list, "frames")
+    if frames_json and len(frames_json) != m:
+        raise SchemaError("one frame per wing required")
     frames = tuple(
-        _frame_from_json(f, channel.wings[i])
-        for i, f in enumerate(obj.get("frames", []))
+        _frame_from_json(f, channel.wings[i]) for i, f in enumerate(frames_json)
     )
+    mixture = _expect(obj.get("quasiMixture", {}), dict, "quasiMixture")
+    terms = _expect(mixture.get("terms", []), list, "terms")
     return CommonCauseRealization(
         channel_id=channel_id,
         ancilla_types=tuple(ancillas),
@@ -306,23 +310,30 @@ def realization_from_certificate(
         frame=frames,
         coefficients=tuple(coeffs),
         term_indices=tuple(
-            tuple(t.get("indices", [])) for t in obj.get("quasiMixture", {}).get("terms", [])
+            tuple(_expect(_expect(t, dict, "term").get("indices", []), list, "term indices"))
+            for t in terms
         ),
     )
 
 
 def _frame_from_json(obj: Dict, wing) -> WingFrame:
     w_in, w_out = wing
-    exact = all(isinstance(x, (str, int)) for m in obj.get("members", [])
-                for x in m)
+    members_json = _expect(_expect(obj, dict, "frame").get("members"), list, "frame members")
+    if not members_json:
+        raise SchemaError("frame without members")
+    flats = [_expect(flat, list, "frame member") for flat in members_json]
+    exact = all(isinstance(x, (str, int)) for flat in flats for x in flat)
     members = tuple(
         LinearProcess(
             sig(w_in), sig(w_out),
             decode_matrix(flat, (w_out.vdim, w_in.vdim), exact),
         )
-        for flat in obj.get("members", [])
+        for flat in flats
     )
-    return WingFrame(w_in, w_out, members, tuple(obj.get("retained", ())))
+    retained = tuple(_expect(obj.get("retained", []), list, "retained"))
+    if not all(isinstance(j, int) and 0 <= j < len(members) for j in retained):
+        raise SchemaError(f"retained indices {list(retained)} outside the frame")
+    return WingFrame(w_in, w_out, members, retained)
 
 
 def verify_certificate(

@@ -43,11 +43,17 @@ def kraus_to_transfer(kraus, in_dims, out_dims):
     return t.real
 
 
-def random_cptp_transfer(rng, in_dims, out_dims, env=2):
-    """Transfer matrix of a random Stinespring channel between composites."""
+def random_cptp_transfer(rng, in_dims, out_dims, env=None):
+    """Transfer matrix of a random Stinespring channel between composites.
+
+    ``env`` defaults to the smallest environment the isometry fits in
+    (d_out * env >= d_in), and to at least 2.
+    """
     in_dims, out_dims = _dims(in_dims), _dims(out_dims)
     d_in = math.prod(in_dims)
     d_out = math.prod(out_dims)
+    if env is None:
+        env = max(2, math.ceil(d_in / d_out))
     v = random_isometry(rng, d_in, d_out * env)
     kraus = []
     for e in range(env):

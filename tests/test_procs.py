@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicause import (
     EMPTY,
@@ -18,12 +20,13 @@ from quasicause import (
     permutation,
     process,
     processes_equal,
+    quantum,
     sig,
     state,
     swap,
 )
 from quasicause.errors import InvalidPermutation, InvalidProbability, TypeMismatch
-from quasicause.wires import ravel_index, unravel_index
+from quasicause.wires import extension, ravel_index, unravel_index
 
 F = Fraction
 BIT = classical(2)
@@ -203,3 +206,91 @@ def test_promotion_rational_float():
 def test_empty_signature_equality():
     assert Signature(()) == EMPTY
     assert EMPTY.dim == 1
+
+
+# -- wire shuffles and identities against the dense matrix product ----------
+
+SHUFFLE_WIRES = [BIT, TRIT, quantum(2), extension("c", 1, 2)]
+
+
+def dense_permutation(signature, order):
+    """The per-column loop over mixed-radix digits."""
+    out_dims = [signature.dims[p] for p in order]
+    matrix = np.zeros((signature.dim, signature.dim), dtype=object)
+    for col in range(signature.dim):
+        digits = unravel_index(col, signature.dims)
+        matrix[ravel_index([digits[p] for p in order], out_dims), col] = 1
+    return matrix
+
+
+def promoted(f, g):
+    """Both matrices, in binary64 unless both are rational."""
+    if f.matrix.dtype == g.matrix.dtype:
+        return f.matrix, g.matrix
+    return f.matrix.astype(float), g.matrix.astype(float)
+
+
+def dense_seq(f, g):
+    fm, gm = promoted(f, g)
+    return gm @ fm
+
+
+def dense_par(f, g):
+    return np.kron(*promoted(f, g))
+
+
+def assert_same(got, want):
+    """Same arithmetic and equal entries (``==``, so rationals compare exactly)."""
+    assert got.matrix.dtype == want.dtype
+    assert np.array_equal(got.matrix, want)
+
+
+def random_operand(rng, shape, exact):
+    if exact:
+        entries = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 8)))
+                   for _ in range(shape[0] * shape[1])]
+        return np.array(entries, dtype=object).reshape(shape)
+    return rng.normal(size=shape)
+
+
+def shuffles(signature, data):
+    """An identity or a drawn permutation on ``signature``, with its dense oracle."""
+    order = data.draw(st.one_of(st.none(), st.permutations(range(len(signature)))))
+    if order is None:
+        return identity(signature), np.eye(signature.dim, dtype=int).astype(object)
+    return permutation(signature, order), dense_permutation(signature, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wires=st.lists(st.sampled_from(SHUFFLE_WIRES), min_size=1, max_size=4)
+    .filter(lambda ws: sig(*ws).dim <= 64),
+    data=st.data(),
+    exact_f=st.booleans(),
+    exact_g=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shuffles_compose_like_the_dense_product(wires, data, exact_f, exact_g, seed):
+    rng = np.random.default_rng(seed)
+    s = sig(*wires)
+    p, p_dense = shuffles(s, data)
+    q, q_dense = shuffles(p.outputs, data)
+    cut = data.draw(st.integers(0, len(wires)))
+    left, left_dense = shuffles(sig(*wires[:cut]), data)
+    right, right_dense = shuffles(sig(*wires[cut:]), data)
+    for got, want in [(p, p_dense), (q, q_dense), (left, left_dense), (right, right_dense)]:
+        assert_same(got, want)
+
+    side = sig(classical(int(rng.integers(1, 4))))
+    f = process(random_operand(rng, (s.dim, side.dim), exact_f), side, s)
+    assert_same(compose_seq(f, p), dense_seq(f, p))
+    pq = compose_seq(p, q)
+    assert_same(pq, dense_seq(p, q))
+    par = compose_par(left, right)
+    assert_same(par, dense_par(left, right))
+    # the composites carry the structure on: composing with them still agrees
+    for shuffle in (q, pq, par):
+        g = process(random_operand(rng, (side.dim, s.dim), exact_g), shuffle.outputs, side)
+        assert_same(compose_seq(shuffle, g), dense_seq(shuffle, g))
+    assert_same(compose_seq(f, pq), dense_seq(f, pq))
+    assert_same(compose_seq(f, par), dense_seq(f, par))

@@ -229,6 +229,33 @@ def test_malformed_files_raise_schema_error(case):
             verify_certificate(cert, obj)
 
 
+# certificate blocks that only the rebuild reads: case -> (mutation, exact)
+MALFORMED_BLOCKS = {
+    "frames not a list": (_set(["frames"], 3), True),
+    "frame not an object": (_set(["frames", 0], 3), True),
+    "one frame too many": (lambda o: o["frames"].append(o["frames"][0]), True),
+    "frame members not a list": (_set(["frames", 0, "members"], 3), True),
+    "frame without members": (_set(["frames", 0, "members"], []), False),
+    "frame member not a list": (_set(["frames", 0, "members", 0], 3), True),
+    "retained not a list": (_set(["frames", 0, "retained"], 3), True),
+    "retained index off the frame": (_set(["frames", 0, "retained"], [99]), False),
+    "quasiMixture not an object": (_set(["quasiMixture"], 3), True),
+    "terms not a list": (_set(["quasiMixture", "terms"], 3), False),
+    "term not an object": (_set(["quasiMixture", "terms", 0], 3), True),
+    "term indices not a list": (_set(["quasiMixture", "terms", 0, "indices"], 3), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_malformed_certificate_blocks_raise_schema_error(case):
+    mutate, exact = MALFORMED_BLOCKS[case]
+    cert, obj = certificate_pair(exact)
+    cert = json.loads(json.dumps(cert))
+    mutate(cert)
+    with pytest.raises(SchemaError):
+        verify_certificate(cert, obj)
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_doubled_eta_with_halved_xi_is_rejected(exact):
     # the recontraction is unchanged, but eta_1 is no channel and xi sums to 1/2

@@ -106,6 +106,14 @@ def test_quant_valid_stinespring_samples():
         assert quant_valid(process(t, sig(QUBIT), sig(QUBIT)))
 
 
+def test_stinespring_default_environment_fits_more_inputs_than_outputs():
+    # two qubits in, nothing out: d_in = 4 > 2 * d_out, the case env = 2 missed
+    t = random_cptp_transfer(np.random.default_rng(22), (2, 2), ())
+    assert quant_valid(process(t, sig(QUBIT, QUBIT), sig()))
+    discard = discard_effect(sig(QUBIT, QUBIT)).matrix.astype(float)
+    assert np.abs(t - discard).max() < 1e-10
+
+
 def test_stochastic_embedding_is_cptp():
     rng = np.random.default_rng(31)
     m = rng.random((2, 2))
@@ -238,9 +246,8 @@ def _random_instrument(rng, ins, outs):
     qin = tuple(w.hilbert_dim for w in ins if w.kind == QUANTUM)
     n_a, n_x = sig(*cout).dim, sig(*cin).dim
     p = random_stochastic_float(rng, n_a, n_x)
-    env = max(2, math.prod(qin))  # the Stinespring isometry needs d_out * env >= d_in
     return np.array([
-        [p[a, x] * random_cptp_transfer(rng, qin, qout, env) for x in range(n_x)]
+        [p[a, x] * random_cptp_transfer(rng, qin, qout) for x in range(n_x)]
         for a in range(n_a)
     ]), qin, qout
 
