@@ -57,7 +57,7 @@ from .procs import (
     permutation,
 )
 from .theories import Theory, discard_effect
-from .wires import EXTENSION, Signature, SystemType, classical, sig
+from .wires import EXTENSION, Signature, SystemType, classical, interleave, sig
 
 
 @dataclass(frozen=True)
@@ -188,14 +188,10 @@ ROUTE_CAP = 4000
 
 def _interleave_route(channel, realization) -> Optional[LinearProcess]:
     """(inputs..., ancillas...) -> (in_1, anc_1, in_2, anc_2, ...)."""
-    m = channel.m
     wires = tuple(w for w, _ in channel.wings) + realization.ancilla_types
     if math.prod(w.vdim for w in wires) > ROUTE_CAP:
         return None
-    order = []
-    for i in range(m):
-        order.extend([i, m + i])
-    return permutation(Signature(wires), order)
+    return permutation(Signature(wires), interleave(channel.m))
 
 
 def recomposition_term(gt: GeneratedTheory, channel_id: str) -> Term:
@@ -414,12 +410,12 @@ def op_equiv(
     state_sets = [state_span(gt, w, depth) for w in f_in]
     effect_sets = [effect_span(gt, w, depth) for w in f_out]
 
+    effects = [_par_fold(c) for c in iproduct(*effect_sets)]
     for state_combo in iproduct(*state_sets):
         s_term, s_proc = _par_fold(state_combo)
         fed_f = compose_seq(s_proc, fp) if s_proc is not None else fp
         fed_g = compose_seq(s_proc, gp) if s_proc is not None else gp
-        for effect_combo in iproduct(*effect_sets):
-            e_term, e_proc = _par_fold(effect_combo)
+        for e_term, e_proc in effects:
             lhs = compose_seq(fed_f, e_proc) if e_proc is not None else fed_f
             rhs = compose_seq(fed_g, e_proc) if e_proc is not None else fed_g
             gap = max_abs_diff(lhs, rhs)

@@ -46,10 +46,11 @@ from .procs import (
     compose_seq,
     effective_tol,
     max_abs_diff,
+    mode_product,
     scale,
 )
 from .theories import Theory, instrument_problem
-from .wires import CLASSICAL, EMPTY, Signature, SystemType, extension, sig
+from .wires import CLASSICAL, EMPTY, Signature, SystemType, extension, interleave, sig
 
 PRUNE = 1e-12
 
@@ -243,20 +244,34 @@ def default_frames(channel: MultipartiteChannel) -> Tuple[WingFrame, ...]:
 
 def _wing_major_tensor(channel: MultipartiteChannel) -> np.ndarray:
     """Reshape the body so axis i runs over wing i's (out, in) pairs."""
-    out_dims = tuple(w.vdim for _, w in channel.wings)
-    in_dims = tuple(w.vdim for w, _ in channel.wings)
-    m = channel.m
-    t = channel.body.matrix.reshape(out_dims + in_dims)
-    order = []
-    for i in range(m):
-        order.extend([i, m + i])
-    t = np.transpose(t, order)
-    return t.reshape(tuple(o * i for o, i in zip(out_dims, in_dims)))
+    t = np.transpose(channel.wing_tensor, interleave(channel.m))
+    return t.reshape(tuple(o.vdim * i.vdim for i, o in channel.wings))
 
 
-def _mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(matrix, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
+def _term_stack(frame: WingFrame, terms, wing: int) -> np.ndarray:
+    """Each term's member for ``wing`` as an (out, in, term) array."""
+    return np.stack([frame.members[idx[wing]].matrix for _, idx in terms], axis=-1)
+
+
+def _recontraction_residual(channel, coefficients, stacks, exact_mode) -> object:
+    """Max-abs difference between sum_k c_k (x)_i stacks[i][:, :, k] and the
+    body.
+
+    Every wing reads the same index k, so each (out_i, in_i, k) stack is
+    multiplied into the running product along a shared k axis, and the last
+    wing's stack, weighted by the coefficients, contracts that axis away:
+    O(k * D_in * D_out) work, never a k^m tensor.
+    """
+    dtype = object if exact_mode else float
+    tensor = np.ones(len(coefficients), dtype=dtype)
+    for stack in stacks[:-1]:
+        # axes (o_1, x_1, ..., o_i, x_i, k) after wing i
+        tensor = tensor[..., None, None, :] * stack.astype(dtype)
+    weighted = stacks[-1].astype(dtype) * np.array(coefficients, dtype=dtype)
+    tensor = np.tensordot(tensor, weighted, axes=([-1], [-1]))
+    body = channel.body.matrix.astype(dtype)
+    rebuilt = np.transpose(tensor, np.argsort(interleave(channel.m))).reshape(body.shape)
+    return abs(rebuilt - body).max()
 
 
 def decompose_quasimixture(
@@ -312,7 +327,7 @@ def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
     for axis, frame in enumerate(frames):
         f = frame.retained_matrix(as_float=not exact_mode)
         dual = exact.pinv(f) if exact_mode else np.linalg.pinv(f)
-        tensor = _mode_product(tensor, dual, axis)
+        tensor = mode_product(tensor, dual, axis)
     full = np.zeros(tuple(len(f) for f in frames), dtype=object if exact_mode else float)
     full[np.ix_(*(f.retained for f in frames))] = tensor
     return full.reshape(-1)
@@ -368,25 +383,20 @@ def reconstruction_residual(
     frames: Sequence[WingFrame],
     terms: Sequence[Tuple[object, Tuple[int, ...]]],
 ) -> object:
-    """Max-abs difference between sum_k c_k (x)_i member and the body."""
-    exact_mode = channel.body.arithmetic == RATIONAL and all(
-        f.exact for f in frames
+    """Max-abs difference between sum_k c_k (x)_i member and the body.
+
+    Each wing's chosen members are stacked along a term axis, as for the
+    etas, and summed by ``_recontraction_residual``, the shared-k
+    recontraction that ``verify_realization`` uses.
+    """
+    coefficients = [c for c, _ in terms]
+    exact_mode = (
+        channel.body.arithmetic == RATIONAL
+        and all(f.exact for f in frames)
+        and not any(isinstance(c, float) for c in coefficients)
     )
-    shape = channel.body.matrix.shape
-    if exact_mode:
-        total = np.zeros(shape, dtype=object)
-    else:
-        total = np.zeros(shape)
-    for c, indices in terms:
-        prod = np.array([[1]], dtype=object) if exact_mode else np.array([[1.0]])
-        for frame, j in zip(frames, indices):
-            member = frame.members[j].matrix
-            if not exact_mode:
-                member = member.astype(float)
-            prod = np.kron(prod, member)
-        total = total + c * prod
-    body = channel.body.matrix if exact_mode else channel.body.matrix.astype(float)
-    return abs(total - body).max()
+    stacks = [_term_stack(frame, terms, i) for i, frame in enumerate(frames)]
+    return _recontraction_residual(channel, coefficients, stacks, exact_mode)
 
 
 def negativity(qm: QuasiMixture):
@@ -424,10 +434,8 @@ def build_realization(
 
     etas = []
     for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
-        # stack the chosen members along a trailing ancilla axis, so column
-        # x * k_terms + k holds column x of term k's member
-        chosen = [frame.members[indices[i]].matrix for _, indices in qm.terms]
-        mat = np.stack(chosen, axis=-1).reshape(w_out.vdim, w_in.vdim * k_terms)
+        # column x * k_terms + k holds column x of term k's member
+        mat = _term_stack(frame, qm.terms, i).reshape(w_out.vdim, w_in.vdim * k_terms)
         if not exact_mode:
             mat = mat.astype(float)
         eta = LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat)
@@ -461,10 +469,9 @@ def verify_realization(
 
     This contraction path is independent of build_realization: it works from
     the coefficients and eta matrices alone. Every wing's ancilla reads the
-    same index k of the diagonal state, so each eta_i, as an (out_i, in_i, k)
-    tensor, is multiplied into the running product along a shared k axis
-    that is summed once at the end: O(k * D_in * D_out) entries, never the
-    k^m dense ``xi``.
+    same index k of the diagonal state, so each eta_i is read as an
+    (out_i, in_i, k) stack and ``_recontraction_residual`` contracts that
+    shared k, never building the k^m dense ``xi``.
     """
     m = channel.m
     k = len(realization.coefficients)
@@ -483,16 +490,5 @@ def verify_realization(
         _arithmetic(realization) == RATIONAL and channel.body.arithmetic == RATIONAL
     )
 
-    def cast(a):
-        return a if exact_mode else a.astype(float)
-
-    tensor = np.array(realization.coefficients, dtype=object if exact_mode else float)
-    for eta, (w_in, w_out) in zip(realization.etas, channel.wings):
-        eta_t = cast(eta.matrix).reshape(w_out.vdim, w_in.vdim, k)
-        # axes (o_1, x_1, ..., o_i, x_i, k) after this wing
-        tensor = tensor[..., None, None, :] * eta_t
-    tensor = tensor.sum(axis=-1)
-    order = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    rebuilt = np.transpose(tensor, order).reshape(channel.body.matrix.shape)
-    body = cast(channel.body.matrix)
-    return abs(rebuilt - body).max()
+    stacks = [eta.matrix.reshape(eta.outputs.dim, -1, k) for eta in realization.etas]
+    return _recontraction_residual(channel, realization.coefficients, stacks, exact_mode)

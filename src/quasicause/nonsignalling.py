@@ -8,6 +8,10 @@ residual is within tolerance. If an exact factorization exists the candidate
 construction recovers it, because plugging any normalized state into a
 discarded leg leaves the remaining factor unchanged.
 
+Each subset is three rounds of mode products on the body's wing tensor (one
+axis per wire) with single-wire discards and reference states; no operator on
+the whole wire space is built.
+
 Wing labels are 1-based throughout this module's public surface.
 """
 
@@ -16,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import OutOfRange, TypeMismatch
 from .procs import (
     LinearProcess,
@@ -23,12 +29,12 @@ from .procs import (
     compose_seq,
     effective_tol,
     identity,
-    max_abs_diff,
+    mode_product,
     number,
     permutation,
 )
 from .theories import Theory
-from .wires import Signature, SystemType
+from .wires import Signature, SystemType, interleave
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,12 @@ class MultipartiteChannel:
 
     def output_types(self) -> Tuple[SystemType, ...]:
         return tuple(w for _, w in self.wings)
+
+    @property
+    def wing_tensor(self) -> np.ndarray:
+        """The body with one axis per wire: (out_1..out_m, in_1..in_m)."""
+        body = self.body
+        return body.matrix.reshape(body.outputs.dims + body.inputs.dims)
 
 
 @dataclass(frozen=True)
@@ -106,59 +118,48 @@ def discard_outputs(
     Remaining outputs keep their original relative order (the complement
     order of the bipartitioning convention).
     """
-    subset = _checked_subset(channel.m, subset, allow_full=True)
-    if not subset:
-        raise OutOfRange("subset of outputs to discard must be nonempty")
-    eat = number(1)
-    for label, (_, w_out) in enumerate(channel.wings, start=1):
-        if label in subset:
-            piece = channel.theory.discard(w_out)
-        else:
-            piece = identity(Signature((w_out,)))
-        eat = compose_par(eat, piece)
-    return compose_seq(channel.body, eat)
-
-
-def plug_reference_inputs(
-    channel: MultipartiteChannel, marginal: LinearProcess, subset: Sequence[int]
-) -> LinearProcess:
-    """Feed theory reference states into the K inputs of a marginal."""
-    feed = number(1)
-    for label, (w_in, _) in enumerate(channel.wings, start=1):
-        if label in subset:
-            piece = channel.theory.reference_state(w_in)
-        else:
-            piece = identity(Signature((w_in,)))
-        feed = compose_par(feed, piece)
-    return compose_seq(feed, marginal)
+    subset = tuple(sorted(set(subset)))
+    if not subset or not 1 <= subset[0] <= subset[-1] <= channel.m:
+        raise OutOfRange(f"wings to discard {subset} must be nonempty in 1..{channel.m}")
+    tensor, outs = channel.wing_tensor, channel.body.outputs
+    for k in subset:
+        tensor = mode_product(tensor, channel.theory.discard(outs[k - 1]).matrix, k - 1)
+    kept = _rest(outs, subset)
+    return LinearProcess(channel.body.inputs, kept, tensor.reshape(kept.dim, -1))
 
 
 def check_nonsignalling(
     channel: MultipartiteChannel, tol: Optional[object] = None
 ) -> NSReport:
-    """Decide the non-signalling property over all 2^m - 2 labelled subsets."""
+    """Decide the non-signalling property over all 2^m - 2 labelled subsets.
+
+    For a subset K, ``discarded`` is the wing tensor with the K output axes
+    contracted with the discard rows. The candidate marginal contracts its K
+    input axes with the reference states, and ``rebuilt`` spreads those axes
+    back out with the input discards. The residual is max|discarded - rebuilt|.
+    """
     tolerance = effective_tol(channel.body.arithmetic, tol)
+    m, ins, outs = channel.m, channel.body.inputs, channel.body.outputs
+    refs = [channel.theory.reference_state(w).matrix.T for w in ins]
+    units = [channel.theory.discard(w).matrix.T for w in ins]
     checks: List[SubsetCheck] = []
-    for subset in proper_subsets(channel.m):
-        discarded = discard_outputs(channel, subset)
-        candidate = plug_reference_inputs(channel, discarded, subset)
-        rebuilt = _discard_k_inputs_then(channel, candidate, subset)
-        residual = max_abs_diff(discarded, rebuilt)
-        checks.append(SubsetCheck(subset, residual, candidate))
+    for subset in proper_subsets(m):
+        shape = tuple(1 if i in subset else w.vdim for i, w in enumerate(outs, 1))
+        discarded = discard_outputs(channel, subset).matrix.reshape(shape + ins.dims)
+        candidate = discarded
+        for k in subset:
+            candidate = mode_product(candidate, refs[k - 1], m + k - 1)
+        rebuilt = candidate
+        for k in subset:
+            rebuilt = mode_product(rebuilt, units[k - 1], m + k - 1)
+        kept = _rest(outs, subset)
+        marginal = LinearProcess(_rest(ins, subset), kept, candidate.reshape(kept.dim, -1))
+        checks.append(SubsetCheck(subset, abs(discarded - rebuilt).max(), marginal))
     return NSReport(tuple(checks), tolerance)
 
 
-def _discard_k_inputs_then(
-    channel: MultipartiteChannel, candidate: LinearProcess, subset: Sequence[int]
-) -> LinearProcess:
-    # (discards on K inputs) tensored with identities, then the candidate
-    front = number(1)
-    for label, (w_in, _) in enumerate(channel.wings, start=1):
-        if label in subset:
-            front = compose_par(front, channel.theory.discard(w_in))
-        else:
-            front = compose_par(front, identity(Signature((w_in,))))
-    return compose_seq(front, candidate)
+def _rest(wires: Sequence[SystemType], subset: Sequence[int]) -> Signature:
+    return Signature(tuple(w for i, w in enumerate(wires, 1) if i not in subset))
 
 
 def proper_subsets(m: int) -> List[Tuple[int, ...]]:
@@ -167,16 +168,6 @@ def proper_subsets(m: int) -> List[Tuple[int, ...]]:
     for mask in range(1, 2 ** m - 1):
         out.append(tuple(i + 1 for i in range(m) if mask >> i & 1))
     return sorted(out, key=lambda s: (len(s), s))
-
-
-def _checked_subset(m: int, subset: Sequence[int], allow_full=False) -> Tuple[int, ...]:
-    subset = tuple(sorted(set(subset)))
-    for k in subset:
-        if not 1 <= k <= m:
-            raise OutOfRange(f"wing label {k} outside 1..{m}")
-    if not allow_full and len(subset) == m:
-        raise OutOfRange("subset must be proper")
-    return subset
 
 
 def assemble_common_cause(
@@ -202,11 +193,7 @@ def assemble_common_cause(
 
     in_sig = Signature(tuple(w for w, _ in wings))
     body = compose_par(identity(in_sig), shared_state)
-    # interleave (1..m, a_1..a_m) -> (1, a_1, 2, a_2, ...)
-    order = []
-    for i in range(m):
-        order.extend([i, m + i])
-    body = compose_seq(body, permutation(body.outputs, order))
+    body = compose_seq(body, permutation(body.outputs, interleave(m)))
     locals_stack = number(1)
     for t in locals_:
         locals_stack = compose_par(locals_stack, t)

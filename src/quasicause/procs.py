@@ -133,10 +133,19 @@ class LinearProcess:
         )
 
 
-def _promote(f: LinearProcess, g: LinearProcess):
-    if f.arithmetic == g.arithmetic:
-        return f.matrix, g.matrix
-    return f.to_float().matrix, g.to_float().matrix
+def _promote(a: np.ndarray, b: np.ndarray):
+    """Two arrays in one backend: binary64 if either one is."""
+    if (a.dtype == object) == (b.dtype == object):
+        return a, b
+    return a.astype(float), b.astype(float)
+
+
+def mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply ``matrix`` into one axis of ``tensor``: that axis's length
+    becomes matrix.shape[0], and the result is binary64 if either operand is."""
+    matrix, tensor = _promote(matrix, tensor)
+    moved = np.tensordot(matrix, tensor, axes=([1], [axis]))
+    return np.moveaxis(moved, 0, axis)
 
 
 def process(matrix, inputs: Signature, outputs: Signature, exact=None) -> LinearProcess:
@@ -200,7 +209,7 @@ def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     elif f._rows is not None:
         matrix = g.matrix[:, f._rows]
     else:
-        fm, gm = _promote(f, g)
+        fm, gm = _promote(f.matrix, g.matrix)
         matrix = gm @ fm
     return LinearProcess(f.inputs, g.outputs, matrix)
 
@@ -211,7 +220,7 @@ def compose_par(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f._rows is not None and g._rows is not None:
         rows = f._rows[:, None] * len(g._rows) + g._rows
         return _indexed(inputs, outputs, rows.reshape(-1))
-    fm, gm = _promote(f, g)
+    fm, gm = _promote(f.matrix, g.matrix)
     return LinearProcess(inputs, outputs, np.kron(fm, gm))
 
 
@@ -221,7 +230,7 @@ def convex_mix(p: Number, f: LinearProcess, g: LinearProcess) -> LinearProcess:
         raise TypeMismatch("convex mixture needs identical signatures")
     if not 0 <= p <= 1:
         raise InvalidProbability(f"weight {p} outside [0, 1]")
-    fm, gm = _promote(f, g)
+    fm, gm = _promote(f.matrix, g.matrix)
     if fm.dtype == object:
         p = _as_rational(p) if not isinstance(p, float) else p
         if isinstance(p, float):
@@ -253,7 +262,7 @@ def max_abs_diff(f: LinearProcess, g: LinearProcess) -> Number:
     """Entrywise max-abs difference; the repo-wide comparison metric."""
     if f.inputs.dims != g.inputs.dims or f.outputs.dims != g.outputs.dims:
         raise TypeMismatch("processes of different shape are not comparable")
-    fm, gm = _promote(f, g)
+    fm, gm = _promote(f.matrix, g.matrix)
     if fm.size == 0:
         return 0
     return abs(fm - gm).max()
@@ -275,7 +284,7 @@ def scale(c: Number, f: LinearProcess) -> LinearProcess:
 def add(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f.inputs.wires != g.inputs.wires or f.outputs.wires != g.outputs.wires:
         raise TypeMismatch("sum needs identical signatures")
-    fm, gm = _promote(f, g)
+    fm, gm = _promote(f.matrix, g.matrix)
     return LinearProcess(f.inputs, f.outputs, fm + gm)
 
 

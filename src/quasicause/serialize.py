@@ -260,26 +260,27 @@ def realization_from_certificate(
     carrier = real.get("carrier")
     if not isinstance(carrier, int) or carrier < 1:
         raise SchemaError(f"bad carrier {carrier!r}")
-    channel_id = real.get("channelId", "cert")
+    channel_id = _expect(real.get("channelId", "cert"), str, "channelId")
     m = channel.m
     brands_json = _expect(real.get("brands", []), list, "brands")
     if len(brands_json) != m:
         raise SchemaError("one brand per wing required")
     ancillas = []
     brands = []
-    for b in brands_json:
+    for wing, b in enumerate(brands_json, start=1):
         if _expect(b, dict, "brand").get("carrier") != carrier:
             raise SchemaError("brand carrier disagrees with realization")
-        wing = _expect(b.get("wing", 0), int, "brand wing")
-        anc = extension(b.get("channel", channel_id), wing, carrier)
+        if (b.get("wing"), b.get("channel", channel_id)) != (wing, channel_id):
+            raise SchemaError(f"brand {wing} must name wing {wing} of {channel_id!r}")
+        anc = extension(channel_id, wing, carrier)
         ancillas.append(anc)
-        brands.append(TypeBrand(anc, b.get("channel", channel_id), wing, carrier))
+        brands.append(TypeBrand(anc, channel_id, wing, carrier))
 
-    coeffs = [decode_number(0, exact)] * carrier
+    coeffs = {}
     for entry in _expect(real.get("xi", []), list, "xi"):
         k = _expect(entry, dict, "xi entry").get("k")
-        if not isinstance(k, int) or not 0 <= k < carrier:
-            raise SchemaError(f"xi index {k!r} outside carrier")
+        if not isinstance(k, int) or not 0 <= k < carrier or k in coeffs:
+            raise SchemaError(f"xi index {k!r} outside carrier or repeated")
         coeffs[k] = decode_number(entry.get("c"), exact)
 
     etas_json = _expect(real.get("etas", []), list, "etas")
@@ -308,7 +309,9 @@ def realization_from_certificate(
         etas=tuple(etas),
         brands=tuple(brands),
         frame=frames,
-        coefficients=tuple(coeffs),
+        coefficients=tuple(
+            coeffs.get(k, decode_number(0, exact)) for k in range(carrier)
+        ),
         term_indices=tuple(
             tuple(_expect(_expect(t, dict, "term").get("indices", []), list, "term indices"))
             for t in terms

@@ -143,3 +143,8 @@ def check_permutation(order: Iterable[int], n: int) -> Tuple[int, ...]:
     if sorted(order) != list(range(n)):
         raise InvalidPermutation(f"{order} is not a permutation of 0..{n - 1}")
     return order
+
+
+def interleave(m: int) -> Tuple[int, ...]:
+    """Wire order taking (a_1..a_m, b_1..b_m) to (a_1, b_1, ..., a_m, b_m)."""
+    return tuple(j for i in range(m) for j in (i, m + i))

@@ -11,6 +11,15 @@ from itertools import product
 import numpy as np
 
 from quasicause import exact
+from quasicause.nonsignalling import NSReport, SubsetCheck, proper_subsets
+from quasicause.procs import (
+    compose_par,
+    compose_seq,
+    effective_tol,
+    identity,
+    max_abs_diff,
+    number,
+)
 from quasicause.theories import discard_effect, hermitian_basis, vec_basis_matrix
 from quasicause.wires import QUANTUM, Signature
 
@@ -192,3 +201,52 @@ def greedy_rank_subset(candidates, exact_mode):
             kept.append((term, proc))
             vectors.append(trial[-1])
     return kept
+
+
+def ns_report_oracle(channel, tol=None):
+    """The non-signalling check folded from whole-space operators: for each
+    subset, (discards (x) identities) after the body, reference states
+    (x) identities before that, and (input discards (x) identities) before
+    the candidate, each one a dense ``compose_par`` chain."""
+    tolerance = effective_tol(channel.body.arithmetic, tol)
+    checks = []
+    for subset in proper_subsets(channel.m):
+        discarded = _oracle_discard_outputs(channel, subset)
+        candidate = _oracle_plug_reference_inputs(channel, discarded, subset)
+        rebuilt = _oracle_discard_k_inputs_then(channel, candidate, subset)
+        residual = max_abs_diff(discarded, rebuilt)
+        checks.append(SubsetCheck(subset, residual, candidate))
+    return NSReport(tuple(checks), tolerance)
+
+
+def _oracle_discard_outputs(channel, subset):
+    eat = number(1)
+    for label, (_, w_out) in enumerate(channel.wings, start=1):
+        if label in subset:
+            piece = channel.theory.discard(w_out)
+        else:
+            piece = identity(Signature((w_out,)))
+        eat = compose_par(eat, piece)
+    return compose_seq(channel.body, eat)
+
+
+def _oracle_plug_reference_inputs(channel, marginal, subset):
+    feed = number(1)
+    for label, (w_in, _) in enumerate(channel.wings, start=1):
+        if label in subset:
+            piece = channel.theory.reference_state(w_in)
+        else:
+            piece = identity(Signature((w_in,)))
+        feed = compose_par(feed, piece)
+    return compose_seq(feed, marginal)
+
+
+def _oracle_discard_k_inputs_then(channel, candidate, subset):
+    # (discards on K inputs) tensored with identities, then the candidate
+    front = number(1)
+    for label, (w_in, _) in enumerate(channel.wings, start=1):
+        if label in subset:
+            front = compose_par(front, channel.theory.discard(w_in))
+        else:
+            front = compose_par(front, identity(Signature((w_in,))))
+    return compose_seq(front, candidate)

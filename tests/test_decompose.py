@@ -16,12 +16,14 @@ from quasicause.decompose import (
     MIN_NEGATIVITY,
     MIN_NORM,
     CommonCauseRealization,
+    WingFrame,
     build_realization,
     decompose_quasimixture,
     default_frames,
     deterministic_frame,
     local_channel_frame,
     negativity,
+    reconstruction_residual,
     verify_realization,
 )
 from quasicause.errors import NotNonSignalling, SignatureMismatch
@@ -301,9 +303,18 @@ def test_recontraction_matches_dense_oracle(m, k, dims, exact, seed):
         term_indices=(),
     )
     oracle = assemble_common_cause(real.xi, etas, STOCH)
-    residual = verify_realization(oracle, real)
+    # the same mixture as frames of eta slices, term j on slice j of every wing
+    frames = []
+    for (w_in, w_out), eta in zip(wings, etas):
+        slices = eta.matrix.reshape(w_out.vdim, w_in.vdim, k)
+        frames.append(WingFrame(w_in, w_out, tuple(
+            LinearProcess(sig(w_in), sig(w_out), slices[:, :, j]) for j in range(k)
+        )))
+    terms = tuple((c, (j,) * m) for j, c in enumerate(real.coefficients))
+    residuals = (verify_realization(oracle, real),
+                 reconstruction_residual(oracle, frames, terms))
     if exact:
         assert oracle.body.arithmetic == "rational"
-        assert residual == 0
+        assert residuals == (0, 0)
     else:
-        assert residual <= 1e-12
+        assert max(residuals) <= 1e-12

@@ -243,6 +243,14 @@ MALFORMED_BLOCKS = {
     "terms not a list": (_set(["quasiMixture", "terms"], 3), False),
     "term not an object": (_set(["quasiMixture", "terms", 0], 3), True),
     "term indices not a list": (_set(["quasiMixture", "terms", 0, "indices"], 3), True),
+    "both brands on wing 1": (_set(["realization", "brands", 1, "wing"], 1), True),
+    "brand on wing 7": (_set(["realization", "brands", 0, "wing"], 7), True),
+    "brand without a wing": (lambda o: o["realization"]["brands"][0].pop("wing"), True),
+    "brand of another channel": (_set(["realization", "brands", 0, "channel"], "other"), True),
+    "channelId not a string": (_set(["realization", "channelId"], 5), True),
+    "xi index repeated": (
+        lambda o: o["realization"]["xi"].append(dict(o["realization"]["xi"][0])), True
+    ),
 }
 
 
