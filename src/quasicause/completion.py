@@ -42,6 +42,7 @@ from .errors import (
     NotNonSignalling,
     ResidualTooLarge,
     SignatureMismatch,
+    TooLarge,
     UnknownType,
     WrongKind,
 )
@@ -161,7 +162,8 @@ def register(
 
     gt.registered[channel_id] = RegisteredChannel(channel, realization, residual)
     gt._span_cache.clear()
-    # diagrams need the dense k^m xi as a generator; it is built here once
+    # xi is bound as the coefficients followed by the copy map; its dense
+    # k^m view is built only if a diagram reads its matrix
     gt.bind(f"xi:{channel_id}", realization.xi)
     for i, eta in enumerate(realization.etas, start=1):
         gt.bind(f"eta{i}:{channel_id}", eta)
@@ -180,9 +182,10 @@ def register(
     return channel_id
 
 
-# Diagram-level recomposition needs a dense wire-routing matrix of side
-# (input dim) * carrier^m; past this cap the realization still registers and
-# verifies (staged contraction), but term machinery is unavailable for it.
+# Diagram-level recomposition needs a wire-routing permutation whose index
+# has (input dim) * carrier^m entries; past this cap the realization still
+# registers and verifies (staged contraction), but recomposition_term raises
+# TooLarge for it.
 ROUTE_CAP = 4000
 
 
@@ -198,7 +201,7 @@ def recomposition_term(gt: GeneratedTheory, channel_id: str) -> Term:
     """The realization diagram: inputs beside xi, routed into the etas."""
     entry = gt.registered[channel_id]
     if f"route:{channel_id}" not in gt.bindings:
-        raise ValueError(
+        raise TooLarge(
             f"carrier of {channel_id} is too large for diagram-level "
             f"recomposition (cap {ROUTE_CAP})"
         )

@@ -17,8 +17,13 @@ fresh branded ancilla wires plus one controlled channel ``eta_i`` per wing:
 ``xi`` places coefficient c_k on the k-th diagonal point of the ancilla
 product, and ``eta_i`` applies the k-th frame member when its ancilla reads
 k. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the channel. Since
-``xi`` is diagonal, its k coefficients are the stored state; the dense k^m
-vector is a derived view, built only when a diagram needs it as a generator.
+``xi`` is diagonal, its k coefficients are the stored state, and ``xi`` is
+those coefficients followed by the classical copy map k -> k^m
+(``procs.copy``, the "spider" of Coecke and Kissinger, *Picturing Quantum
+Processes*). Reading its arithmetic or signatures, or binding it as a
+diagram generator, builds nothing; the dense k^m vector is a deferred view,
+built only when a diagram reads its matrix, and reading it above
+``procs.DENSE_CAP`` entries raises ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -44,13 +49,14 @@ from .procs import (
     LinearProcess,
     add,
     compose_seq,
+    copy,
     effective_tol,
     max_abs_diff,
     mode_product,
     scale,
 )
 from .theories import Theory, instrument_problem
-from .wires import CLASSICAL, EMPTY, Signature, SystemType, extension, interleave, sig
+from .wires import CLASSICAL, EMPTY, SystemType, classical, extension, interleave, sig
 
 PRUNE = 1e-12
 
@@ -153,13 +159,18 @@ class CommonCauseRealization:
 
     @property
     def xi(self) -> LinearProcess:
-        """Dense view of the shared state, built on each access: a k^m
-        vector on the ancilla product, zero off the diagonal."""
-        k, m = len(self.coefficients), len(self.ancilla_types)
-        exact = _arithmetic(self) == RATIONAL
-        vec = np.zeros((k,) * m, dtype=object if exact else float)
-        vec[(np.arange(k),) * m] = self.coefficients
-        return LinearProcess(EMPTY, Signature(self.ancilla_types), vec.reshape(-1, 1))
+        """The shared state as a process: the coefficients, a state on one
+        k-dimensional classical wire, followed by the copy map onto the m
+        ancillas. Its arithmetic and signatures need no dense build; the k^m
+        vector (zero off the diagonal) is a deferred view, built when
+        ``.matrix`` is read and refused with ``TooLarge`` above
+        ``procs.DENSE_CAP``."""
+        k = len(self.coefficients)
+        dtype = object if _arithmetic(self) == RATIONAL else float
+        c = LinearProcess(
+            EMPTY, sig(classical(k)), np.array(self.coefficients, dtype=dtype).reshape(k, 1)
+        )
+        return compose_seq(c, copy(k, self.ancilla_types))
 
 
 def _arithmetic(realization: CommonCauseRealization) -> str:

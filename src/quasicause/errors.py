@@ -63,3 +63,7 @@ class ExprSyntaxError(QuasicauseError):
 
 class SchemaError(QuasicauseError):
     """A serialized file does not match its schema."""
+
+
+class TooLarge(QuasicauseError):
+    """A dense matrix or flat index would exceed the size the library builds."""

@@ -23,18 +23,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRange, TypeMismatch
-from .procs import (
-    LinearProcess,
-    compose_par,
-    compose_seq,
-    effective_tol,
-    identity,
-    mode_product,
-    number,
-    permutation,
-)
+from .procs import LinearProcess, effective_tol, mode_product
 from .theories import Theory
-from .wires import Signature, SystemType, interleave
+from .wires import Signature, SystemType
 
 
 @dataclass(frozen=True)
@@ -169,33 +160,3 @@ def proper_subsets(m: int) -> List[Tuple[int, ...]]:
         out.append(tuple(i + 1 for i in range(m) if mask >> i & 1))
     return sorted(out, key=lambda s: (len(s), s))
 
-
-def assemble_common_cause(
-    shared_state: LinearProcess,
-    locals_: Sequence[LinearProcess],
-    theory: Theory,
-) -> MultipartiteChannel:
-    """Wire local channels over a shared state (the common-cause shape).
-
-    ``shared_state`` is a state on the ancilla wires (one per wing, in wing
-    order); ``locals_[i]`` maps (wing input, ancilla_i) to the wing output.
-    """
-    m = len(locals_)
-    if len(shared_state.outputs) != m:
-        raise TypeMismatch("need one ancilla wire per wing")
-    wings = []
-    for i, t in enumerate(locals_):
-        if len(t.inputs) != 2 or len(t.outputs) != 1:
-            raise TypeMismatch("local channels must map (input, ancilla) -> output")
-        if t.inputs[1] != shared_state.outputs[i]:
-            raise TypeMismatch(f"ancilla type mismatch on wing {i + 1}")
-        wings.append((t.inputs[0], t.outputs[0]))
-
-    in_sig = Signature(tuple(w for w, _ in wings))
-    body = compose_par(identity(in_sig), shared_state)
-    body = compose_seq(body, permutation(body.outputs, interleave(m)))
-    locals_stack = number(1)
-    for t in locals_:
-        locals_stack = compose_par(locals_stack, t)
-    body = compose_seq(body, locals_stack)
-    return MultipartiteChannel(tuple(wings), body, theory)

@@ -7,21 +7,32 @@ paths it is used to check.
 import math
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
 from quasicause import exact
-from quasicause.nonsignalling import NSReport, SubsetCheck, proper_subsets
+from quasicause.decompose import _arithmetic
+from quasicause.errors import TypeMismatch
+from quasicause.nonsignalling import (
+    MultipartiteChannel,
+    NSReport,
+    SubsetCheck,
+    proper_subsets,
+)
 from quasicause.procs import (
+    RATIONAL,
+    LinearProcess,
     compose_par,
     compose_seq,
     effective_tol,
     identity,
     max_abs_diff,
     number,
+    permutation,
 )
-from quasicause.theories import discard_effect, hermitian_basis, vec_basis_matrix
-from quasicause.wires import QUANTUM, Signature
+from quasicause.theories import Theory, discard_effect, hermitian_basis, vec_basis_matrix
+from quasicause.wires import EMPTY, QUANTUM, Signature, interleave
 
 F = Fraction
 
@@ -250,3 +261,44 @@ def _oracle_discard_k_inputs_then(channel, candidate, subset):
         else:
             front = compose_par(front, identity(Signature((w_in,))))
     return compose_seq(front, candidate)
+
+
+def assemble_common_cause(
+    shared_state: LinearProcess,
+    locals_: Sequence[LinearProcess],
+    theory: Theory,
+) -> MultipartiteChannel:
+    """Wire local channels over a shared state (the common-cause shape).
+
+    ``shared_state`` is a state on the ancilla wires (one per wing, in wing
+    order); ``locals_[i]`` maps (wing input, ancilla_i) to the wing output.
+    """
+    m = len(locals_)
+    if len(shared_state.outputs) != m:
+        raise TypeMismatch("need one ancilla wire per wing")
+    wings = []
+    for i, t in enumerate(locals_):
+        if len(t.inputs) != 2 or len(t.outputs) != 1:
+            raise TypeMismatch("local channels must map (input, ancilla) -> output")
+        if t.inputs[1] != shared_state.outputs[i]:
+            raise TypeMismatch(f"ancilla type mismatch on wing {i + 1}")
+        wings.append((t.inputs[0], t.outputs[0]))
+
+    in_sig = Signature(tuple(w for w, _ in wings))
+    body = compose_par(identity(in_sig), shared_state)
+    body = compose_seq(body, permutation(body.outputs, interleave(m)))
+    locals_stack = number(1)
+    for t in locals_:
+        locals_stack = compose_par(locals_stack, t)
+    body = compose_seq(body, locals_stack)
+    return MultipartiteChannel(tuple(wings), body, theory)
+
+
+def dense_xi_oracle(realization):
+    """The shared state built directly as a dense k^m vector on the ancilla
+    product, zero off the diagonal (c_k at (k, ..., k))."""
+    k, m = len(realization.coefficients), len(realization.ancilla_types)
+    exact_mode = _arithmetic(realization) == RATIONAL
+    vec = np.zeros((k,) * m, dtype=object if exact_mode else float)
+    vec[(np.arange(k),) * m] = realization.coefficients
+    return LinearProcess(EMPTY, Signature(realization.ancilla_types), vec.reshape(-1, 1))

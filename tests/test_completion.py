@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from perfbench import gen
 from quasicause import QUANT, RATIONAL, STOCH, classical, process, quantum, sig, state
 from quasicause.assemblages import bb84_assemblage, realize_assemblage
 from quasicause.boxes import pr_box, swap_channel
@@ -25,9 +26,16 @@ from quasicause.completion import (
     state_span,
 )
 from quasicause.diagrams import Leaf, Mix, Par, Seq, eval_diagram
-from quasicause.errors import NotNonSignalling, SignatureMismatch, UnknownType, WrongKind
-from quasicause.nonsignalling import assemble_common_cause
-from quasicause.procs import compose_seq, max_abs_diff
+from quasicause.errors import (
+    NotNonSignalling,
+    SignatureMismatch,
+    TooLarge,
+    UnknownType,
+    WrongKind,
+)
+from quasicause.nonsignalling import MultipartiteChannel
+from quasicause.procs import LinearProcess, compose_seq, max_abs_diff
+from quasicause.wires import Signature
 from tests.helpers import (
     greedy_rank_subset,
     random_cptp_transfer,
@@ -54,6 +62,26 @@ def test_register_pr_box(stoch_theory):
     term = recomposition_term(gt, "pr")
     rebuilt = gt.eval(term)
     assert max_abs_diff(rebuilt, entry.channel.body) == 0
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_register_binary_float_past_the_dense_cap(m):
+    """The benchmark's generated common cause at m = 5, 6 (243^5 and 729^6
+    diagonal points) registers: xi is bound without its dense view, whose
+    read raises the library's TooLarge, as does diagram recomposition."""
+    g = gen.common_cause(np.random.default_rng(7), m, exact=False)
+    wires = Signature((BIT,) * m)
+    chan = MultipartiteChannel(((BIT, BIT),) * m, LinearProcess(wires, wires, g.matrix), STOCH)
+    gt = new_theory(STOCH)
+    cid = register(gt, chan)
+    real = gt.registered[cid].realization
+    xi = gt.bindings[f"xi:{cid}"]
+    assert xi.arithmetic == "float64"
+    assert xi.outputs.wires == real.ancilla_types
+    with pytest.raises(TooLarge):
+        xi.matrix
+    with pytest.raises(TooLarge):
+        recomposition_term(gt, cid)
 
 
 def test_register_rejects_signalling():

@@ -17,6 +17,7 @@ from quasicause.decompose import (
     MIN_NORM,
     CommonCauseRealization,
     WingFrame,
+    _arithmetic,
     build_realization,
     decompose_quasimixture,
     default_frames,
@@ -29,12 +30,13 @@ from quasicause.decompose import (
 from quasicause.errors import NotNonSignalling, SignatureMismatch
 from quasicause.nonsignalling import (
     MultipartiteChannel,
-    assemble_common_cause,
     check_nonsignalling,
 )
 from quasicause.procs import LinearProcess, compose_seq, max_abs_diff
 from quasicause.theories import discard_effect, hybrid_valid
 from tests.helpers import (
+    assemble_common_cause,
+    dense_xi_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_float,
@@ -318,3 +320,51 @@ def test_recontraction_matches_dense_oracle(m, k, dims, exact, seed):
         assert residuals == (0, 0)
     else:
         assert max(residuals) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    k=st.integers(1, 4),
+    exact_coefficients=st.booleans(),
+    exact_etas=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_deferred_xi_matches_dense_oracle(m, k, exact_coefficients, exact_etas, seed):
+    """xi as the coefficients followed by the copy map: its arithmetic and
+    signatures come without a dense build, and the one build its matrix
+    takes equals the direct diagonal k^m vector in value, dtype and str."""
+    rng = np.random.default_rng(seed)
+    builds = []
+    unbuilt = LinearProcess.__getattr__
+
+    def counted(self, name):
+        builds.append(name)
+        return unbuilt(self, name)
+
+    bit = classical(2)
+    ancillas = tuple(extension("rand", i + 1, k) for i in range(m))
+    stochastic = random_stochastic_rational if exact_etas else random_stochastic_float
+    etas = tuple(LinearProcess(sig(bit, a), sig(bit), stochastic(rng, 2, 2 * k)) for a in ancillas)
+    weights = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 8))) for _ in range(k)]
+    weights[0] += 1 - sum(weights)  # a quasi-distribution
+    coefficients = tuple(weights if exact_coefficients else map(float, weights))
+    real = CommonCauseRealization(
+        channel_id="rand", ancilla_types=ancillas, etas=etas, brands=(),
+        frame=(), coefficients=coefficients, term_indices=(),
+    )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearProcess, "__getattr__", counted)
+        xi = real.xi
+        assert xi.arithmetic == _arithmetic(real)
+        assert xi.inputs.wires == () and xi.outputs.wires == ancillas
+        assert xi.shape == (k ** m, 1)
+        assert builds == []
+        dense = xi.matrix
+        assert xi.matrix is dense  # built once, then a plain attribute
+        assert builds == ["matrix"]
+    oracle = dense_xi_oracle(real).matrix
+    assert dense.dtype == oracle.dtype
+    assert np.array_equal(dense, oracle)
+    assert [str(x) for x in dense.flat] == [str(x) for x in oracle.flat]

@@ -14,7 +14,6 @@ from quasicause.boxes import feedforward_channel, pr_box, product_channel, swap_
 from quasicause.errors import OutOfRange
 from quasicause.nonsignalling import (
     MultipartiteChannel,
-    assemble_common_cause,
     bipartition_perm,
     check_nonsignalling,
     discard_outputs,
@@ -22,6 +21,7 @@ from quasicause.nonsignalling import (
 )
 from quasicause.procs import compose_par, identity, max_abs_diff
 from tests.helpers import (
+    assemble_common_cause,
     ns_report_oracle,
     random_cptp_transfer,
     random_density_coords,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quasicause import (
     EMPTY,
+    LinearProcess,
     Signature,
     classical,
     compose_par,
@@ -25,7 +26,14 @@ from quasicause import (
     state,
     swap,
 )
-from quasicause.errors import InvalidPermutation, InvalidProbability, TypeMismatch
+from quasicause.errors import (
+    InvalidPermutation,
+    InvalidProbability,
+    QuasicauseError,
+    TooLarge,
+    TypeMismatch,
+)
+from quasicause.procs import DENSE_CAP, copy
 from quasicause.wires import extension, ravel_index, unravel_index
 
 F = Fraction
@@ -294,3 +302,86 @@ def test_shuffles_compose_like_the_dense_product(wires, data, exact_f, exact_g, 
         assert_same(compose_seq(shuffle, g), dense_seq(shuffle, g))
     assert_same(compose_seq(f, pq), dense_seq(f, pq))
     assert_same(compose_seq(f, par), dense_seq(f, par))
+
+
+def test_public_constructor_rejects_float_in_rational_matrix():
+    matrix = np.array([[F(1, 2)], [0.5]], dtype=object)
+    with pytest.raises(TypeError, match="non-rational"):
+        LinearProcess(EMPTY, sig(BIT), matrix)
+
+
+def copy_map(k, m):
+    return copy(k, [extension("c", i + 1, k) for i in range(m)])
+
+
+def dense_copy(k, m):
+    """The k -> k^m copy map, one column at a time."""
+    matrix = np.zeros((k ** m, k), dtype=object)
+    for c in range(k):
+        matrix[ravel_index([c] * m, [k] * m), c] = 1
+    return matrix
+
+
+def test_copy_map_needs_wires_of_its_carrier():
+    with pytest.raises(TypeMismatch):
+        copy(2, [extension("c", 1, 2), extension("c", 2, 3)])
+    with pytest.raises(TypeMismatch):
+        copy(2, [])
+
+
+def test_dense_views_above_the_cap_raise_too_large():
+    # the binary four-wing common cause (81^4 entries) is admitted
+    assert 81 ** 4 <= DENSE_CAP < 243 ** 5
+    big = copy_map(243, 5)
+    assert big.arithmetic == "rational" and big.shape == (243 ** 5, 243)
+    with pytest.raises(TooLarge):
+        big.matrix
+    point = state([F(1, 2), F(1, 4), F(1, 4)] + [0] * 240, classical(243))
+    with pytest.raises(TooLarge) as raised:
+        compose_seq(point, big).matrix
+    assert isinstance(raised.value, QuasicauseError)
+
+
+def assert_same_entries(got, want):
+    """np.kron's matrix exactly: dtype, value, and each entry's ``str``
+    (so a Fraction stays a Fraction and -0.0 stays -0.0)."""
+    assert got.matrix.dtype == want.dtype
+    assert np.array_equal(got.matrix, want)
+    assert [str(x) for x in got.matrix.flat] == [str(x) for x in want.flat]
+
+
+def promoted_to(indexed_dense, other):
+    """The index map's dense matrix and ``other``'s, promoted as np.kron sees them."""
+    if other.matrix.dtype == object:
+        return indexed_dense, other.matrix
+    return indexed_dense.astype(float), other.matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wires=st.lists(st.sampled_from(SHUFFLE_WIRES), min_size=1, max_size=2),
+    data=st.data(),
+    k=st.integers(1, 3),
+    m=st.integers(1, 3),
+    exact=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_one_indexed_operand_places_blocks_like_np_kron(wires, data, k, m, exact, seed):
+    """compose_par with exactly one shuffle, identity or copy map, in either
+    order, equals np.kron; copy maps also compose sequentially like the
+    dense product."""
+    rng = np.random.default_rng(seed)
+    shuffle, shuffle_dense = shuffles(sig(*wires), data)
+    cp = copy_map(k, m)
+    assert_same(cp, dense_copy(k, m))
+    ins = sig(*(classical(int(d)) for d in rng.integers(1, 4, size=2)))
+    outs = sig(*(classical(int(d)) for d in rng.integers(1, 4, size=2)))
+    other = process(random_operand(rng, (outs.dim, ins.dim), exact), ins, outs)
+    for indexed, dense in ((shuffle, shuffle_dense), (cp, dense_copy(k, m))):
+        assert_same_entries(compose_par(indexed, other), np.kron(*promoted_to(dense, other)))
+        assert_same_entries(compose_par(other, indexed), np.kron(*promoted_to(dense, other)[::-1]))
+
+    f = process(random_operand(rng, (k, ins.dim), exact), ins, sig(classical(k)))
+    assert_same(compose_seq(f, cp), dense_seq(f, cp))
+    g = process(random_operand(rng, (outs.dim, k ** m), exact), cp.outputs, outs)
+    assert_same(compose_seq(cp, g), dense_seq(cp, g))

@@ -15,7 +15,7 @@ from quasicause.decompose import (
     verify_realization,
 )
 from quasicause.errors import SchemaError
-from quasicause.nonsignalling import assemble_common_cause, check_nonsignalling
+from quasicause.nonsignalling import check_nonsignalling
 from quasicause.serialize import (
     assemblage_from_json,
     assemblage_to_json,
@@ -28,6 +28,7 @@ from quasicause.serialize import (
 )
 from quasicause.theories import hybrid_valid
 from tests.helpers import (
+    assemble_common_cause,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_rational,
