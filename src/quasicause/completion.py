@@ -55,6 +55,7 @@ from .procs import (
     effective_tol,
     identity,
     max_abs_diff,
+    numerators,
     permutation,
 )
 from .theories import Theory, discard_effect
@@ -367,8 +368,14 @@ def _span(gt: GeneratedTheory, key, candidates):
     if key not in gt._span_cache:
         cands = candidates()
         exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
-        stacked = np.stack([p.matrix.reshape(-1) for _, p in cands], axis=1)
-        kept = _independent_columns(stacked if exact_mode else stacked.astype(float), exact_mode)
+        if exact_mode:
+            # column j is candidate j times its positive denominator, which
+            # keeps the leftmost independent columns and builds no Fraction
+            cols = [numerators(p)[0].reshape(-1) for _, p in cands]
+            stacked = np.stack(cols, axis=1).astype(object)
+        else:
+            stacked = np.stack([p.to_float().matrix.reshape(-1) for _, p in cands], axis=1)
+        kept = _independent_columns(stacked, exact_mode)
         gt._span_cache[key] = [cands[j] for j in kept]
     return gt._span_cache[key]
 

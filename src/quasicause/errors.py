@@ -53,14 +53,6 @@ class InvalidAssemblage(QuasicauseError):
     """An assemblage violates positivity, normalization or no-signalling."""
 
 
-class ExprSyntaxError(QuasicauseError):
-    """Process expression failed to parse; carries a source position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 class SchemaError(QuasicauseError):
     """A serialized file does not match its schema."""
 

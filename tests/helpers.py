@@ -23,6 +23,7 @@ from quasicause.nonsignalling import (
 from quasicause.procs import (
     RATIONAL,
     LinearProcess,
+    _as_rational,
     compose_par,
     compose_seq,
     effective_tol,
@@ -302,3 +303,52 @@ def dense_xi_oracle(realization):
     vec = np.zeros((k,) * m, dtype=object if exact_mode else float)
     vec[(np.arange(k),) * m] = realization.coefficients
     return LinearProcess(EMPTY, Signature(realization.ancilla_types), vec.reshape(-1, 1))
+
+
+# -- the dense Fraction process algebra ---------------------------------------
+# Entry-by-entry object arithmetic on the matrices, with binary64 promotion by
+# per-entry float(); the library's integer-numerator kernels must agree with
+# it in dtype, value and each entry's str.
+
+def _promote(a: np.ndarray, b: np.ndarray):
+    """Two arrays in one backend: binary64 if either one is."""
+    if (a.dtype == object) == (b.dtype == object):
+        return a, b
+    return a.astype(float), b.astype(float)
+
+
+def fraction_compose_seq(fm, gm):
+    fm, gm = _promote(fm, gm)
+    return gm @ fm
+
+
+def fraction_compose_par(fm, gm):
+    fm, gm = _promote(fm, gm)
+    return np.kron(fm, gm)
+
+
+def fraction_convex_mix(p, fm, gm):
+    fm, gm = _promote(fm, gm)
+    if fm.dtype == object:
+        p = _as_rational(p) if not isinstance(p, float) else p
+        if isinstance(p, float):
+            fm, gm = fm.astype(float), gm.astype(float)
+    return p * fm + (1 - p) * gm
+
+
+def fraction_max_abs_diff(fm, gm):
+    fm, gm = _promote(fm, gm)
+    if fm.size == 0:
+        return 0
+    return abs(fm - gm).max()
+
+
+def fraction_scale(c, matrix):
+    if matrix.dtype == object and isinstance(c, float):
+        matrix = matrix.astype(float)
+    return c * matrix
+
+
+def fraction_add(fm, gm):
+    fm, gm = _promote(fm, gm)
+    return fm + gm

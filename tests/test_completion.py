@@ -64,11 +64,13 @@ def test_register_pr_box(stoch_theory):
     assert max_abs_diff(rebuilt, entry.channel.body) == 0
 
 
-@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize("m", [5, 6, 7])
 def test_register_binary_float_past_the_dense_cap(m):
-    """The benchmark's generated common cause at m = 5, 6 (243^5 and 729^6
-    diagonal points) registers: xi is bound without its dense view, whose
-    read raises the library's TooLarge, as does diagram recomposition."""
+    """The benchmark's generated common cause at m = 5, 6, 7 (243^5, 729^6
+    and 2187^7 diagonal points; the last are past the int64 range, so the
+    copy map's rows are Python ints) registers: xi is bound without its dense
+    view, whose read raises the library's TooLarge, as does diagram
+    recomposition."""
     g = gen.common_cause(np.random.default_rng(7), m, exact=False)
     wires = Signature((BIT,) * m)
     chan = MultipartiteChannel(((BIT, BIT),) * m, LinearProcess(wires, wires, g.matrix), STOCH)

@@ -1,5 +1,6 @@
 """Core process algebra: composition laws, permutations, index convention."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +34,17 @@ from quasicause.errors import (
     TooLarge,
     TypeMismatch,
 )
-from quasicause.procs import DENSE_CAP, copy
+from quasicause.procs import DENSE_CAP, add, copy, numerators, scale
 from quasicause.wires import extension, ravel_index, unravel_index
+
+from tests.helpers import (
+    fraction_add,
+    fraction_compose_par,
+    fraction_compose_seq,
+    fraction_convex_mix,
+    fraction_max_abs_diff,
+    fraction_scale,
+)
 
 F = Fraction
 BIT = classical(2)
@@ -340,6 +350,15 @@ def test_dense_views_above_the_cap_raise_too_large():
     with pytest.raises(TooLarge) as raised:
         compose_seq(point, big).matrix
     assert isinstance(raised.value, QuasicauseError)
+    # past the int64 range (2187^7 points) the copy map's rows are Python
+    # ints: it composes without a build, and dense results stay refused
+    huge = copy_map(2187, 7)
+    assert huge.shape == (2187 ** 7, 2187)
+    assert compose_par(huge, identity(BIT)).shape == (2 * 2187 ** 7, 2 * 2187)
+    with pytest.raises(TooLarge):
+        compose_par(number(1), huge)
+    with pytest.raises(TooLarge):
+        compose_seq(state([1] + [0] * 2186, classical(2187)), huge).matrix
 
 
 def assert_same_entries(got, want):
@@ -385,3 +404,135 @@ def test_one_indexed_operand_places_blocks_like_np_kron(wires, data, k, m, exact
     assert_same(compose_seq(f, cp), dense_seq(f, cp))
     g = process(random_operand(rng, (outs.dim, k ** m), exact), cp.outputs, outs)
     assert_same(compose_seq(cp, g), dense_seq(cp, g))
+
+
+# -- integer-numerator kernels against the dense Fraction algebra -----------
+
+# numerator magnitudes: small, just past 2^31 (a sum of two products passes
+# the int64 limit) and just past 2^62 (a sum of two passes it, and no value
+# is exact in binary64); one denominator for every operand of an example, so
+# the integer forms' numerators keep these magnitudes and sums need no
+# rescaling
+NUMERATORS = {
+    "small": lambda rng: int(rng.integers(-6, 7)),
+    "mid": lambda rng: int(rng.choice([-1, 1])) * (2 ** 31 + int(rng.integers(0, 2 ** 20))),
+    "big": lambda rng: int(rng.choice([-1, 1])) * (2 ** 62 + int(rng.integers(0, 2 ** 40))),
+}
+DENOMINATORS = {
+    "one": lambda rng: 1,
+    "small": lambda rng: int(rng.integers(2, 13)),
+    "big": lambda rng: 2 ** 31 + int(rng.integers(0, 2 ** 20)),
+}
+KERNEL_WIRES = [classical(1), BIT, TRIT]
+
+
+def kernel_operand(rng, magnitude, den, inputs, outputs, exact):
+    """A public-constructor process: binary64, or rationals of one magnitude
+    over ``den``."""
+    shape = (outputs.dim, inputs.dim)
+    if not exact:
+        return process(rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 4)), inputs, outputs)
+    entries = [F(NUMERATORS[magnitude](rng), den) for _ in range(shape[0] * shape[1])]
+    return process(np.array(entries, dtype=object).reshape(shape), inputs, outputs)
+
+
+def assert_oracle(got, want):
+    """The library's matrix is the oracle's: dtype, each entry's str and,
+    in binary64, every bit."""
+    assert got.matrix.dtype == want.dtype
+    assert got.matrix.shape == want.shape
+    if want.dtype == object:
+        assert [str(x) for x in got.matrix.flat] == [str(x) for x in want.flat]
+        num, den = numerators(got)  # canonical: nothing left to divide out
+        assert den > 0 and math.gcd(den, *(int(n) for n in num.flat)) == 1
+    else:
+        assert got.matrix.tobytes() == want.tobytes()
+
+
+def assert_same_number(got, want):
+    """Rationals by str, binary64 bit for bit."""
+    assert isinstance(got, float) == isinstance(want, float)
+    assert str(got) == str(want)
+    if isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wires=st.lists(st.sampled_from(KERNEL_WIRES), min_size=1, max_size=2)
+    .filter(lambda ws: sig(*ws).dim <= 4),
+    side=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    exact=st.one_of(st.just((True,) * 3), st.tuples(st.booleans(), st.booleans(), st.booleans())),
+    magnitude=st.sampled_from(sorted(NUMERATORS)),
+    denominator=st.sampled_from(sorted(DENOMINATORS)),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_integer_kernels_match_the_fraction_oracle(
+    wires, side, exact, magnitude, denominator, data, seed
+):
+    """compose_seq, compose_par (dense, and beside a shuffle on either side),
+    add, scale, convex_mix, max_abs_diff and as_scalar on numerators equal
+    the dense Fraction algebra, with each operand at most 64 entries."""
+    rng = np.random.default_rng(seed)
+    s = sig(*wires)
+    side_in, side_out = sig(classical(side[0])), sig(classical(side[1]))
+
+    den = DENOMINATORS[denominator](rng)
+
+    def operand(inputs, outputs, exact):
+        return kernel_operand(rng, magnitude, den, inputs, outputs, exact)
+
+    f = operand(side_in, s, exact[0])
+    h = operand(side_in, s, exact[1])
+    g = operand(s, side_out, exact[2])
+    e = operand(side_in, side_out, exact[1])
+    u = operand(EMPTY, s, exact[0])
+    v = operand(s, EMPTY, exact[2])
+    shuffle, shuffle_dense = shuffles(s, data)
+
+    fg = compose_seq(f, g)
+    assert_oracle(fg, fraction_compose_seq(f.matrix, g.matrix))
+    assert_oracle(compose_seq(h, g), fraction_compose_seq(h.matrix, g.matrix))
+    assert_oracle(compose_par(f, g), fraction_compose_par(f.matrix, g.matrix))
+    assert_oracle(compose_seq(f, shuffle), fraction_compose_seq(f.matrix, shuffle_dense))
+    g_shuffled = process(g.matrix, shuffle.outputs, side_out)
+    assert_oracle(compose_seq(shuffle, g_shuffled), fraction_compose_seq(shuffle_dense, g.matrix))
+    assert_oracle(compose_par(shuffle, e), fraction_compose_par(shuffle_dense, e.matrix))
+    assert_oracle(compose_par(e, shuffle), fraction_compose_par(e.matrix, shuffle_dense))
+    # composition results are operands too
+    assert_oracle(compose_par(fg, e), fraction_compose_par(fg.matrix, e.matrix))
+
+    assert_oracle(add(f, h), fraction_add(f.matrix, h.matrix))
+    rational = f.arithmetic == h.arithmetic == "rational"
+    c = data.draw(st.one_of(st.integers(-5, 5), st.floats(-3, 3), st.fractions(-3, 3, max_denominator=7))
+                  if f.arithmetic == "rational" else st.one_of(st.integers(-5, 5), st.floats(-3, 3)))
+    assert_oracle(scale(c, f), fraction_scale(c, f.matrix))
+    p = data.draw(st.one_of(st.sampled_from([0, 1]), st.floats(0, 1), st.fractions(0, 1, max_denominator=12))
+                  if rational else st.one_of(st.sampled_from([0, 1]), st.floats(0, 1)))
+    assert_oracle(convex_mix(p, f, h), fraction_convex_mix(p, f.matrix, h.matrix))
+    assert_same_number(max_abs_diff(f, h), fraction_max_abs_diff(f.matrix, h.matrix))
+    assert_same_number(max_abs_diff(fg, fg), fraction_max_abs_diff(fg.matrix, fg.matrix))
+    uv = compose_seq(u, v)
+    assert_same_number(uv.as_scalar(), fraction_compose_seq(u.matrix, v.matrix)[0, 0])
+
+
+def test_processes_compare_by_identity_and_hash_without_a_view():
+    """``==`` is identity and processes hash; neither builds a deferred view."""
+    builds = []
+    unbuilt = LinearProcess.__getattr__
+
+    def counted(self, name):
+        builds.append(name)
+        return unbuilt(self, name)
+
+    a = stoch_proc([[F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]], 2, 2)
+    b = stoch_proc([[F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]], 2, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearProcess, "__getattr__", counted)
+        p, q = compose_seq(a, b), compose_seq(a, b)
+        assert (a == b) is False and a == a
+        assert (p == q) is False and p == p and p != q
+        assert hash(p) == hash(p) and len({a, b, p, q, p}) == 4
+        assert builds == []
+    assert processes_equal(p, q) and processes_equal(a, b)
