@@ -5,14 +5,19 @@ of subnormalized conditional states of the trusted quantum system. Encoded as
 a channel, each untrusted wing carries (setting in, outcome out) classical
 wires and the trusted wing carries a trivial input and the quantum output, so
 the wing structure is uniform with every other multipartite channel here.
+
+An assemblage is valid exactly when its channel is: the channel's
+``theories.instrument_problem`` decides positivity and normalization, and
+``nonsignalling.check_nonsignalling`` decides no-signalling across wings. The
+table and the channel body hold the same entries in two axis orders, so
+encoding and extraction are one ``moveaxis`` and one ``reshape`` each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,8 +26,8 @@ from .decompose import CommonCauseRealization
 from .errors import InvalidAssemblage
 from .nonsignalling import MultipartiteChannel, check_nonsignalling
 from .procs import LinearProcess
-from .theories import QUANT, coords_to_density, density_to_coords
-from .wires import UNIT, Signature, classical, quantum, ravel_index
+from .theories import QUANT, density_to_coords, instrument_problem
+from .wires import UNIT, Signature, classical, quantum
 
 
 @dataclass(frozen=True)
@@ -54,100 +59,52 @@ class Assemblage:
         return self.table[tuple(a) + tuple(x)]
 
 
-def validate_assemblage(asm: Assemblage, tol: float = 1e-9):
-    """Positivity, normalization, and no-signalling across untrusted wings."""
-    d = asm.trusted_dim
-    for a in iproduct(*[range(n) for n in asm.outcomes]):
-        for x in iproduct(*[range(n) for n in asm.settings]):
-            rho = coords_to_density(asm.element(a, x), d)
-            low = float(np.linalg.eigvalsh(rho).min())
-            if low < -tol:
-                raise InvalidAssemblage(
-                    f"element a={a} x={x} has eigenvalue {low}"
-                )
-    for x in iproduct(*[range(n) for n in asm.settings]):
-        total = sum(
-            np.trace(coords_to_density(asm.element(a, x), d)).real
-            for a in iproduct(*[range(n) for n in asm.outcomes])
-        )
-        if abs(total - 1) > tol:
-            raise InvalidAssemblage(f"x={x}: total trace {total} != 1")
-    # every nonempty wing set, the full one included: the trusted system
-    # remains, so its marginal may not depend on any discarded setting
-    m = asm.n_untrusted
-    for mask in range(1, 2 ** m):
-        wings = [i for i in range(m) if mask >> i & 1]
-        seen: Dict[tuple, np.ndarray] = {}
-        for x in iproduct(*[range(n) for n in asm.settings]):
-            marg = _marginal_over(asm, wings, x)
-            context = tuple(v for i, v in enumerate(x) if i not in wings)
-            key_settings = context
-            for key_out, coords in marg.items():
-                key = (key_settings, key_out)
-                if key in seen:
-                    if np.abs(seen[key] - coords).max() > tol:
-                        raise InvalidAssemblage(
-                            f"signalling across wings {set(w + 1 for w in wings)}"
-                        )
-                else:
-                    seen[key] = coords
-
-
-def _marginal_over(asm, wings, x):
-    out: Dict[tuple, np.ndarray] = {}
-    for a in iproduct(*[range(n) for n in asm.outcomes]):
-        key = tuple(v for i, v in enumerate(a) if i not in wings)
-        coords = asm.element(a, x)
-        if key in out:
-            out[key] = out[key] + coords
-        else:
-            out[key] = coords.copy()
-    return out
-
-
 def assemblage_to_channel(asm: Assemblage, tol: float = 1e-9) -> MultipartiteChannel:
-    """Encode as an m-partite channel; the trusted wing has a trivial input."""
-    validate_assemblage(asm, tol)
+    """Encode as an m-partite channel; the trusted wing has a trivial input.
+
+    Column x of the body stacks sigma_{a|x} over the outcomes a, so the body
+    is the table with its coordinate axis moved in front of the settings.
+    The assemblage is valid exactly when that body is: ``instrument_problem``
+    decides positivity and normalization, and ``check_nonsignalling`` decides
+    no-signalling, each within ``tol`` and each raising ``InvalidAssemblage``.
+    A table holding NaN or inf is never valid. No-signalling bounds each
+    setting's marginal against the average over settings, so two settings'
+    marginals may differ by up to 2 * ``tol``; ``register`` applies the same
+    check to the channel.
+    """
     d = asm.trusted_dim
     wings = tuple(
         (classical(x), classical(a)) for x, a in zip(asm.settings, asm.outcomes)
     ) + ((UNIT, quantum(d)),)
     n_in = math.prod(asm.settings)
     n_out = math.prod(asm.outcomes) * d * d
-    matrix = np.zeros((n_out, n_in))
-    for x in iproduct(*[range(n) for n in asm.settings]):
-        col = ravel_index(x, asm.settings)
-        for a in iproduct(*[range(n) for n in asm.outcomes]):
-            base = ravel_index(a, asm.outcomes) * d * d
-            matrix[base:base + d * d, col] = asm.element(a, x)
+    stacked = np.moveaxis(asm.table, -1, asm.n_untrusted)  # outcomes, coords, settings
+    matrix = stacked.reshape(n_out, n_in).astype(float, copy=False)
     body = LinearProcess(
         Signature(tuple(w for w, _ in wings)),
         Signature(tuple(w for _, w in wings)),
         matrix,
     )
+    problem = instrument_problem(body, tol)
+    if problem:
+        raise InvalidAssemblage(f"encoded channel {problem}")
     channel = MultipartiteChannel(wings, body, QUANT)
     report = check_nonsignalling(channel, tol)
     if not report.verdict:
         raise InvalidAssemblage(
-            f"encoded channel signals (residual {report.max_residual})"
+            f"encoded channel is signalling (residual {report.max_residual})"
         )
     return channel
 
 
-def extract_assemblage(channel: MultipartiteChannel, tol: float = 1e-9) -> Assemblage:
+def extract_assemblage(channel: MultipartiteChannel) -> Assemblage:
     """Read the conditional states back out of an encoded channel."""
     *untrusted, trusted = channel.wings
     d = trusted[1].hilbert_dim
     settings = tuple(w.vdim for w, _ in untrusted)
     outcomes = tuple(w.vdim for _, w in untrusted)
-    table = np.zeros(outcomes + settings + (d * d,))
-    matrix = channel.body.matrix.astype(float)
-    for x in iproduct(*[range(n) for n in settings]):
-        col = ravel_index(x, settings)
-        for a in iproduct(*[range(n) for n in outcomes]):
-            base = ravel_index(a, outcomes) * d * d
-            table[a + x] = matrix[base:base + d * d, col]
-    return Assemblage(settings, outcomes, d, table)
+    stacked = channel.body.matrix.astype(float).reshape(outcomes + (d * d,) + settings)
+    return Assemblage(settings, outcomes, d, np.moveaxis(stacked, len(outcomes), -1))
 
 
 def realize_assemblage(

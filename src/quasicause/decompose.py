@@ -456,10 +456,8 @@ def build_realization(
         etas.append(eta)
 
     total = sum(c for c, _ in qm.terms)
-    if exact_mode:
-        assert total == 1
-    else:
-        assert abs(total - 1) <= 1e-9
+    if not (total == 1 if exact_mode else abs(total - 1) <= 1e-9):
+        raise ResidualTooLarge(f"coefficients sum to {total}, not 1")
     return CommonCauseRealization(
         channel_id=channel_id,
         ancilla_types=ancillas,

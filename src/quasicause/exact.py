@@ -68,14 +68,6 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return reduced[:, n:]
 
 
-def inv(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    eye = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        eye[i, i] = 1
-    return solve(a, eye)
-
-
 def pinv(matrix: np.ndarray) -> np.ndarray:
     """Exact Moore-Penrose pseudo-inverse via full-rank factorization.
 
@@ -92,15 +84,3 @@ def pinv(matrix: np.ndarray) -> np.ndarray:
     middle = solve(gram_g, solve(gram_b, basis.T))
     return coeffs.T @ middle
 
-
-def null_space_basis(matrix: np.ndarray) -> np.ndarray:
-    """Columns spanning the exact kernel of ``matrix``."""
-    reduced, pivots = rref(matrix)
-    n_cols = matrix.shape[1]
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((n_cols, len(free)), dtype=object)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = -reduced[r, fc]
-    return basis

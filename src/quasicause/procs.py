@@ -518,6 +518,7 @@ def convex_mix(p: Number, f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f.arithmetic == g.arithmetic == RATIONAL and not isinstance(p, float):
         p = _as_rational(p)
         return _exact(f.inputs, f.outputs, *_lincomb([(p, _ints(f)), (1 - p, _ints(g))]))
+    p = float(p)
     return LinearProcess(f.inputs, f.outputs, p * _floats(f) + (1 - p) * _floats(g))
 
 
@@ -562,7 +563,7 @@ def scale(c: Number, f: LinearProcess) -> LinearProcess:
     """Scalar multiple of a process (quasi-state and affine bookkeeping)."""
     if f.arithmetic == RATIONAL and not isinstance(c, float):
         return _exact(f.inputs, f.outputs, *_lincomb([(_as_rational(c), _ints(f))]))
-    return LinearProcess(f.inputs, f.outputs, c * _floats(f))
+    return LinearProcess(f.inputs, f.outputs, float(c) * _floats(f))
 
 
 def add(f: LinearProcess, g: LinearProcess) -> LinearProcess:

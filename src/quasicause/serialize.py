@@ -426,24 +426,31 @@ def assemblage_from_json(obj: Dict):
 
     if obj.get("version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported version {obj.get('version')!r}")
-    settings = tuple(obj.get("settings", []))
-    outcomes = tuple(obj.get("outcomes", []))
+    settings, outcomes = (
+        tuple(_expect(obj.get(k, []), list, k)) for k in ("settings", "outcomes")
+    )
     d = obj.get("trustedDim")
-    if not settings or not outcomes or not isinstance(d, int):
+    if not settings or len(settings) != len(outcomes) or not all(
+        type(n) is int and n > 0 for n in settings + outcomes + (d,)
+    ):
         raise SchemaError("assemblage needs settings, outcomes, trustedDim")
     table = np.zeros(outcomes + settings + (d * d,))
-    seen = 0
-    for el in obj.get("elements", []):
-        a = tuple(el.get("a", []))
-        x = tuple(el.get("x", []))
-        coords = el.get("coords", [])
-        if len(a) != len(outcomes) or len(x) != len(settings):
+    seen = set()
+    for el in _expect(obj.get("elements", []), list, "elements"):
+        el = _expect(el, dict, "element")
+        a, x = (tuple(_expect(el.get(k, []), list, f"element {k}")) for k in ("a", "x"))
+        if len(a) != len(outcomes) or len(x) != len(settings) or not all(
+            type(v) is int and 0 <= v < n for v, n in zip(a + x, outcomes + settings)
+        ):
             raise SchemaError(f"element with bad labels a={a} x={x}")
+        if (a, x) in seen:
+            raise SchemaError(f"element a={a} x={x} given twice")
+        coords = _expect(el.get("coords", []), list, "element coords")
         if len(coords) != d * d:
             raise SchemaError(f"element a={a} x={x} has {len(coords)} coords")
-        table[a + x] = coords
-        seen += 1
+        table[a + x] = [decode_number(c, False) for c in coords]
+        seen.add((a, x))
     want = math.prod(outcomes) * math.prod(settings)
-    if seen != want:
-        raise SchemaError(f"{seen} elements given, {want} required")
+    if len(seen) != want:
+        raise SchemaError(f"{len(seen)} elements given, {want} required")
     return Assemblage(settings, outcomes, d, table)

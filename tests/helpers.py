@@ -7,17 +7,19 @@ paths it is used to check.
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from quasicause import exact
+from quasicause.assemblages import Assemblage
 from quasicause.decompose import _arithmetic
-from quasicause.errors import TypeMismatch
+from quasicause.errors import InvalidAssemblage, TypeMismatch
 from quasicause.nonsignalling import (
     MultipartiteChannel,
     NSReport,
     SubsetCheck,
+    check_nonsignalling,
     proper_subsets,
 )
 from quasicause.procs import (
@@ -32,8 +34,24 @@ from quasicause.procs import (
     number,
     permutation,
 )
-from quasicause.theories import Theory, discard_effect, hermitian_basis, vec_basis_matrix
-from quasicause.wires import EMPTY, QUANTUM, Signature, interleave
+from quasicause.theories import (
+    QUANT,
+    Theory,
+    coords_to_density,
+    discard_effect,
+    hermitian_basis,
+    vec_basis_matrix,
+)
+from quasicause.wires import (
+    EMPTY,
+    QUANTUM,
+    UNIT,
+    Signature,
+    classical,
+    interleave,
+    quantum,
+    ravel_index,
+)
 
 F = Fraction
 
@@ -352,3 +370,83 @@ def fraction_scale(c, matrix):
 def fraction_add(fm, gm):
     fm, gm = _promote(fm, gm)
     return fm + gm
+
+
+# -- the assemblage's own validator --------------------------------------------
+# Dict-keyed loops over every element and every setting pair, separate from the
+# channel checks that ``assemblage_to_channel`` now runs.
+
+def validate_assemblage(asm: Assemblage, tol: float = 1e-9):
+    """Positivity, normalization, and no-signalling across untrusted wings."""
+    d = asm.trusted_dim
+    for a in product(*[range(n) for n in asm.outcomes]):
+        for x in product(*[range(n) for n in asm.settings]):
+            rho = coords_to_density(asm.element(a, x), d)
+            low = float(np.linalg.eigvalsh(rho).min())
+            if low < -tol:
+                raise InvalidAssemblage(
+                    f"element a={a} x={x} has eigenvalue {low}"
+                )
+    for x in product(*[range(n) for n in asm.settings]):
+        total = sum(
+            np.trace(coords_to_density(asm.element(a, x), d)).real
+            for a in product(*[range(n) for n in asm.outcomes])
+        )
+        if abs(total - 1) > tol:
+            raise InvalidAssemblage(f"x={x}: total trace {total} != 1")
+    # every nonempty wing set, the full one included: the trusted system
+    # remains, so its marginal may not depend on any discarded setting
+    m = asm.n_untrusted
+    for mask in range(1, 2 ** m):
+        wings = [i for i in range(m) if mask >> i & 1]
+        seen: Dict[tuple, np.ndarray] = {}
+        for x in product(*[range(n) for n in asm.settings]):
+            marg = _marginal_over(asm, wings, x)
+            context = tuple(v for i, v in enumerate(x) if i not in wings)
+            key_settings = context
+            for key_out, coords in marg.items():
+                key = (key_settings, key_out)
+                if key in seen:
+                    if np.abs(seen[key] - coords).max() > tol:
+                        raise InvalidAssemblage(
+                            f"signalling across wings {set(w + 1 for w in wings)}"
+                        )
+                else:
+                    seen[key] = coords
+
+
+def _marginal_over(asm, wings, x):
+    out: Dict[tuple, np.ndarray] = {}
+    for a in product(*[range(n) for n in asm.outcomes]):
+        key = tuple(v for i, v in enumerate(a) if i not in wings)
+        coords = asm.element(a, x)
+        if key in out:
+            out[key] = out[key] + coords
+        else:
+            out[key] = coords.copy()
+    return out
+
+
+def oracle_assemblage_channel(asm, tol: float = 1e-9) -> MultipartiteChannel:
+    """The encoding checked by ``validate_assemblage``, with the body placed
+    element by element: column ravel(x), rows ravel(a) * d^2 onward hold
+    sigma_{a|x}. Raises InvalidAssemblage, or TypeMismatch from the channel."""
+    validate_assemblage(asm, tol)
+    d = asm.trusted_dim
+    wings = tuple(
+        (classical(x), classical(a)) for x, a in zip(asm.settings, asm.outcomes)
+    ) + ((UNIT, quantum(d)),)
+    matrix = np.zeros((math.prod(asm.outcomes) * d * d, math.prod(asm.settings)))
+    for x in product(*[range(n) for n in asm.settings]):
+        col = ravel_index(x, asm.settings)
+        for a in product(*[range(n) for n in asm.outcomes]):
+            base = ravel_index(a, asm.outcomes) * d * d
+            matrix[base:base + d * d, col] = asm.element(a, x)
+    body = LinearProcess(
+        Signature(tuple(w for w, _ in wings)), Signature(tuple(w for _, w in wings)), matrix
+    )
+    channel = MultipartiteChannel(wings, body, QUANT)
+    report = check_nonsignalling(channel, tol)
+    if not report.verdict:
+        raise InvalidAssemblage(f"encoded channel signals (residual {report.max_residual})")
+    return channel

@@ -27,7 +27,7 @@ from quasicause.decompose import (
     reconstruction_residual,
     verify_realization,
 )
-from quasicause.errors import NotNonSignalling, SignatureMismatch
+from quasicause.errors import NotNonSignalling, ResidualTooLarge, SignatureMismatch
 from quasicause.nonsignalling import (
     MultipartiteChannel,
     check_nonsignalling,
@@ -171,6 +171,15 @@ def test_pr_realization_exact_roundtrip():
     # every eta is a valid instrument and discard preserving by construction
     for eta in real.etas:
         assert hybrid_valid(eta)
+
+
+@pytest.mark.parametrize("mode", [MIN_NORM, MIN_NEGATIVITY])  # exact, then float
+def test_coefficients_off_one_are_rejected(mode):
+    chan = pr_box()
+    qm = decompose_quasimixture(chan, mode=mode)
+    doubled = replace(qm, terms=tuple((2 * c, idx) for c, idx in qm.terms))
+    with pytest.raises(ResidualTooLarge, match="coefficients sum to"):
+        build_realization(chan, doubled)
 
 
 def test_realization_ancillas_are_branded():

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from quasicause import (
     EMPTY,
+    Leaf,
     LinearProcess,
+    Mix,
     Signature,
     classical,
     compose_par,
     compose_seq,
     convex_mix,
+    eval_diagram,
     identity,
     max_abs_diff,
     number,
@@ -536,3 +539,20 @@ def test_processes_compare_by_identity_and_hash_without_a_view():
         assert hash(p) == hash(p) and len({a, b, p, q, p}) == 4
         assert builds == []
     assert processes_equal(p, q) and processes_equal(a, b)
+
+
+def test_rational_weights_on_binary64_processes_match_float_weights():
+    """A Fraction weight or factor on binary64 operands acts as its float."""
+    third = F(1, 3)
+    s = state([0.5, 0.5], BIT)
+    f = process([[0.25, -0.0], [0.75, 1.0]], sig(BIT), sig(BIT))
+    g = process([[F(1, 2), 0], [F(1, 2), 1]], sig(BIT), sig(BIT))  # rational beside binary64
+    for got, want in [
+        (convex_mix(third, s, s), convex_mix(float(third), s, s)),
+        (convex_mix(third, f, g), convex_mix(float(third), f, g)),
+        (scale(third, s), scale(float(third), s)),
+        (eval_diagram(Mix(third, Leaf("f"), Leaf("g")), {"f": f, "g": g}),
+         eval_diagram(Mix(float(third), Leaf("f"), Leaf("g")), {"f": f, "g": g})),
+    ]:
+        assert got.matrix.dtype == want.matrix.dtype == np.float64
+        assert got.matrix.tobytes() == want.matrix.tobytes()

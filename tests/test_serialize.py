@@ -298,3 +298,27 @@ def test_assemblage_roundtrip():
     back = assemblage_from_json(json.loads(json.dumps(assemblage_to_json(asm))))
     assert np.abs(back.table - asm.table).max() <= 1e-15
     assert back.settings == asm.settings and back.outcomes == asm.outcomes
+
+
+def _repeat_first_element(obj):
+    obj["elements"][1] = dict(obj["elements"][0])
+
+
+MALFORMED_ASSEMBLAGES = {
+    "coordinate a non-number string": _set(["elements", 0, "coords", 0], "abc"),
+    "NaN coordinate": _set(["elements", 0, "coords", 0], float("nan")),
+    "setting count a string": _set(["settings", 0], "2"),
+    "outcome label out of range": _set(["elements", 0, "a", 0], 5),
+    "setting label negative": _set(["elements", 0, "x", 0], -1),
+    "elements not a list": _set(["elements"], 5),
+    "element not an object": _set(["elements", 0], 5),
+    "element repeated in place of another": _repeat_first_element,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ASSEMBLAGES))
+def test_malformed_assemblage_files_raise_schema_error(case):
+    obj = json.loads(json.dumps(assemblage_to_json(bb84_assemblage())))
+    MALFORMED_ASSEMBLAGES[case](obj)
+    with pytest.raises(SchemaError):
+        assemblage_from_json(obj)
