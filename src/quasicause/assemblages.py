@@ -24,7 +24,7 @@ import numpy as np
 from .completion import GeneratedTheory, register
 from .decompose import CommonCauseRealization
 from .errors import InvalidAssemblage
-from .nonsignalling import MultipartiteChannel, check_nonsignalling
+from .nonsignalling import MultipartiteChannel, _prechecked, check_nonsignalling
 from .procs import LinearProcess
 from .theories import QUANT, density_to_coords, instrument_problem
 from .wires import UNIT, Signature, classical, quantum
@@ -88,7 +88,7 @@ def assemblage_to_channel(asm: Assemblage, tol: float = 1e-9) -> MultipartiteCha
     problem = instrument_problem(body, tol)
     if problem:
         raise InvalidAssemblage(f"encoded channel {problem}")
-    channel = MultipartiteChannel(wings, body, QUANT)
+    channel = _prechecked(wings, body, QUANT)
     report = check_nonsignalling(channel, tol)
     if not report.verdict:
         raise InvalidAssemblage(

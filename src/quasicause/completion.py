@@ -8,11 +8,15 @@ extension wires appear only as outputs of a ``xi`` and inputs of the matching
 ``eta_i``, and type matching (brands are distinct types) is what stops any
 other process from touching them.
 
-Operational equivalence is decided by a bounded tester search: product
-states drawn from depth-limited generated state spans against product
-effects from generated effect spans. A Distinguished verdict is conclusive
-(the witness re-evaluates to different classical numbers); an equivalence
-verdict is only up to the reported depth.
+Operational equivalence is decided by a bounded tester search. Each wire's
+depth-limited generated states and effects are reduced to a basis (its span)
+and stacked: S holds the product span states of the input wires as columns,
+E the product span effects of the output wires as rows. Since the spans are
+bases, f and g agree on every product tester exactly when E·f·S = E·g·S, and
+each operand is composed with S and E once. The witness is the first
+differing entry in state-major order (product state, then product effect). A
+Distinguished verdict is conclusive (the witness re-evaluates to different
+classical numbers); an equivalence verdict is only up to the reported depth.
 
 The theory object is single-writer during register calls and read-shared
 afterwards; span, equivalence and suite queries are pure reads.
@@ -23,8 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,18 +53,24 @@ from .errors import (
 )
 from .nonsignalling import MultipartiteChannel, check_nonsignalling
 from .procs import (
+    FLOAT64,
     RATIONAL,
     LinearProcess,
+    add,
     compose_par,
     compose_seq,
+    effect,
     effective_tol,
     identity,
     max_abs_diff,
+    number,
     numerators,
     permutation,
+    scale,
+    state,
 )
 from .theories import Theory, discard_effect
-from .wires import EXTENSION, Signature, SystemType, classical, interleave, sig
+from .wires import EXTENSION, Signature, SystemType, classical, interleave, sig, unravel_index
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ class GeneratedTheory:
         self.bindings: Dict[str, LinearProcess] = {}
         self.extension_types: Dict[str, SystemType] = {}
         self._ext_owner: Dict[str, Tuple[str, int]] = {}
-        self._span_cache: Dict[Tuple[str, str, int], list] = {}
+        self._span_cache: Dict[Tuple[str, str, int], tuple] = {}
 
     # -- binding helpers ---------------------------------------------------
     def bind(self, name: str, proc: LinearProcess) -> str:
@@ -208,15 +219,20 @@ def recomposition_term(gt: GeneratedTheory, channel_id: str) -> Term:
         )
     m = entry.channel.m
     in_ids = [w.id for w, _ in entry.channel.wings]
-    ins: Term = Leaf(f"id:{in_ids[0]}")
-    for wid in in_ids[1:]:
-        ins = Par(ins, Leaf(f"id:{wid}"))
+    ins = _par([Leaf(f"id:{wid}") for wid in in_ids])
     side = Par(ins, Leaf(f"xi:{channel_id}"))
     routed = Seq(side, Leaf(f"route:{channel_id}"))
-    etas: Term = Leaf(f"eta1:{channel_id}")
-    for i in range(2, m + 1):
-        etas = Par(etas, Leaf(f"eta{i}:{channel_id}"))
-    return Seq(routed, etas)
+    return Seq(routed, _par([Leaf(f"eta{i}:{channel_id}") for i in range(1, m + 1)]))
+
+
+def _par(terms: Sequence[Term]) -> Optional[Term]:
+    """The left-nested parallel composite of ``terms``; None when empty."""
+    if not terms:
+        return None
+    out = terms[0]
+    for t in terms[1:]:
+        out = Par(out, t)
+    return out
 
 
 def is_in_base(
@@ -334,10 +350,7 @@ def state_candidates(
             per_leg.append(_leg_functionals(gt, channel_id, leg, depth))
     out = []
     for combo in iproduct(*per_leg):
-        tail: Term = combo[0]
-        for piece in combo[1:]:
-            tail = Par(tail, piece)
-        term = Seq(Leaf(f"xi:{channel_id}"), tail)
+        term = Seq(Leaf(f"xi:{channel_id}"), _par(combo))
         out.append((term, gt.eval(term)))
     return out
 
@@ -363,10 +376,15 @@ def effect_candidates(
     ]
 
 
-def _span(gt: GeneratedTheory, key, candidates):
-    """Cached leftmost-first maximal-rank subset of ``candidates()``."""
+def _span(gt: GeneratedTheory, kind: str, t: SystemType, depth: int):
+    """Cached leftmost-first maximal-rank subset of the generated states
+    (``kind`` "state") or effects of a wire, with its stack: for n members,
+    the process classical(n) -> t whose column j is state j, or t ->
+    classical(n) whose row j is effect j (None when the span is empty)."""
+    key = (kind, t.id, depth)
     if key not in gt._span_cache:
-        cands = candidates()
+        candidates = state_candidates if kind == "state" else effect_candidates
+        cands = candidates(gt, t, depth)
         exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
         if exact_mode:
             # column j is candidate j times its positive denominator, which
@@ -375,21 +393,25 @@ def _span(gt: GeneratedTheory, key, candidates):
             stacked = np.stack(cols, axis=1).astype(object)
         else:
             stacked = np.stack([p.to_float().matrix.reshape(-1) for _, p in cands], axis=1)
-        kept = _independent_columns(stacked, exact_mode)
-        gt._span_cache[key] = [cands[j] for j in kept]
+        kept = [cands[j] for j in _independent_columns(stacked, exact_mode)]
+        n = len(kept)
+        pieces = [
+            compose_seq(effect(point, classical(n)), p) if kind == "state"
+            else compose_seq(p, state(point, classical(n)))
+            for point, (_, p) in zip(np.eye(n, dtype=int).tolist(), kept)
+        ]
+        gt._span_cache[key] = kept, reduce(add, pieces) if pieces else None
     return gt._span_cache[key]
 
 
 def state_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated states of a wire."""
-    depth = depth or gt.tester_depth
-    return _span(gt, ("state", t.id, depth), lambda: state_candidates(gt, t, depth))
+    return _span(gt, "state", t, depth or gt.tester_depth)[0]
 
 
 def effect_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated effects of a wire."""
-    depth = depth or gt.tester_depth
-    return _span(gt, ("effect", t.id, depth), lambda: effect_candidates(gt, t, depth))
+    return _span(gt, "effect", t, depth or gt.tester_depth)[0]
 
 
 # -- operational equivalence ----------------------------------------------
@@ -402,7 +424,10 @@ def op_equiv(
     depth: Optional[int] = None,
     tol: Optional[object] = None,
 ) -> EquivResult:
-    """Bounded tester search over product span states and effects."""
+    """Bounded tester search: f ~ g up to ``depth`` exactly when
+    E·f·S = E·g·S, S and E the Kronecker-stacked span states and effects
+    (leftmost wire most significant). The witness is the first differing
+    pair in state-major order: product state i, then product effect j."""
     depth = depth or gt.tester_depth
     f_in, f_out = gt.infer(f, extra)
     g_in, g_out = gt.infer(g, extra)
@@ -410,41 +435,31 @@ def op_equiv(
         raise SignatureMismatch("operands have different signatures")
     fp = gt.eval(f, extra)
     gp = gt.eval(g, extra)
-    tolerance = effective_tol(
-        RATIONAL
-        if fp.arithmetic == RATIONAL and gp.arithmetic == RATIONAL
-        else "float64",
-        tol,
+    exact_mode = fp.arithmetic == gp.arithmetic == RATIONAL
+    tolerance = effective_tol(RATIONAL if exact_mode else FLOAT64, tol)
+
+    state_spans = [_span(gt, "state", w, depth) for w in f_in]
+    effect_spans = [_span(gt, "effect", w, depth) for w in f_out]
+    if any(stack is None for _, stack in state_spans + effect_spans):
+        return EquivResult(False, depth)  # an empty span gives no testers
+    states = reduce(compose_par, [stack for _, stack in state_spans], number(1))
+    effects = reduce(compose_par, [stack for _, stack in effect_spans], number(1))
+    lhs = compose_seq(compose_seq(states, fp), effects)
+    rhs = compose_seq(compose_seq(states, gp), effects)
+    if max_abs_diff(lhs, rhs) <= tolerance:
+        return EquivResult(False, depth)
+
+    gaps = abs(add(lhs, scale(-1, rhs)).matrix.T) > tolerance
+    i, j = (int(k[0]) for k in np.nonzero(gaps.astype(bool)))
+    s_digits = unravel_index(i, [len(kept) for kept, _ in state_spans])
+    e_digits = unravel_index(j, [len(kept) for kept, _ in effect_spans])
+    witness = TesterWitness(
+        _par([kept[d][0] for (kept, _), d in zip(state_spans, s_digits)]),
+        _par([kept[d][0] for (kept, _), d in zip(effect_spans, e_digits)]),
+        lhs.matrix[j, i],
+        rhs.matrix[j, i],
     )
-
-    state_sets = [state_span(gt, w, depth) for w in f_in]
-    effect_sets = [effect_span(gt, w, depth) for w in f_out]
-
-    effects = [_par_fold(c) for c in iproduct(*effect_sets)]
-    for state_combo in iproduct(*state_sets):
-        s_term, s_proc = _par_fold(state_combo)
-        fed_f = compose_seq(s_proc, fp) if s_proc is not None else fp
-        fed_g = compose_seq(s_proc, gp) if s_proc is not None else gp
-        for e_term, e_proc in effects:
-            lhs = compose_seq(fed_f, e_proc) if e_proc is not None else fed_f
-            rhs = compose_seq(fed_g, e_proc) if e_proc is not None else fed_g
-            gap = max_abs_diff(lhs, rhs)
-            if gap > tolerance:
-                witness = TesterWitness(
-                    s_term, e_term, lhs.as_scalar(), rhs.as_scalar()
-                )
-                return EquivResult(True, depth, witness)
-    return EquivResult(False, depth)
-
-
-def _par_fold(combo):
-    if not combo:
-        return None, None
-    term, proc = combo[0]
-    for t2, p2 in combo[1:]:
-        term = Par(term, t2)
-        proc = compose_par(proc, p2)
-    return term, proc
+    return EquivResult(True, depth, witness)
 
 
 # -- representative independence suite --------------------------------------
@@ -493,18 +508,13 @@ def _padded_variants(gt, term, extra):
 
 
 def _sig_identity(gt, signature, extra):
-    if len(signature) == 0:
-        return None
     pieces = []
     for w in signature:
         name = f"id:{w.id}"
         if name not in gt.bindings and name not in extra:
             extra[name] = identity(sig(w))
         pieces.append(Leaf(name))
-    term = pieces[0]
-    for p in pieces[1:]:
-        term = Par(term, p)
-    return term
+    return _par(pieces)
 
 
 def quotient_suite(
@@ -576,8 +586,6 @@ def _bind_shared_bit(gt) -> str:
 
 
 def _discard_term(gt, signature, extra):
-    if len(signature) == 0:
-        return None
     pieces = []
     for w in signature:
         if w.kind == EXTENSION:
@@ -588,10 +596,7 @@ def _discard_term(gt, signature, extra):
         else:
             gt._bind_base_type(w)
             pieces.append(Leaf(f"dis:{w.id}"))
-    term = pieces[0]
-    for p in pieces[1:]:
-        term = Par(term, p)
-    return term
+    return _par(pieces)
 
 
 def kernel_perturbation(

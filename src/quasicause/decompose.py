@@ -337,7 +337,8 @@ def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
         tensor = tensor.astype(float)
     for axis, frame in enumerate(frames):
         f = frame.retained_matrix(as_float=not exact_mode)
-        dual = exact.pinv(f) if exact_mode else np.linalg.pinv(f)
+        # retained columns are independent, so the pseudo-inverse is (F^T F)^-1 F^T
+        dual = exact.solve(f.T @ f, f.T) if exact_mode else np.linalg.pinv(f)
         tensor = mode_product(tensor, dual, axis)
     full = np.zeros(tuple(len(f) for f in frames), dtype=object if exact_mode else float)
     full[np.ix_(*(f.retained for f in frames))] = tensor

@@ -67,20 +67,3 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is singular")
     return reduced[:, n:]
 
-
-def pinv(matrix: np.ndarray) -> np.ndarray:
-    """Exact Moore-Penrose pseudo-inverse via full-rank factorization.
-
-    With F = B G (B = independent columns, G full row rank), the
-    pseudo-inverse is G^T (G G^T)^-1 (B^T B)^-1 B^T.
-    """
-    pivots = independent_columns(matrix)
-    if not pivots:
-        return np.zeros((matrix.shape[1], matrix.shape[0]), dtype=object)
-    basis = matrix[:, list(pivots)]
-    gram_b = basis.T @ basis
-    coeffs = solve(gram_b, basis.T @ matrix)  # G with F = B G
-    gram_g = coeffs @ coeffs.T
-    middle = solve(gram_g, solve(gram_b, basis.T))
-    return coeffs.T @ middle
-

@@ -64,6 +64,15 @@ class MultipartiteChannel:
         return body.matrix.reshape(body.outputs.dims + body.inputs.dims)
 
 
+def _prechecked(wings, body: LinearProcess, theory: Theory) -> MultipartiteChannel:
+    """A channel on a body that its caller has already checked against the
+    wing list and the theory, at the caller's own tolerance. Skips the public
+    constructor's re-check at the default tolerance."""
+    channel = object.__new__(MultipartiteChannel)
+    vars(channel).update(wings=wings, body=body, theory=theory)
+    return channel
+
+
 @dataclass(frozen=True)
 class SubsetCheck:
     subset: Tuple[int, ...]

@@ -13,8 +13,15 @@ import numpy as np
 
 from quasicause import exact
 from quasicause.assemblages import Assemblage
+from quasicause.completion import (
+    EquivResult,
+    TesterWitness,
+    effect_span,
+    state_span,
+)
 from quasicause.decompose import _arithmetic
-from quasicause.errors import InvalidAssemblage, TypeMismatch
+from quasicause.diagrams import Par
+from quasicause.errors import InvalidAssemblage, SignatureMismatch, TypeMismatch
 from quasicause.nonsignalling import (
     MultipartiteChannel,
     NSReport,
@@ -450,3 +457,51 @@ def oracle_assemblage_channel(asm, tol: float = 1e-9) -> MultipartiteChannel:
     if not report.verdict:
         raise InvalidAssemblage(f"encoded channel signals (residual {report.max_residual})")
     return channel
+
+
+def op_equiv_oracle(gt, f, g, extra=None, depth=None, tol=None):
+    """The tester search as a loop: every product span state against every
+    product span effect, state-major, each pair composed and compared as a
+    1x1 number; the first pair that differs is the witness."""
+    depth = depth or gt.tester_depth
+    f_in, f_out = gt.infer(f, extra)
+    g_in, g_out = gt.infer(g, extra)
+    if f_in.wires != g_in.wires or f_out.wires != g_out.wires:
+        raise SignatureMismatch("operands have different signatures")
+    fp = gt.eval(f, extra)
+    gp = gt.eval(g, extra)
+    tolerance = effective_tol(
+        RATIONAL
+        if fp.arithmetic == RATIONAL and gp.arithmetic == RATIONAL
+        else "float64",
+        tol,
+    )
+
+    state_sets = [state_span(gt, w, depth) for w in f_in]
+    effect_sets = [effect_span(gt, w, depth) for w in f_out]
+
+    effects = [_par_fold(c) for c in product(*effect_sets)]
+    for state_combo in product(*state_sets):
+        s_term, s_proc = _par_fold(state_combo)
+        fed_f = compose_seq(s_proc, fp) if s_proc is not None else fp
+        fed_g = compose_seq(s_proc, gp) if s_proc is not None else gp
+        for e_term, e_proc in effects:
+            lhs = compose_seq(fed_f, e_proc) if e_proc is not None else fed_f
+            rhs = compose_seq(fed_g, e_proc) if e_proc is not None else fed_g
+            gap = max_abs_diff(lhs, rhs)
+            if gap > tolerance:
+                witness = TesterWitness(
+                    s_term, e_term, lhs.as_scalar(), rhs.as_scalar()
+                )
+                return EquivResult(True, depth, witness)
+    return EquivResult(False, depth)
+
+
+def _par_fold(combo):
+    if not combo:
+        return None, None
+    term, proc = combo[0]
+    for t2, p2 in combo[1:]:
+        term = Par(term, t2)
+        proc = compose_par(proc, p2)
+    return term, proc

@@ -89,6 +89,22 @@ def test_negative_element_rejected():
     assert "eigenvalue" in str(err.value)
 
 
+def test_channel_is_validated_at_the_callers_tolerance():
+    # weight moved between the two outcomes of setting 0: the traces and the
+    # no-signalling marginals are kept, and sigma_{0|0} has eigenvalue -1e-7
+    rho = np.diag([1, 0]).astype(complex)
+    base = unsteerable_assemblage(np.full((2, 2), 0.5), rho)
+    shift = density_to_coords(np.diag([1e-7, -1e-7]).astype(complex))
+    table = np.array(base.table)
+    table[0, 0] += shift
+    table[1, 0] -= shift
+    asm = Assemblage((2,), (2,), 2, table)
+    chan = assemblage_to_channel(asm, tol=1e-6)
+    assert extract_assemblage(chan).table.tobytes() == table.tobytes()
+    with pytest.raises(InvalidAssemblage, match="eigenvalue"):
+        assemblage_to_channel(asm)
+
+
 def test_bb84_realization_roundtrip():
     gt = new_theory(QUANT)
     asm = bb84_assemblage()

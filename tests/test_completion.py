@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfbench import gen
 from quasicause import QUANT, RATIONAL, STOCH, classical, process, quantum, sig, state
@@ -38,6 +40,7 @@ from quasicause.procs import LinearProcess, compose_seq, max_abs_diff
 from quasicause.wires import Signature
 from tests.helpers import (
     greedy_rank_subset,
+    op_equiv_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_rational,
@@ -205,6 +208,72 @@ def test_op_equiv_distinguishes_base(stoch_theory):
     rhs = eval_diagram(Seq(Seq(w.state_term, Leaf("p2")), w.effect_term),
                        {**gt.bindings, **extra})
     assert abs(lhs.as_scalar() - rhs.as_scalar()) > F(1, 2)
+
+
+@pytest.fixture(scope="module")
+def hybrid_theory():
+    gt = new_theory(QUANT)
+    register(gt, pr_box(), channel_id="pr")
+    realize_assemblage(gt, bb84_assemblage(), "bb84")
+    return gt
+
+
+def probe_wires(gt):
+    """Base wires (a bit and a qubit) and the PR-box and BB84 ancillas."""
+    return [BIT, QUBIT] + [
+        anc for cid in ("pr", "bb84") for anc in gt.registered[cid].realization.ancilla_types
+    ]
+
+
+def random_matrix(rng, shape, exact):
+    if exact:
+        entries = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 8)))
+                   for _ in range(shape[0] * shape[1])]
+        return np.array(entries, dtype=object).reshape(shape)
+    return rng.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    exact_f=st.booleans(),
+    exact_g=st.booleans(),
+    shift=st.sampled_from([0, F(1, 10**6), F(1, 1000), F(1, 5)]),
+    one_entry=st.booleans(),
+    depth=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_op_equiv_agrees_with_the_pairwise_oracle(
+    hybrid_theory, data, exact_f, exact_g, shift, one_entry, depth, seed
+):
+    gt = hybrid_theory
+    rng = np.random.default_rng(seed)
+    wires = st.lists(st.sampled_from(probe_wires(gt)), max_size=2)
+    ins, outs = sig(*data.draw(wires)), sig(*data.draw(wires))
+    shape = (outs.dim, ins.dim)
+    f = random_matrix(rng, shape, exact_f)
+    direction = random_matrix(rng, shape, exact_f)
+    if one_entry:  # a sparse gap, so the first differing tester is not always the first
+        mask = np.zeros(shape, dtype=int)
+        mask[rng.integers(shape[0]), rng.integers(shape[1])] = 1
+        direction = direction * mask
+    g = f + (shift if exact_f else float(shift)) * direction
+    if exact_g != exact_f:  # the same values in the other arithmetic
+        g = np.vectorize(F, otypes=[object])(g) if exact_g else g.astype(float)
+    extra = {"f": process(f, ins, outs), "g": process(g, ins, outs)}
+
+    got = op_equiv(gt, Leaf("f"), Leaf("g"), extra, depth)
+    want = op_equiv_oracle(gt, Leaf("f"), Leaf("g"), extra, depth)
+    assert (got.distinguished, got.depth) == (want.distinguished, want.depth)
+    if want.distinguished:
+        assert got.witness.state_term == want.witness.state_term
+        assert got.witness.effect_term == want.witness.effect_term
+        for value, expected in [(got.witness.lhs_value, want.witness.lhs_value),
+                                (got.witness.rhs_value, want.witness.rhs_value)]:
+            if isinstance(expected, float):
+                assert abs(value - expected) <= 1e-12
+            else:
+                assert not isinstance(value, float) and value == expected
 
 
 def test_op_equiv_signature_mismatch(stoch_theory):
