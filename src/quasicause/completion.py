@@ -261,7 +261,7 @@ def _probe_discard(gt: GeneratedTheory, ext_type: SystemType):
     entry = gt.registered[channel_id]
     eta = entry.realization.etas[wing - 1]
     w_in, _ = entry.channel.wings[wing - 1]
-    dis_out = discard_effect(eta.outputs, exact=eta.arithmetic == RATIONAL)
+    dis_out = discard_effect(eta.outputs)
 
     def probe(state_proc):
         front = compose_par(state_proc, identity(sig(ext_type)))

@@ -1,16 +1,25 @@
 """Multipartite channels and the non-signalling decision procedure.
 
-A channel is split into wings, one (input, output) wire pair per party. For
-every nonempty proper labelled subset K of wings we discard the K outputs and
-compare against a candidate marginal channel obtained by feeding reference
-states into the K inputs; the channel is non-signalling iff every subset's
-residual is within tolerance. If an exact factorization exists the candidate
-construction recovers it, because plugging any normalized state into a
-discarded leg leaves the remaining factor unchanged.
+A channel is split into wings, one (input, output) wire pair per party. It is
+non-signalling when, for every nonempty proper labelled subset K of wings,
+the body with the K outputs discarded does not depend on the K inputs. The
+check tests only the m single wings K = {i}: with the output of wing i
+discarded, feeding the reference state r_i into input i and spreading the
+result back out with the input discard u_i must give the body back.
 
-Each subset is three rounds of mode products on the body's wing tensor (one
-axis per wire) with single-wire discards and reference states; no operator on
-the whole wire space is built.
+The single wings decide every subset (Barrett, Linden, Massar, Pironio,
+Popescu and Roberts, PRA 71, 022101, 2005). Let L_K be the body with the
+outputs of K discarded, and E_i = r_i u_i on input i. Wing i's condition is
+L_i = L_i E_i. For i in K, L_K is L_i followed by the discards of the other
+outputs in K, so L_K = L_K E_i. The E_i act on different wires and commute,
+so L_K = L_K prod_{i in K} E_i, which is subset K's condition. In binary64,
+with r_i the residual of wing i, subset K's residual is at most
+sum_{i in K} r_i prod_{j in K, j != i} |u_out_j|_1, where |u|_1 is n for a
+classical wire with n outcomes and sqrt(d) for a qudit.
+
+Each wing is three mode products on the body's wing tensor (one axis per
+wire) with a single-wire discard and reference state; no operator on the
+whole wire space is built.
 
 Wing labels are 1-based throughout this module's public surface.
 """
@@ -51,12 +60,6 @@ class MultipartiteChannel:
     def m(self) -> int:
         return len(self.wings)
 
-    def input_types(self) -> Tuple[SystemType, ...]:
-        return tuple(w for w, _ in self.wings)
-
-    def output_types(self) -> Tuple[SystemType, ...]:
-        return tuple(w for _, w in self.wings)
-
     @property
     def wing_tensor(self) -> np.ndarray:
         """The body with one axis per wire: (out_1..out_m, in_1..in_m)."""
@@ -95,28 +98,12 @@ class NSReport:
         return max((c.residual for c in self.checks), default=0)
 
 
-def bipartition_perm(m: int, subset: Sequence[int]) -> Tuple[int, ...]:
-    """Wire order taking (1..m) to (k_1..k_n, then the complement ascending).
-
-    ``subset`` is an ordered collection of 1-based wing labels.
-    """
-    subset = tuple(subset)
-    if len(set(subset)) != len(subset):
-        raise OutOfRange("subset labels must be distinct")
-    for k in subset:
-        if not 1 <= k <= m:
-            raise OutOfRange(f"wing label {k} outside 1..{m}")
-    complement = tuple(i for i in range(1, m + 1) if i not in subset)
-    return subset + complement
-
-
 def discard_outputs(
     channel: MultipartiteChannel, subset: Sequence[int]
 ) -> LinearProcess:
     """Contract the output wires of the K wings with the theory discards.
 
-    Remaining outputs keep their original relative order (the complement
-    order of the bipartitioning convention).
+    Remaining outputs keep their original relative order.
     """
     subset = tuple(sorted(set(subset)))
     if not subset or not 1 <= subset[0] <= subset[-1] <= channel.m:
@@ -131,41 +118,37 @@ def discard_outputs(
 def check_nonsignalling(
     channel: MultipartiteChannel, tol: Optional[object] = None
 ) -> NSReport:
-    """Decide the non-signalling property over all 2^m - 2 labelled subsets.
+    """Decide the non-signalling property from the m single-wing conditions.
 
-    For a subset K, ``discarded`` is the wing tensor with the K output axes
-    contracted with the discard rows. The candidate marginal contracts its K
-    input axes with the reference states, and ``rebuilt`` spreads those axes
-    back out with the input discards. The residual is max|discarded - rebuilt|.
+    For wing k, ``discarded`` is the wing tensor with output axis k contracted
+    with the discard row. The candidate marginal contracts input axis k with
+    the reference state r_k, and ``rebuilt`` spreads that axis back out with
+    the input discard u_k. The residual is max|discarded - rebuilt|. A
+    one-wing channel has no proper subset of wings, so it gets no check.
+
+    The report holds the checks of subsets (1,) .. (m,) only, because they
+    decide every other subset K: with L_K the body with the outputs of K
+    discarded and E_k = r_k u_k on input k, L_K = L_K E_k for each k in K
+    (L_K is L_k followed by the other discards in K), and the E_k commute, so
+    L_K = L_K prod_{k in K} E_k. In binary64 subset K's residual is at most
+    sum_{k in K} r_k prod_{j in K, j != k} |u_out_j|_1, where r_k is wing k's
+    residual and |u|_1 is n for a classical wire with n outcomes and sqrt(d)
+    for a qudit.
     """
     tolerance = effective_tol(channel.body.arithmetic, tol)
-    m, ins, outs = channel.m, channel.body.inputs, channel.body.outputs
-    refs = [channel.theory.reference_state(w).matrix.T for w in ins]
-    units = [channel.theory.discard(w).matrix.T for w in ins]
+    m, ins, outs, theory = channel.m, channel.body.inputs, channel.body.outputs, channel.theory
     checks: List[SubsetCheck] = []
-    for subset in proper_subsets(m):
-        shape = tuple(1 if i in subset else w.vdim for i, w in enumerate(outs, 1))
-        discarded = discard_outputs(channel, subset).matrix.reshape(shape + ins.dims)
-        candidate = discarded
-        for k in subset:
-            candidate = mode_product(candidate, refs[k - 1], m + k - 1)
-        rebuilt = candidate
-        for k in subset:
-            rebuilt = mode_product(rebuilt, units[k - 1], m + k - 1)
-        kept = _rest(outs, subset)
-        marginal = LinearProcess(_rest(ins, subset), kept, candidate.reshape(kept.dim, -1))
-        checks.append(SubsetCheck(subset, abs(discarded - rebuilt).max(), marginal))
+    for k in range(1, m + 1) if m > 1 else ():
+        axis, w_in = m + k - 1, ins[k - 1]
+        shape = outs.dims[:k - 1] + (1,) + outs.dims[k:]
+        discarded = discard_outputs(channel, (k,)).matrix.reshape(shape + ins.dims)
+        candidate = mode_product(discarded, theory.reference_state(w_in).matrix.T, axis)
+        rebuilt = mode_product(candidate, theory.discard(w_in).matrix.T, axis)
+        kept = _rest(outs, (k,))
+        marginal = LinearProcess(_rest(ins, (k,)), kept, candidate.reshape(kept.dim, -1))
+        checks.append(SubsetCheck((k,), abs(discarded - rebuilt).max(), marginal))
     return NSReport(tuple(checks), tolerance)
 
 
 def _rest(wires: Sequence[SystemType], subset: Sequence[int]) -> Signature:
     return Signature(tuple(w for i, w in enumerate(wires, 1) if i not in subset))
-
-
-def proper_subsets(m: int) -> List[Tuple[int, ...]]:
-    """All nonempty proper subsets of {1..m}, ascending order inside each."""
-    out = []
-    for mask in range(1, 2 ** m - 1):
-        out.append(tuple(i + 1 for i in range(m) if mask >> i & 1))
-    return sorted(out, key=lambda s: (len(s), s))
-

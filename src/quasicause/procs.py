@@ -35,8 +35,10 @@ The dense matrix of an indexed map, of a process scattered through one (a
 state followed by :func:`copy`, say) and of a rational composition result is
 a *deferred view*: it is built the first time ``.matrix`` is read, then
 cached and frozen. A view of more than :data:`DENSE_CAP` entries is never
-built; reading it raises :class:`~quasicause.errors.TooLarge`. Processes made
-by the public constructor hold their matrix as a plain attribute.
+built; reading it raises :class:`~quasicause.errors.TooLarge`, and so does a
+composition whose dense result would be that large, before it computes.
+Processes made by the public constructor hold their matrix as a plain
+attribute.
 
 All values are immutable after construction (a deferred view, once built,
 never changes) and all operations are pure, so independent diagrams can be
@@ -156,7 +158,7 @@ class LinearProcess:
         d = vars(self)
         if name != "matrix" or not ("_build" in d or "_ints" in d):
             raise AttributeError(name)
-        _check_cap(self)
+        _check_cap(*self.shape, self)
         if d["_arithmetic"] == RATIONAL:
             matrix = _fractions(*_ints(self))
         else:
@@ -171,18 +173,6 @@ class LinearProcess:
     @property
     def shape(self) -> Tuple[int, int]:
         return self.outputs.dim, self.inputs.dim
-
-    @property
-    def is_state(self) -> bool:
-        return len(self.inputs) == 0
-
-    @property
-    def is_effect(self) -> bool:
-        return len(self.outputs) == 0
-
-    @property
-    def is_number(self) -> bool:
-        return self.is_state and self.is_effect
 
     def as_scalar(self) -> Number:
         if self.shape != (1, 1):
@@ -222,12 +212,12 @@ def _deferred(
     return _bare(inputs, outputs, arithmetic, _build=build)
 
 
-def _check_cap(p: LinearProcess):
-    rows, cols = p.shape
+def _check_cap(rows: int, cols: int, what: object):
+    """Refuse a dense matrix of more than DENSE_CAP entries before building
+    it; ``what`` (a process, or the name of an operation) names it."""
     if rows * cols > DENSE_CAP:
         raise TooLarge(
-            f"dense view of {p!r} would hold {rows}x{cols} entries, "
-            f"above the cap of {DENSE_CAP}"
+            f"{what} would hold {rows}x{cols} entries, above the cap of {DENSE_CAP}"
         )
 
 
@@ -239,7 +229,7 @@ def _ints(p: LinearProcess) -> Ints:
         if build is None:  # made by the public constructor
             num, den = _to_ints(d["matrix"])
         else:
-            _check_cap(p)
+            _check_cap(*p.shape, p)
             num, den = build()
         d["_ints"] = (_freeze(num), den)
     return d["_ints"]
@@ -304,18 +294,24 @@ def _floats(p: LinearProcess) -> np.ndarray:
     return np.array([n / den for n in num.reshape(-1).tolist()], dtype=float).reshape(num.shape)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _check_cap(len(a), b.shape[1], "matrix product")
+    return a @ b
+
+
 def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype != object and b.dtype != object and (
         _amax(a) * _amax(b) * a.shape[1] < _INT64_LIMIT
     ):
-        return a @ b
-    return a.astype(object) @ b.astype(object)
+        return _matmul(a, b)
+    return _matmul(a.astype(object), b.astype(object))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices, every entry one product a_ij * b_kl,
     without np.kron's per-call overhead (most operands here are tiny)."""
     (ar, ac), (br, bc) = a.shape, b.shape
+    _check_cap(ar * br, ac * bc, "Kronecker product")
     return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(ar * br, ac * bc)
 
 
@@ -462,7 +458,7 @@ def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f.arithmetic == g.arithmetic == RATIONAL:
         (fn, fd), (gn, gd) = _ints(f), _ints(g)
         return _exact(f.inputs, g.outputs, _int_matmul(gn, fn), fd * gd)
-    return _trusted(f.inputs, g.outputs, _floats(g) @ _floats(f))
+    return _trusted(f.inputs, g.outputs, _matmul(_floats(g), _floats(f)))
 
 
 def _kron_indexed(left: bool, index: LinearProcess, dense: np.ndarray) -> np.ndarray:
@@ -472,11 +468,7 @@ def _kron_indexed(left: bool, index: LinearProcess, dense: np.ndarray) -> np.nda
     multiplied, by 0, once."""
     rows, n_rows = index._rows, index.outputs.dim
     (dr, dc), pc = dense.shape, len(rows)
-    if n_rows * dr * pc * dc > DENSE_CAP:
-        raise TooLarge(
-            f"Kronecker product would hold {n_rows * dr}x{pc * dc} entries, "
-            f"above the cap of {DENSE_CAP}"
-        )
+    _check_cap(n_rows * dr, pc * dc, "Kronecker product")
     if left:  # axes (index row, dense row, index column, dense column)
         out = np.empty((n_rows, dr, pc, dc), dtype=dense.dtype)
         out[...] = (dense * 0)[None, :, None, :]

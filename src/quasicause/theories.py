@@ -153,7 +153,7 @@ def _wire_kinds(p: LinearProcess) -> set:
     return {w.kind for w in tuple(p.inputs) + tuple(p.outputs)}
 
 
-def discard_row(t: SystemType, exact: bool = True) -> LinearProcess:
+def discard_row(t: SystemType) -> LinearProcess:
     """The unique deterministic effect for one wire.
 
     Classical (and extension carriers): all-ones row. Quantum: the trace
@@ -163,16 +163,16 @@ def discard_row(t: SystemType, exact: bool = True) -> LinearProcess:
         row = np.zeros(t.vdim)
         row[0] = math.sqrt(t.hilbert_dim)
         return effect(row, t, exact=False)
-    return effect([1] * t.vdim, t, exact=exact)
+    return effect([1] * t.vdim, t)
 
 
-def discard_effect(signature: Signature, exact: bool = True) -> LinearProcess:
+def discard_effect(signature: Signature) -> LinearProcess:
     """Discard of a composite: parallel composition of per-wire discards."""
     from .procs import compose_par, number
 
     out = number(1)
     for w in signature:
-        out = compose_par(out, discard_row(w, exact=exact))
+        out = compose_par(out, discard_row(w))
     return out
 
 
@@ -284,7 +284,7 @@ class Theory:
 
     def discard(self, t: SystemType) -> LinearProcess:
         self._require(t)
-        return discard_row(t, exact=not self.quantum_allowed or t.kind == CLASSICAL)
+        return discard_row(t)
 
     def reference_state(self, t: SystemType) -> LinearProcess:
         """Uniform distribution / maximally mixed state."""

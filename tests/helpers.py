@@ -26,8 +26,7 @@ from quasicause.nonsignalling import (
     MultipartiteChannel,
     NSReport,
     SubsetCheck,
-    check_nonsignalling,
-    proper_subsets,
+    _prechecked,
 )
 from quasicause.procs import (
     RATIONAL,
@@ -195,12 +194,8 @@ def hybrid_valid_oracle(p, tol=None):
     qout_dims = tuple(out_wires[i].hilbert_dim for i in qout)
     qin_v = math.prod(w.vdim for w in (in_wires[i] for i in qin)) if qin else 1
     qout_v = math.prod(w.vdim for w in (out_wires[i] for i in qout)) if qout else 1
-    u_qin = discard_effect(
-        Signature(tuple(in_wires[i] for i in qin)), exact=False
-    ).matrix[0]
-    u_qout = discard_effect(
-        Signature(tuple(out_wires[i] for i in qout)), exact=False
-    ).matrix[0]
+    u_qin = discard_effect(Signature(tuple(in_wires[i] for i in qin))).matrix[0]
+    u_qout = discard_effect(Signature(tuple(out_wires[i] for i in qout))).matrix[0]
 
     for x in product(*[range(in_wires[i].vdim) for i in cin]):
         index = [slice(None)] * (n_out + len(in_wires))
@@ -238,6 +233,14 @@ def greedy_rank_subset(candidates, exact_mode):
             kept.append((term, proc))
             vectors.append(trial[-1])
     return kept
+
+
+def proper_subsets(m):
+    """All nonempty proper subsets of {1..m}, ascending order inside each."""
+    out = []
+    for mask in range(1, 2 ** m - 1):
+        out.append(tuple(i + 1 for i in range(m) if mask >> i & 1))
+    return sorted(out, key=lambda s: (len(s), s))
 
 
 def ns_report_oracle(channel, tol=None):
@@ -437,7 +440,9 @@ def _marginal_over(asm, wings, x):
 def oracle_assemblage_channel(asm, tol: float = 1e-9) -> MultipartiteChannel:
     """The encoding checked by ``validate_assemblage``, with the body placed
     element by element: column ravel(x), rows ravel(a) * d^2 onward hold
-    sigma_{a|x}. Raises InvalidAssemblage, or TypeMismatch from the channel."""
+    sigma_{a|x}. No-signalling is decided by ``ns_report_oracle``, both at
+    ``tol``. Raises InvalidAssemblage, or TypeMismatch on a non-finite table,
+    which is no channel."""
     validate_assemblage(asm, tol)
     d = asm.trusted_dim
     wings = tuple(
@@ -449,11 +454,13 @@ def oracle_assemblage_channel(asm, tol: float = 1e-9) -> MultipartiteChannel:
         for a in product(*[range(n) for n in asm.outcomes]):
             base = ravel_index(a, asm.outcomes) * d * d
             matrix[base:base + d * d, col] = asm.element(a, x)
+    if not np.isfinite(matrix).all():
+        raise TypeMismatch("the table holds a non-finite entry")
     body = LinearProcess(
         Signature(tuple(w for w, _ in wings)), Signature(tuple(w for _, w in wings)), matrix
     )
-    channel = MultipartiteChannel(wings, body, QUANT)
-    report = check_nonsignalling(channel, tol)
+    channel = _prechecked(wings, body, QUANT)
+    report = ns_report_oracle(channel, tol)
     if not report.verdict:
         raise InvalidAssemblage(f"encoded channel signals (residual {report.max_residual})")
     return channel

@@ -79,8 +79,8 @@ def test_local_frame_classical_bits_is_deterministic():
 def test_local_frame_qubit_size_and_validity():
     frame = local_channel_frame(QUANT, QUBIT, QUBIT)
     assert len(frame) == 13
-    u_in = discard_effect(sig(QUBIT), exact=False)
-    u_out = discard_effect(sig(QUBIT), exact=False)
+    u_in = discard_effect(sig(QUBIT))
+    u_out = discard_effect(sig(QUBIT))
     for member in frame.members:
         assert QUANT.valid(member)
         gap = max_abs_diff(compose_seq(member, u_out), u_in)

@@ -5,24 +5,17 @@ from fractions import Fraction
 from itertools import groupby, product
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicause import QUANT, QUANTUM, STOCH, classical, process, quantum, sig, state
 from quasicause.boxes import feedforward_channel, pr_box, product_channel, swap_channel
-from quasicause.errors import OutOfRange
-from quasicause.nonsignalling import (
-    MultipartiteChannel,
-    bipartition_perm,
-    check_nonsignalling,
-    discard_outputs,
-    proper_subsets,
-)
+from quasicause.nonsignalling import MultipartiteChannel, check_nonsignalling, discard_outputs
 from quasicause.procs import compose_par, identity, max_abs_diff
 from tests.helpers import (
     assemble_common_cause,
     ns_report_oracle,
+    proper_subsets,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_float,
@@ -80,16 +73,6 @@ def rational_channel(rng, in_dims, out_dims):
     return MultipartiteChannel(wings, body, STOCH)
 
 
-def test_bipartition_perm_examples():
-    assert bipartition_perm(3, (2, 3)) == (2, 3, 1)
-    assert bipartition_perm(4, (1, 4)) == (1, 4, 2, 3)
-    assert bipartition_perm(3, (1, 2, 3)) == (1, 2, 3)
-    with pytest.raises(OutOfRange):
-        bipartition_perm(3, (0,))
-    with pytest.raises(OutOfRange):
-        bipartition_perm(3, (2, 2))
-
-
 def test_discard_outputs_factorizes_on_products():
     lam1 = process([[F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]], sig(BIT), sig(BIT))
     lam2 = process([[F(1, 4), F(3, 4)], [F(3, 4), F(1, 4)]], sig(BIT), sig(BIT))
@@ -118,6 +101,13 @@ def test_pr_box_is_nonsignalling():
     for check in report.checks:
         marg = check.marginal.matrix
         assert all(x == F(1, 2) for x in marg.flatten())
+
+
+def test_one_wing_channel_has_no_check():
+    # its one wing is the whole channel, not a proper subset
+    chan = MultipartiteChannel(((BIT, BIT),), process([[1, 0], [0, 1]], sig(BIT), sig(BIT)), STOCH)
+    report = check_nonsignalling(chan)
+    assert report.checks == () and report.verdict
 
 
 def test_swap_and_feedforward_signal():
@@ -221,7 +211,7 @@ def test_tripartite_subset_count():
     ]
     chan = assemble_common_cause(shared, locals_, STOCH)
     report = check_nonsignalling(chan)
-    assert len(report.checks) == 6
+    assert [c.subset for c in report.checks] == [(1,), (2,), (3,)]
     assert report.verdict and report.max_residual == 0
 
 
@@ -242,6 +232,35 @@ def random_run_body(rng, wings, exact, joint):
     return stochastic(rng, math.prod(w.vdim for w in outs), math.prod(w.vdim for w in ins))
 
 
+def random_runs_body(rng, wings, exact, joints):
+    """Kronecker product over the runs of same-kind wings: run j is one
+    joint channel when ``joints[j]``, a product of single-wing channels
+    otherwise."""
+    body = np.ones((1, 1), dtype=object if exact else float)
+    start = 0
+    for run, (_, kinds) in enumerate(groupby(w.kind == QUANTUM for w, _ in wings)):
+        n = len(list(kinds))
+        run_body = random_run_body(rng, wings[start:start + n], exact, joints[run])
+        body, start = np.kron(body, run_body), start + n
+    return body
+
+
+def qubit_or_classical_wings(quantum_wings, dims):
+    return [
+        (quantum(2), quantum(2)) if q else (classical(a), classical(b))
+        for q, (a, b) in zip(quantum_wings, dims)
+    ]
+
+
+def channel_on(wings, body):
+    theory = QUANT if any(w.kind == QUANTUM for w, _ in wings) else STOCH
+    return MultipartiteChannel(
+        tuple(wings),
+        process(body, sig(*[w for w, _ in wings]), sig(*[w for _, w in wings])),
+        theory,
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(["classical", "quantum", "hybrid"]),
@@ -255,33 +274,22 @@ def random_run_body(rng, wings, exact, joint):
 def test_ns_contraction_matches_dense_oracle(kind, quantum_wings, dims, joints, exact, seed):
     """The per-wing contraction against the whole-space operator fold, on
     classical (rational or binary64), quantum and hybrid channels, each run
-    of same-kind wings either one joint channel or a product: same subsets
-    and verdict, and residuals and marginals bit-equal in rational mode,
-    within 1e-12 in binary64."""
+    of same-kind wings either one joint channel or a product: one check per
+    wing, the oracle's verdict, and each check's residual and marginal equal
+    to the oracle's check of the same subset, bit for bit in rational mode
+    and within 1e-12 in binary64."""
     rng = np.random.default_rng(seed)
     if kind != "hybrid":
         quantum_wings = [kind == "quantum"] * len(quantum_wings)
-    wings = [
-        (quantum(2), quantum(2)) if q else (classical(a), classical(b))
-        for q, (a, b) in zip(quantum_wings, dims)
-    ]
+    wings = qubit_or_classical_wings(quantum_wings, dims)
     exact = exact and not any(quantum_wings)
-    body = np.ones((1, 1), dtype=object if exact else float)
-    start = 0
-    for run, (_, kinds) in enumerate(groupby(quantum_wings)):
-        n = len(list(kinds))
-        run_body = random_run_body(rng, wings[start:start + n], exact, joints[run])
-        body, start = np.kron(body, run_body), start + n
-    theory = QUANT if any(quantum_wings) else STOCH
-    chan = MultipartiteChannel(
-        tuple(wings),
-        process(body, sig(*[w for w, _ in wings]), sig(*[w for _, w in wings])),
-        theory,
-    )
+    chan = channel_on(wings, random_runs_body(rng, wings, exact, joints))
     ours, oracle = check_nonsignalling(chan), ns_report_oracle(chan)
-    assert [c.subset for c in ours.checks] == [c.subset for c in oracle.checks]
+    assert [c.subset for c in ours.checks] == [(k,) for k in range(1, chan.m + 1)]
     assert ours.verdict == oracle.verdict
-    for got, want in zip(ours.checks, oracle.checks):
+    oracle_checks = {c.subset: c for c in oracle.checks}
+    for got in ours.checks:
+        want = oracle_checks[got.subset]
         assert got.marginal.inputs == want.marginal.inputs
         assert got.marginal.outputs == want.marginal.outputs
         if exact:
@@ -291,3 +299,50 @@ def test_ns_contraction_matches_dense_oracle(kind, quantum_wings, dims, joints, 
         else:
             assert abs(got.residual - want.residual) <= 1e-12
             assert max_abs_diff(got.marginal, want.marginal) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    quantum_wings=st.lists(st.booleans(), min_size=2, max_size=4),
+    dims=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  min_size=4, max_size=4),
+    shape=st.sampled_from(["product", "common cause", "mixed"]),
+    weight_exponent=st.integers(3, 11),
+    exact=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_single_wings_bound_every_subset(quantum_wings, dims, shape, weight_exponent, exact, seed):
+    """The m single-wing checks against the oracle's table of all 2^m - 2
+    subsets, on products, classical common-cause mixtures of products, and
+    products mixed toward a joint channel with weight 10^-3 .. 10^-11: the
+    oracle's verdict on rational channels, and every subset K's residual at
+    most sum_{k in K} r_k prod_{j in K, j != k} |u_out_j|_1 over the
+    single-wing residuals r_k (plus 1e-12 in binary64)."""
+    rng = np.random.default_rng(seed)
+    wings = qubit_or_classical_wings(quantum_wings, dims)
+    exact = exact and not any(quantum_wings)
+    m = len(wings)
+
+    def product():
+        return random_runs_body(rng, wings, exact, [False] * m)
+
+    if shape == "product":
+        body = product()
+    elif shape == "common cause":
+        weights = random_stochastic_rational if exact else random_stochastic_float
+        body = sum(w * product() for w in weights(rng, 3, 1)[:, 0])
+    else:
+        weight = F(1, 10 ** weight_exponent) if exact else 10.0 ** -weight_exponent
+        body = (1 - weight) * product() + weight * random_runs_body(rng, wings, exact, [True] * m)
+    chan = channel_on(wings, body)
+    ours, oracle = check_nonsignalling(chan), ns_report_oracle(chan)
+    if exact:
+        assert ours.verdict == oracle.verdict
+    single = {c.subset: c.residual for c in ours.checks}
+    norm = [abs(chan.theory.discard(w).matrix).sum() for _, w in chan.wings]
+    for check in oracle.checks:
+        subset = check.subset
+        bound = sum(
+            single[(k,)] * math.prod(norm[j - 1] for j in subset if j != k) for k in subset
+        )
+        assert check.residual <= bound + (0 if exact else 1e-12)

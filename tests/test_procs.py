@@ -364,6 +364,20 @@ def test_dense_views_above_the_cap_raise_too_large():
         compose_seq(state([1] + [0] * 2186, classical(2187)), huge).matrix
 
 
+def test_dense_compositions_above_the_cap_raise_too_large():
+    # binary64 on 2^20 points and rational on 2^14: each result would hold
+    # 2^40 or 2^28 entries, and is refused before anything is allocated
+    for n, exact in ((2 ** 20, False), (2 ** 14, True)):
+        wire = classical(n)
+        points = np.ones((n, 1), dtype=object if exact else float)
+        point = LinearProcess(EMPTY, sig(wire), points)
+        unit = LinearProcess(sig(wire), EMPTY, points.T)
+        with pytest.raises(TooLarge):
+            compose_par(point, point)
+        with pytest.raises(TooLarge):
+            compose_seq(unit, point)
+
+
 def assert_same_entries(got, want):
     """np.kron's matrix exactly: dtype, value, and each entry's ``str``
     (so a Fraction stays a Fraction and -0.0 stays -0.0)."""
