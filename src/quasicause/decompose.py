@@ -296,13 +296,23 @@ def decompose_quasimixture(
 
     min-norm: the minimum-norm least-squares solution (deterministic, exact
     in rational mode). min-negativity: linear program minimizing sum |c_k|
-    subject to reconstruction, solved in binary64.
+    subject to reconstruction, solved in binary64 on one row per unit of
+    rank: the products of each wing's independent frame rows, with no
+    explicit sum-to-one row, which is the same problem because those rows
+    span every row of the product frame and the discard-preserving frames
+    make sum c = 1 a consequence of them.
+
+    Either way the result is accepted only if it rebuilds the whole body
+    within the tolerance; otherwise ``ResidualTooLarge``. That check is what
+    rejects frames whose affine hull misses the body, and float bodies that
+    are only nearly consistent.
     """
     if ns_report is None:
         ns_report = check_nonsignalling(channel, tol)
     if not ns_report.verdict:
         raise NotNonSignalling(
-            f"max subset residual {ns_report.max_residual} exceeds tolerance"
+            f"single-wing residual {ns_report.max_residual} exceeds tolerance "
+            f"{ns_report.tolerance}"
         )
     if frames is None:
         frames = default_frames(channel)
@@ -324,7 +334,7 @@ def decompose_quasimixture(
     residual = reconstruction_residual(channel, frames, terms)
     if residual > tolerance:
         raise ResidualTooLarge(
-            f"reconstruction residual {residual} with a full-rank frame"
+            f"reconstruction residual {residual} exceeds tolerance {tolerance}"
         )
     return QuasiMixture(terms, residual, mode)
 
@@ -346,15 +356,29 @@ def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
 
 
 def _min_negativity_coefficients(channel, frames) -> np.ndarray:
+    """Minimize sum |c_k| subject to (x)_i F_i[r_i] c = body[r_1, ..., r_m].
+
+    F_i is wing i's frame matrix, one row per (out, in) pair, and r_i its
+    leftmost-first independent rows. The rows of the product of the r_i
+    span the row space of (x)_i F_i, so on a consistent body this reduced
+    system has the same feasible set as the full one, with one row per unit
+    of rank; and because every frame member is discard-preserving, the
+    all-ones row (sum c = 1) lies in that row space too and needs no row of
+    its own. The system has full row rank, so every body is feasible here; a
+    body that the frames cannot reach, or a float body that is only nearly
+    consistent, is caught by the full-body residual check after it.
+    """
+    mats = [frame.matrix(as_float=True) for frame in frames]
+    rows = [list(_independent_columns(f.T, exact_mode=False)) for f in mats]
     a = np.array([[1.0]])
-    for frame in frames:
-        a = np.kron(a, frame.matrix(as_float=True))
-    b = _wing_major_tensor(channel).astype(float).reshape(-1)
+    for f, r in zip(mats, rows):
+        a = np.kron(a, f[r])
+    b = _wing_major_tensor(channel).astype(float)[np.ix_(*rows)].reshape(-1)
     n = a.shape[1]
-    a_eq = np.block([[a, -a], [np.ones((1, n)), -np.ones((1, n))]])
-    b_eq = np.concatenate([b, [1.0]])
-    cost = np.ones(2 * n)
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # c = x[:n] - x[n:] with x >= 0, so sum(x) is sum |c| at the optimum
+    res = linprog(
+        np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0, None), method="highs"
+    )
     if not res.success:
         raise ResidualTooLarge(f"negativity LP failed: {res.message}")
     coeffs = res.x[:n] - res.x[n:]

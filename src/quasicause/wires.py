@@ -81,13 +81,12 @@ class Signature:
     """An ordered list of wires; the empty signature is the trivial system."""
 
     wires: Tuple[SystemType, ...] = field(default_factory=tuple)
+    # fixed with the wires, and read on every composition
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "wires", tuple(self.wires))
-
-    @property
-    def dim(self) -> int:
-        return prod(w.vdim for w in self.wires)
+        object.__setattr__(self, "dim", prod(w.vdim for w in self.wires))
 
     @property
     def dims(self) -> Tuple[int, ...]:

@@ -10,6 +10,7 @@ from itertools import product
 from typing import Dict, Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 
 from quasicause import exact
 from quasicause.assemblages import Assemblage
@@ -19,7 +20,7 @@ from quasicause.completion import (
     effect_span,
     state_span,
 )
-from quasicause.decompose import _arithmetic
+from quasicause.decompose import _arithmetic, _wing_major_tensor
 from quasicause.diagrams import Par
 from quasicause.errors import InvalidAssemblage, SignatureMismatch, TypeMismatch
 from quasicause.nonsignalling import (
@@ -331,6 +332,30 @@ def dense_xi_oracle(realization):
     vec = np.zeros((k,) * m, dtype=object if exact_mode else float)
     vec[(np.arange(k),) * m] = realization.coefficients
     return LinearProcess(EMPTY, Signature(realization.ancilla_types), vec.reshape(-1, 1))
+
+
+def min_negativity_oracle(channel, frames) -> np.ndarray:
+    """The min-negativity LP on every row of the product frame (x)_i F_i plus
+    an explicit sum-to-one row, polished against that whole system: full-frame
+    coefficients minimizing sum |c_k|."""
+    a = np.array([[1.0]])
+    for frame in frames:
+        a = np.kron(a, frame.matrix(as_float=True))
+    b = _wing_major_tensor(channel).astype(float).reshape(-1)
+    n = a.shape[1]
+    a_eq = np.block([[a, -a], [np.ones((1, n)), -np.ones((1, n))]])
+    b_eq = np.concatenate([b, [1.0]])
+    res = linprog(np.ones(2 * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    coeffs = res.x[:n] - res.x[n:]
+    support = np.abs(coeffs) > 1e-10
+    if support.any():
+        sol, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
+        polished = np.zeros(n)
+        polished[support] = sol
+        if np.abs(a @ polished - b).max() <= np.abs(a @ coeffs - b).max() + 1e-12:
+            coeffs = polished
+    return coeffs
 
 
 # -- the dense Fraction process algebra ---------------------------------------

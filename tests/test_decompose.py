@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from quasicause import QUANT, STOCH, classical, extension, process, quantum, sig, state
+from quasicause import QUANT, STOCH, classical, decompose, extension, process, quantum, sig, state
+from quasicause.assemblages import assemblage_to_channel, bb84_assemblage
 from quasicause.boxes import pr_box, product_channel, swap_channel
 from quasicause.decompose import (
     MIN_NEGATIVITY,
@@ -32,11 +34,12 @@ from quasicause.nonsignalling import (
     MultipartiteChannel,
     check_nonsignalling,
 )
-from quasicause.procs import LinearProcess, compose_seq, max_abs_diff
+from quasicause.procs import LinearProcess, compose_seq, effective_tol, max_abs_diff
 from quasicause.theories import discard_effect, hybrid_valid
 from tests.helpers import (
     assemble_common_cause,
     dense_xi_oracle,
+    min_negativity_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_float,
@@ -145,15 +148,105 @@ def test_min_negativity_zero_inside_polytope():
 
 def test_min_negativity_positive_for_pr():
     qm = decompose_quasimixture(pr_box(), mode=MIN_NEGATIVITY)
-    assert negativity(qm) > 0.1
+    assert abs(negativity(qm) - 0.5) <= 1e-9
     assert abs(qm.coefficient_sum - 1) <= 1e-9
     # invariant under term reordering
     reordered = sorted(qm.terms, key=lambda t: t[1])
     assert sum(max(-c, 0) for c, _ in reordered) == negativity(qm)
 
 
+def _local_box(rng, m, k=3):
+    """A random convex mixture of k products of 2x2 stochastic maps."""
+    weights = rng.random(k)
+    parts = [
+        reduce(np.kron, [random_stochastic_float(rng, 2, 2) for _ in range(m)])
+        for _ in range(k)
+    ]
+    return sum(w * p for w, p in zip(weights / weights.sum(), parts))
+
+
+def _binary_channel(matrix):
+    wires = sig(*[BIT] * round(math.log2(len(matrix))))
+    body = LinearProcess(wires, wires, matrix)
+    return MultipartiteChannel(((BIT, BIT),) * len(wires), body, STOCH)
+
+
+def _assert_min_negativity_matches_oracle(chan):
+    qm = decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
+    oracle = min_negativity_oracle(chan, default_frames(chan))
+    assert abs(negativity(qm) - np.maximum(-oracle, 0).sum()) <= 1e-9
+    assert qm.residual <= effective_tol("float64")
+    assert abs(qm.coefficient_sum - 1) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(2, 3),
+    pr_weight=st.floats(0, 1),
+    push=st.floats(0, 1),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_min_negativity_matches_full_row_oracle(m, pr_weight, push, seed):
+    """The LP on each wing's independent rows against the LP on every row
+    of the product frame plus a sum-to-one row: equal negativity. Inputs are
+    the PR box (tensored with a local map at m = 3) mixed with a local box,
+    then pushed away from a second local box with a negative weight as far
+    as the entries stay non-negative times ``push``."""
+    rng = np.random.default_rng(seed)
+    pr = pr_box().body.matrix.astype(float)
+    if m == 3:
+        pr = np.kron(pr, random_stochastic_float(rng, 2, 2))
+    inner = pr_weight * pr + (1 - pr_weight) * _local_box(rng, m)
+    away = _local_box(rng, m)
+    rising = away > inner
+    t = push * (inner[rising] / (away - inner)[rising]).min(initial=1.0)
+    # (1 + t) inner - t away, with a negative weight on the second local box
+    body = np.clip((1 + t) * inner - t * away, 0, None)
+    _assert_min_negativity_matches_oracle(_binary_channel(body / body.sum(axis=0)))
+
+
+def test_min_negativity_matches_full_row_oracle_on_bb84():
+    """The hybrid classical/qubit channel, whose least negativity is 1."""
+    chan = assemblage_to_channel(bb84_assemblage())
+    _assert_min_negativity_matches_oracle(chan)
+    assert abs(negativity(decompose_quasimixture(chan, mode=MIN_NEGATIVITY)) - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _binary_channel(_local_box(np.random.default_rng(19), 4)),
+    lambda: assemblage_to_channel(bb84_assemblage()),
+], ids=["binary-m4", "bb84"])
+def test_min_negativity_lp_has_one_row_per_unit_of_rank(build, monkeypatch):
+    """The equality rows are the products of each wing's independent frame
+    rows: 3^4 = 81 at binary m = 4, where the full product frame has 4^4."""
+    chan = build()
+    shapes = []
+
+    def spy(cost, A_eq, **kwargs):
+        shapes.append(A_eq.shape)
+        return linprog(cost, A_eq=A_eq, **kwargs)
+
+    monkeypatch.setattr(decompose, "linprog", spy)
+    decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
+    frames = default_frames(chan)
+    ranks = [np.linalg.matrix_rank(f.matrix(as_float=True)) for f in frames]
+    assert shapes == [(math.prod(ranks), 2 * math.prod(map(len, frames)))]
+    if chan.m == 4:
+        assert shapes == [(81, 512)]
+
+
+@pytest.mark.parametrize("mode", [MIN_NORM, MIN_NEGATIVITY])
+def test_frames_missing_the_body_are_rejected(mode):
+    """Frames of the two constant maps span only input-blind channels, which
+    miss the PR box; the full-body residual check rejects the result."""
+    det = deterministic_frame(BIT, BIT)
+    constant = WingFrame(BIT, BIT, (det[0], det[3]))
+    with pytest.raises(ResidualTooLarge, match="reconstruction residual"):
+        decompose_quasimixture(pr_box(), mode=mode, frames=(constant, constant))
+
+
 def test_decompose_rejects_signalling():
-    with pytest.raises(NotNonSignalling):
+    with pytest.raises(NotNonSignalling, match="single-wing residual 1/2 exceeds tolerance 0"):
         decompose_quasimixture(swap_channel())
 
 
