@@ -24,7 +24,6 @@ afterwards; span, equivalence and suite queries are pure reads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -47,7 +46,6 @@ from .errors import (
     NotNonSignalling,
     ResidualTooLarge,
     SignatureMismatch,
-    TooLarge,
     UnknownType,
     WrongKind,
 )
@@ -174,8 +172,7 @@ def register(
 
     gt.registered[channel_id] = RegisteredChannel(channel, realization, residual)
     gt._span_cache.clear()
-    # xi is bound as the coefficients followed by the copy map; its dense
-    # k^m view is built only if a diagram reads its matrix
+    # xi is the dense coefficient tensor, prod |F_i| entries on the ancillas
     gt.bind(f"xi:{channel_id}", realization.xi)
     for i, eta in enumerate(realization.etas, start=1):
         gt.bind(f"eta{i}:{channel_id}", eta)
@@ -186,37 +183,19 @@ def register(
     for w_in, w_out in channel.wings:
         gt._bind_base_type(w_in)
         gt._bind_base_type(w_out)
-
-    real = gt.registered[channel_id].realization
-    route = _interleave_route(channel, real)
-    if route is not None:
-        gt.bind(f"route:{channel_id}", route)
+    gt.bind(f"route:{channel_id}", _interleave_route(channel, realization))
     return channel_id
 
 
-# Diagram-level recomposition needs a wire-routing permutation whose index
-# has (input dim) * carrier^m entries; past this cap the realization still
-# registers and verifies (staged contraction), but recomposition_term raises
-# TooLarge for it.
-ROUTE_CAP = 4000
-
-
-def _interleave_route(channel, realization) -> Optional[LinearProcess]:
+def _interleave_route(channel, realization) -> LinearProcess:
     """(inputs..., ancillas...) -> (in_1, anc_1, in_2, anc_2, ...)."""
     wires = tuple(w for w, _ in channel.wings) + realization.ancilla_types
-    if math.prod(w.vdim for w in wires) > ROUTE_CAP:
-        return None
     return permutation(Signature(wires), interleave(channel.m))
 
 
 def recomposition_term(gt: GeneratedTheory, channel_id: str) -> Term:
     """The realization diagram: inputs beside xi, routed into the etas."""
     entry = gt.registered[channel_id]
-    if f"route:{channel_id}" not in gt.bindings:
-        raise TooLarge(
-            f"carrier of {channel_id} is too large for diagram-level "
-            f"recomposition (cap {ROUTE_CAP})"
-        )
     m = entry.channel.m
     in_ids = [w.id for w, _ in entry.channel.wings]
     ins = _par([Leaf(f"id:{wid}") for wid in in_ids])
@@ -537,12 +516,11 @@ def quotient_suite(
         for i in range(1, m + 1):
             base_terms.append(Leaf(f"eta{i}:{cid}"))
         base_terms.append(Leaf(f"xi:{cid}"))
-        if f"route:{cid}" in gt.bindings:
-            # evaluate the recomposition once; padding and closure checks
-            # then work with the bound result (evaluation is compositional)
-            name = f"recomp:{cid}"
-            extra[name] = gt.eval(recomposition_term(gt, cid))
-            base_terms.append(Leaf(name))
+        # evaluate the recomposition once; padding and closure checks then
+        # work with the bound result (evaluation is compositional)
+        name = f"recomp:{cid}"
+        extra[name] = gt.eval(recomposition_term(gt, cid))
+        base_terms.append(Leaf(name))
 
     while pairs < samples:
         t = base_terms[int(rng.integers(0, len(base_terms)))]

@@ -12,18 +12,14 @@ exactly (rational mode) or in binary64. The coefficient sum is automatic:
 every frame member is discard-preserving, so applying the output discard and
 any normalized probe state to both sides forces sum c = 1 for *any* solution.
 
-The realization packages the mixture as a correlated quasi-state ``xi`` on
-fresh branded ancilla wires plus one controlled channel ``eta_i`` per wing:
-``xi`` places coefficient c_k on the k-th diagonal point of the ancilla
-product, and ``eta_i`` applies the k-th frame member when its ancilla reads
-k. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the channel. Since
-``xi`` is diagonal, its k coefficients are the stored state, and ``xi`` is
-those coefficients followed by the classical copy map k -> k^m
-(``procs.copy``, the "spider" of Coecke and Kissinger, *Picturing Quantum
-Processes*). Reading its arithmetic or signatures, or binding it as a
-diagram generator, builds nothing; the dense k^m vector is a deferred view,
-built only when a diagram reads its matrix, and reading it above
-``procs.DENSE_CAP`` entries raises ``TooLarge``.
+The realization is that mixture in product form: a correlated quasi-state
+``xi`` on one fresh branded ancilla per wing, ancilla i of carrier |F_i|,
+plus one controlled frame ``eta_i`` per wing. Entry (j_1, ..., j_m) of
+``xi`` is the coefficient of the product of member j_i of each wing's frame,
+zero where the mixture has no term, and ``eta_i`` applies member j when its
+ancilla reads j. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the
+channel, and recontraction is the Tucker product of ``xi`` with the member
+matrices: m ``procs.mode_product``s, one per wing.
 """
 
 from __future__ import annotations
@@ -49,14 +45,13 @@ from .procs import (
     LinearProcess,
     add,
     compose_seq,
-    copy,
     effective_tol,
     max_abs_diff,
     mode_product,
     scale,
 )
 from .theories import Theory, instrument_problem
-from .wires import CLASSICAL, EMPTY, SystemType, classical, extension, interleave, sig
+from .wires import CLASSICAL, EMPTY, Signature, SystemType, extension, interleave, sig
 
 PRUNE = 1e-12
 
@@ -140,45 +135,24 @@ class TypeBrand:
 
 @dataclass(frozen=True)
 class CommonCauseRealization:
-    """The shared state is ``coefficients``: c_k sits on the diagonal point
-    (k, ..., k) of the ancilla product, one ancilla per wing, each of carrier
-    ``len(coefficients)``. ``eta_i`` reads the k-th frame member off ancilla
-    value k."""
+    """The shared quasi-state ``xi`` and the controlled frames ``eta_i``.
+
+    ``xi`` is a state on ``ancilla_types``, one ancilla per wing of carrier
+    |F_i|: entry (j_1, ..., j_m) is the coefficient of the product of member
+    j_i of each wing's frame. ``eta_i`` maps (in_i, ancilla_i) to out_i, and
+    its column x * |F_i| + j is column x of member j."""
 
     channel_id: str
     ancilla_types: Tuple[SystemType, ...]
+    xi: LinearProcess
     etas: Tuple[LinearProcess, ...]
     brands: Tuple[TypeBrand, ...]
-    frame: Tuple[WingFrame, ...]
-    coefficients: Tuple[object, ...]
-    term_indices: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def carrier_dim(self) -> int:
-        return len(self.coefficients)
-
-    @property
-    def xi(self) -> LinearProcess:
-        """The shared state as a process: the coefficients, a state on one
-        k-dimensional classical wire, followed by the copy map onto the m
-        ancillas. Its arithmetic and signatures need no dense build; the k^m
-        vector (zero off the diagonal) is a deferred view, built when
-        ``.matrix`` is read and refused with ``TooLarge`` above
-        ``procs.DENSE_CAP``."""
-        k = len(self.coefficients)
-        dtype = object if _arithmetic(self) == RATIONAL else float
-        c = LinearProcess(
-            EMPTY, sig(classical(k)), np.array(self.coefficients, dtype=dtype).reshape(k, 1)
-        )
-        return compose_seq(c, copy(k, self.ancilla_types))
 
 
 def _arithmetic(realization: CommonCauseRealization) -> str:
-    """RATIONAL when the coefficients and every eta are exact."""
-    exact = not any(isinstance(c, float) for c in realization.coefficients) and all(
-        e.arithmetic == RATIONAL for e in realization.etas
-    )
-    return RATIONAL if exact else FLOAT64
+    """RATIONAL when xi and every eta are exact."""
+    parts = (realization.xi,) + tuple(realization.etas)
+    return RATIONAL if all(p.arithmetic == RATIONAL for p in parts) else FLOAT64
 
 
 def deterministic_frame(in_type: SystemType, out_type: SystemType) -> Tuple[LinearProcess, ...]:
@@ -259,30 +233,18 @@ def _wing_major_tensor(channel: MultipartiteChannel) -> np.ndarray:
     return t.reshape(tuple(o.vdim * i.vdim for i, o in channel.wings))
 
 
-def _term_stack(frame: WingFrame, terms, wing: int) -> np.ndarray:
-    """Each term's member for ``wing`` as an (out, in, term) array."""
-    return np.stack([frame.members[idx[wing]].matrix for _, idx in terms], axis=-1)
-
-
-def _recontraction_residual(channel, coefficients, stacks, exact_mode) -> object:
-    """Max-abs difference between sum_k c_k (x)_i stacks[i][:, :, k] and the
-    body.
-
-    Every wing reads the same index k, so each (out_i, in_i, k) stack is
-    multiplied into the running product along a shared k axis, and the last
-    wing's stack, weighted by the coefficients, contracts that axis away:
-    O(k * D_in * D_out) work, never a k^m tensor.
-    """
-    dtype = object if exact_mode else float
-    tensor = np.ones(len(coefficients), dtype=dtype)
-    for stack in stacks[:-1]:
-        # axes (o_1, x_1, ..., o_i, x_i, k) after wing i
-        tensor = tensor[..., None, None, :] * stack.astype(dtype)
-    weighted = stacks[-1].astype(dtype) * np.array(coefficients, dtype=dtype)
-    tensor = np.tensordot(tensor, weighted, axes=([-1], [-1]))
-    body = channel.body.matrix.astype(dtype)
-    rebuilt = np.transpose(tensor, np.argsort(interleave(channel.m))).reshape(body.shape)
-    return abs(rebuilt - body).max()
+def _recontraction_residual(channel, core, factors) -> object:
+    """Max-abs difference between the body and the Tucker product of ``core``
+    with ``factors``: the core has one axis per wing, and factors[i], of shape
+    (out_i * in_i, core.shape[i]), holds wing i's member matrices as columns.
+    Rational when every operand is, binary64 otherwise."""
+    target = _wing_major_tensor(channel)
+    if not all(a.dtype == object for a in (core, target, *factors)):
+        core, target = core.astype(float), target.astype(float)
+        factors = [f.astype(float) for f in factors]
+    for axis, factor in enumerate(factors):
+        core = mode_product(core, factor, axis)
+    return abs(core - target).max()
 
 
 def decompose_quasimixture(
@@ -419,20 +381,23 @@ def reconstruction_residual(
     frames: Sequence[WingFrame],
     terms: Sequence[Tuple[object, Tuple[int, ...]]],
 ) -> object:
-    """Max-abs difference between sum_k c_k (x)_i member and the body.
-
-    Each wing's chosen members are stacked along a term axis, as for the
-    etas, and summed by ``_recontraction_residual``, the shared-k
-    recontraction that ``verify_realization`` uses.
-    """
-    coefficients = [c for c, _ in terms]
-    exact_mode = (
-        channel.body.arithmetic == RATIONAL
-        and all(f.exact for f in frames)
-        and not any(isinstance(c, float) for c in coefficients)
+    """Max-abs difference between sum_k c_k (x)_i member and the body: the
+    terms scattered into the coefficient tensor, recontracted with each
+    frame's member matrix."""
+    exact_mode = all(f.exact for f in frames) and not any(
+        isinstance(c, float) for c, _ in terms
     )
-    stacks = [_term_stack(frame, terms, i) for i, frame in enumerate(frames)]
-    return _recontraction_residual(channel, coefficients, stacks, exact_mode)
+    core = _coefficient_tensor(terms, tuple(len(f) for f in frames), exact_mode)
+    factors = [f.matrix(as_float=not exact_mode) for f in frames]
+    return _recontraction_residual(channel, core, factors)
+
+
+def _coefficient_tensor(terms, frame_sizes, exact_mode) -> np.ndarray:
+    """Each coefficient c_k added at its index tuple, zero elsewhere."""
+    core = np.zeros(frame_sizes, dtype=object if exact_mode else float)
+    for c, idx in terms:
+        core[idx] += c
+    return core
 
 
 def negativity(qm: QuasiMixture):
@@ -449,31 +414,30 @@ def build_realization(
     frames: Optional[Sequence[WingFrame]] = None,
     channel_id: Optional[str] = None,
 ) -> CommonCauseRealization:
-    """Package a quasi-mixture as (coefficients, eta_1..eta_m) on branded
-    ancillas; the coefficients are the diagonal shared state ``xi``."""
+    """Package a quasi-mixture in product form: the coefficient tensor as
+    ``xi`` on branded ancillas of carrier |F_i|, each wing's frame as its
+    controlled channel ``eta_i``. Every frame member must be a valid channel,
+    whether or not the mixture weights it."""
     if frames is None:
         frames = default_frames(channel)
     frames = tuple(frames)
     if channel_id is None:
         channel_id = f"ch{next(_fresh)}"
-    k_terms = len(qm.terms)
-    if k_terms == 0:
+    if not qm.terms:
         raise ResidualTooLarge("empty quasi-mixture")
     exact_mode = all(not isinstance(c, float) for c, _ in qm.terms)
 
     ancillas = tuple(
-        extension(channel_id, i + 1, k_terms) for i in range(channel.m)
+        extension(channel_id, i + 1, len(frame)) for i, frame in enumerate(frames)
     )
     brands = tuple(
-        TypeBrand(a, channel_id, i + 1, k_terms) for i, a in enumerate(ancillas)
+        TypeBrand(a, channel_id, i + 1, a.vdim) for i, a in enumerate(ancillas)
     )
 
     etas = []
     for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
-        # column x * k_terms + k holds column x of term k's member
-        mat = _term_stack(frame, qm.terms, i).reshape(w_out.vdim, w_in.vdim * k_terms)
-        if not exact_mode:
-            mat = mat.astype(float)
+        # column x * |F_i| + j holds column x of member j
+        mat = frame.matrix(as_float=not exact_mode).reshape(w_out.vdim, -1)
         eta = LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat)
         problem = instrument_problem(eta)
         if problem:
@@ -483,15 +447,9 @@ def build_realization(
     total = sum(c for c, _ in qm.terms)
     if not (total == 1 if exact_mode else abs(total - 1) <= 1e-9):
         raise ResidualTooLarge(f"coefficients sum to {total}, not 1")
-    return CommonCauseRealization(
-        channel_id=channel_id,
-        ancilla_types=ancillas,
-        etas=tuple(etas),
-        brands=brands,
-        frame=frames,
-        coefficients=tuple(c for c, _ in qm.terms),
-        term_indices=tuple(idx for _, idx in qm.terms),
-    )
+    core = _coefficient_tensor(qm.terms, tuple(len(f) for f in frames), exact_mode)
+    xi = LinearProcess(EMPTY, Signature(ancillas), core.reshape(-1, 1))
+    return CommonCauseRealization(channel_id, ancillas, xi, tuple(etas), brands)
 
 
 def verify_realization(
@@ -502,27 +460,27 @@ def verify_realization(
     """Recontract the realization network and return the max-abs residual.
 
     This contraction path is independent of build_realization: it works from
-    the coefficients and eta matrices alone. Every wing's ancilla reads the
-    same index k of the diagonal state, so each eta_i is read as an
-    (out_i, in_i, k) stack and ``_recontraction_residual`` contracts that
-    shared k, never building the k^m dense ``xi``.
+    ``xi`` and the eta matrices alone. Each eta_i, read as an
+    (out_i * in_i, carrier_i) matrix, is wing i's factor, and ``xi``,
+    reshaped to one axis per ancilla, is the core.
     """
     m = channel.m
-    k = len(realization.coefficients)
-    if len(realization.etas) != m or len(realization.ancilla_types) != m:
+    ancillas = tuple(realization.ancilla_types)
+    if len(realization.etas) != m or len(ancillas) != m:
         raise SignatureMismatch("realization wing count differs from channel")
     for i, eta in enumerate(realization.etas):
         w_in, w_out = channel.wings[i]
-        if eta.inputs.wires != (w_in, realization.ancilla_types[i]):
+        if eta.inputs.wires != (w_in, ancillas[i]):
             raise SignatureMismatch(f"eta {i + 1} input signature mismatch")
         if eta.outputs.wires != (w_out,):
             raise SignatureMismatch(f"eta {i + 1} output signature mismatch")
-    if any(a.vdim != k for a in realization.ancilla_types):
-        raise SignatureMismatch("an ancilla carrier differs from the coefficient count")
+    xi = realization.xi
+    if xi.inputs.wires or xi.outputs.wires != ancillas:
+        raise SignatureMismatch("xi is not a state on the ancillas")
 
-    exact_mode = (
-        _arithmetic(realization) == RATIONAL and channel.body.arithmetic == RATIONAL
-    )
-
-    stacks = [eta.matrix.reshape(eta.outputs.dim, -1, k) for eta in realization.etas]
-    return _recontraction_residual(channel, realization.coefficients, stacks, exact_mode)
+    factors = [
+        eta.matrix.reshape(eta.outputs.dim * w_in.vdim, anc.vdim)
+        for eta, (w_in, _), anc in zip(realization.etas, channel.wings, ancillas)
+    ]
+    core = xi.matrix.reshape(tuple(a.vdim for a in ancillas))
+    return _recontraction_residual(channel, core, factors)

@@ -21,19 +21,20 @@ divides numerators by the denominator, which gives ``float(Fraction)`` bit
 for bit: both values are exact in binary64 up to 2^53, so the division is
 correctly rounded, and larger ones are divided as Python ints.
 
-Wire shuffles, identities and copy maps are 0/1 matrices with a single 1 per
-column, in distinct rows. Those built by :func:`permutation`,
-:func:`identity` and :func:`copy` (and their sequential and parallel
-composites) store only the row of each column's 1, as int64 or, past the
-int64 range, as Python ints. Composing with such an operand moves rows,
-columns or blocks of the other operand instead of multiplying it, so the
-result is the dense product entry for entry, and the other operand's
-arithmetic is kept (a binary64 operand still gives binary64). Every other
-operand pair takes the dense product / Kronecker path.
+Wire shuffles and identities are bijections of the basis points: 0/1
+matrices with exactly one 1 in each row and each column. Those built by
+:func:`permutation` and :func:`identity` (and their sequential and parallel
+composites) store only the row of each column's 1, as int64; that array has
+one entry per point, so every stored index fits. Composing with such an
+operand moves rows, columns or blocks of the other operand instead of
+multiplying it, so the result is the dense product entry for entry, and the
+other operand's arithmetic is kept (a binary64 operand still gives
+binary64). Every other operand pair takes the dense product / Kronecker
+path.
 
-The dense matrix of an indexed map, of a process scattered through one (a
-state followed by :func:`copy`, say) and of a rational composition result is
-a *deferred view*: it is built the first time ``.matrix`` is read, then
+The dense matrix of an indexed map, of a process routed through one (a
+state followed by a wire shuffle, say) and of a rational composition result
+is a *deferred view*: it is built the first time ``.matrix`` is read, then
 cached and frozen. A view of more than :data:`DENSE_CAP` entries is never
 built; reading it raises :class:`~quasicause.errors.TooLarge`, and so does a
 composition whose dense result would be that large, before it computes.
@@ -63,7 +64,6 @@ from .wires import (
     Signature,
     SystemType,
     check_permutation,
-    classical,
 )
 
 RATIONAL = "rational"
@@ -71,13 +71,11 @@ FLOAT64 = "float64"
 
 Number = Union[int, Fraction, float]
 
-# Most entries a deferred dense view may have. It admits the 81^4 =
-# 43,046,721-entry common cause of a binary four-wing channel (344 MB in
-# binary64) and refuses the next size up, 243^5.
+# Most entries a dense matrix may have: 2^26, 512 MB of binary64 or more of
+# Python objects. A realization's xi holds prod |F_i| entries, 4^8 = 65,536
+# for eight binary wings, and its recomposition diagram holds D_in^2 * prod
+# |F_i| at its widest: 2^24 at six binary wings, and seven are refused.
 DENSE_CAP = 2 ** 26
-
-# Largest dimension a flat int64 row index can address.
-_INDEX_MAX = np.iinfo(np.int64).max
 
 # int64 kernels run only when every value they form is below this.
 _INT64_LIMIT = 2 ** 63
@@ -400,14 +398,9 @@ def _scatter(matrix: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     return out
 
 
-def _index_dtype(outputs: Signature):
-    """int64 rows where they address every point, Python ints past that."""
-    return np.int64 if outputs.dim <= _INDEX_MAX else object
-
-
 def _indexed(inputs: Signature, outputs: Signature, rows: np.ndarray) -> LinearProcess:
-    """The rational 0/1 map whose column c has its 1 in row rows[c], the rows
-    distinct. Only ``rows`` is stored; the dense matrix is a deferred view."""
+    """The rational 0/1 bijection whose column c has its 1 in row rows[c].
+    Only ``rows`` is stored; the dense matrix is a deferred view."""
     n_rows = outputs.dim
     p = _deferred(inputs, outputs, RATIONAL, lambda: _one_hot(rows, n_rows))
     vars(p)["_rows"] = _freeze(rows)
@@ -420,19 +413,6 @@ def identity(signature: Union[Signature, SystemType]) -> LinearProcess:
     return _indexed(signature, signature, np.arange(signature.dim))
 
 
-def copy(k: int, ancillas: Sequence[SystemType]) -> LinearProcess:
-    """The classical copy map k -> k^m: point c of one k-dimensional
-    classical wire goes to the diagonal point (c, ..., c) of the m
-    ``ancillas``, each of carrier k. Only the k diagonal rows are stored."""
-    outputs = Signature(tuple(ancillas))
-    if not outputs.wires or any(a.vdim != k for a in outputs):
-        raise TypeMismatch(f"copy of {k} points needs one or more wires of carrier {k}")
-    # (c, ..., c) ravels to c * (1 + k + ... + k^(m-1))
-    stride = sum(k ** j for j in range(len(outputs)))
-    rows = np.arange(k).astype(_index_dtype(outputs)) * stride
-    return _indexed(Signature((classical(k),)), outputs, rows)
-
-
 def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     """Run ``f`` first and then ``g``; requires outputs(f) = inputs(g)."""
     if f.outputs.wires != g.inputs.wires:
@@ -442,7 +422,7 @@ def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f._rows is not None and g._rows is not None:
         return _indexed(f.inputs, g.outputs, g._rows[f._rows])
     if g._rows is not None:
-        # deferred: a state followed by a copy map builds nothing until read
+        # deferred: a state followed by a shuffle builds nothing until read
         rows, n_rows = g._rows, g.outputs.dim
         if f.arithmetic == RATIONAL:
             num, den = _ints(f)
@@ -484,9 +464,7 @@ def compose_par(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     """Place ``f`` and ``g`` side by side (f's wires leftmost)."""
     inputs, outputs = f.inputs + g.inputs, f.outputs + g.outputs
     if f._rows is not None and g._rows is not None:
-        dtype = _index_dtype(outputs)
-        frows, grows = f._rows.astype(dtype, copy=False), g._rows.astype(dtype, copy=False)
-        rows = frows[:, None] * g.outputs.dim + grows
+        rows = f._rows[:, None] * g.outputs.dim + g._rows
         return _indexed(inputs, outputs, rows.reshape(-1))
     if f._rows is not None or g._rows is not None:
         left = f._rows is not None

@@ -2,11 +2,12 @@
 
 Channels serialize wing types plus a row-major matrix; rationals travel as
 "p/q" strings so the rational pipeline round-trips bit-exactly. Certificates
-inline everything third-party verification needs (frames, coefficients, eta
-matrices), so `verify` never re-runs a solver or frame construction: it
-rebuilds the realization from the file and recontracts against the channel.
-The shared state travels as its k diagonal coefficients, which are also the
-rebuilt realization's state; the dense k^m ``xi`` is never formed here.
+inline everything third-party verification needs, and nothing it does not
+check: the shared state ``xi`` as its nonzero entries, each with one index
+per wing, and the controlled frames ``eta_i``, whose carriers the brands
+give. `verify` never re-runs a solver or frame construction: it rebuilds the
+realization from the file and recontracts against the channel. Certificates
+are format version 2; channel and assemblage files are version 1.
 """
 
 from __future__ import annotations
@@ -23,17 +24,27 @@ from .decompose import (
     CommonCauseRealization,
     QuasiMixture,
     TypeBrand,
-    WingFrame,
     _arithmetic,
     verify_realization,
 )
 from .errors import SchemaError
 from .nonsignalling import MultipartiteChannel, NSReport
-from .procs import RATIONAL, LinearProcess, effective_tol
+from .procs import DENSE_CAP, RATIONAL, LinearProcess, effective_tol
 from .theories import BASIS_CONVENTION, QUANT, STOCH, instrument_problem
-from .wires import CLASSICAL, QUANTUM, Signature, SystemType, classical, extension, quantum, sig
+from .wires import (
+    CLASSICAL,
+    EMPTY,
+    QUANTUM,
+    Signature,
+    SystemType,
+    classical,
+    extension,
+    quantum,
+    sig,
+)
 
 FORMAT_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 
 # -- number and matrix encoding ---------------------------------------------
@@ -176,15 +187,14 @@ def save_channel(channel: MultipartiteChannel, path: str) -> str:
 # -- ns reports ---------------------------------------------------------------
 
 def ns_report_to_json(report: NSReport) -> Dict:
+    """The verdict, the tolerance and each checked subset's residual. A
+    realization that verifies already proves non-signalling, so the report
+    is a summary that ``verify_certificate`` does not read."""
     return {
         "verdict": report.verdict,
         "tolerance": encode_number(report.tolerance),
         "subsets": [
-            {
-                "K": list(check.subset),
-                "residual": encode_number(check.residual),
-                "marginal": encode_matrix(check.marginal.matrix),
-            }
+            {"K": list(check.subset), "residual": encode_number(check.residual)}
             for check in report.checks
         ],
     }
@@ -201,35 +211,20 @@ def certificate_to_json(
     realization_residual,
     tolerance,
 ) -> Dict:
+    core = realization.xi.matrix.reshape(tuple(a.vdim for a in realization.ancilla_types))
     return {
-        "version": FORMAT_VERSION,
+        "version": CERTIFICATE_VERSION,
         "channelDigest": digest,
         "arithmetic": _arithmetic(realization),
         "basisConvention": BASIS_CONVENTION,
         "solverMode": qm.mode,
         "tolerance": encode_number(tolerance),
         "nsReport": ns_report_to_json(report),
-        "quasiMixture": {
-            "residual": encode_number(qm.residual),
-            "terms": [
-                {"c": encode_number(c), "indices": list(idx)}
-                for c, idx in qm.terms
-            ],
-        },
-        "frames": [
-            {
-                "wing": i,
-                "retained": list(f.retained),
-                "members": [encode_matrix(m.matrix) for m in f.members],
-            }
-            for i, f in enumerate(realization.frame, start=1)
-        ],
         "realization": {
             "channelId": realization.channel_id,
-            "carrier": realization.carrier_dim,
             "xi": [
-                {"k": k, "c": encode_number(c)}
-                for k, c in enumerate(realization.coefficients)
+                {"indices": [int(j) for j in idx], "c": encode_number(core[tuple(idx)])}
+                for idx in np.argwhere(core != 0)
             ],
             "etas": [encode_matrix(e.matrix) for e in realization.etas],
             "brands": [
@@ -252,14 +247,11 @@ def certificate_to_json(
 def realization_from_certificate(
     obj: Dict, channel: MultipartiteChannel
 ) -> CommonCauseRealization:
-    """Rebuild the coefficients and the etas from certificate data alone."""
+    """Rebuild xi and the etas from certificate data alone."""
     exact = obj.get("arithmetic") == RATIONAL
     real = obj.get("realization")
     if not isinstance(real, dict):
         raise SchemaError("certificate lacks a realization block")
-    carrier = real.get("carrier")
-    if not isinstance(carrier, int) or carrier < 1:
-        raise SchemaError(f"bad carrier {carrier!r}")
     channel_id = _expect(real.get("channelId", "cert"), str, "channelId")
     m = channel.m
     brands_json = _expect(real.get("brands", []), list, "brands")
@@ -268,20 +260,28 @@ def realization_from_certificate(
     ancillas = []
     brands = []
     for wing, b in enumerate(brands_json, start=1):
-        if _expect(b, dict, "brand").get("carrier") != carrier:
-            raise SchemaError("brand carrier disagrees with realization")
+        carrier = _expect(b, dict, "brand").get("carrier")
+        if type(carrier) is not int or carrier < 1:
+            raise SchemaError(f"bad carrier {carrier!r} on brand {wing}")
         if (b.get("wing"), b.get("channel", channel_id)) != (wing, channel_id):
             raise SchemaError(f"brand {wing} must name wing {wing} of {channel_id!r}")
         anc = extension(channel_id, wing, carrier)
         ancillas.append(anc)
         brands.append(TypeBrand(anc, channel_id, wing, carrier))
+    carriers = tuple(a.vdim for a in ancillas)
+    if math.prod(carriers) > DENSE_CAP:
+        raise SchemaError(f"xi on carriers {carriers} exceeds {DENSE_CAP} entries")
 
-    coeffs = {}
+    core = np.zeros(carriers, dtype=object if exact else float)
+    seen = set()
     for entry in _expect(real.get("xi", []), list, "xi"):
-        k = _expect(entry, dict, "xi entry").get("k")
-        if not isinstance(k, int) or not 0 <= k < carrier or k in coeffs:
-            raise SchemaError(f"xi index {k!r} outside carrier or repeated")
-        coeffs[k] = decode_number(entry.get("c"), exact)
+        idx = tuple(_expect(_expect(entry, dict, "xi entry").get("indices"), list, "xi indices"))
+        in_range = all(type(j) is int and 0 <= j < k for j, k in zip(idx, carriers))
+        if len(idx) != m or not in_range or idx in seen:
+            raise SchemaError(f"xi indices {list(idx)} outside the carriers or repeated")
+        seen.add(idx)
+        core[idx] = decode_number(entry.get("c"), exact)
+    xi = LinearProcess(EMPTY, Signature(tuple(ancillas)), core.reshape(-1, 1))
 
     etas_json = _expect(real.get("etas", []), list, "etas")
     if len(etas_json) != m:
@@ -290,53 +290,13 @@ def realization_from_certificate(
     for i, flat in enumerate(etas_json):
         w_in, w_out = channel.wings[i]
         try:
-            mat = decode_matrix(flat, (w_out.vdim, w_in.vdim * carrier), exact)
+            mat = decode_matrix(flat, (w_out.vdim, w_in.vdim * carriers[i]), exact)
         except SchemaError as err:
             raise SchemaError(f"eta {i + 1}: {err}") from err
         etas.append(LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat))
-
-    frames_json = _expect(obj.get("frames", []), list, "frames")
-    if frames_json and len(frames_json) != m:
-        raise SchemaError("one frame per wing required")
-    frames = tuple(
-        _frame_from_json(f, channel.wings[i]) for i, f in enumerate(frames_json)
-    )
-    mixture = _expect(obj.get("quasiMixture", {}), dict, "quasiMixture")
-    terms = _expect(mixture.get("terms", []), list, "terms")
     return CommonCauseRealization(
-        channel_id=channel_id,
-        ancilla_types=tuple(ancillas),
-        etas=tuple(etas),
-        brands=tuple(brands),
-        frame=frames,
-        coefficients=tuple(
-            coeffs.get(k, decode_number(0, exact)) for k in range(carrier)
-        ),
-        term_indices=tuple(
-            tuple(_expect(_expect(t, dict, "term").get("indices", []), list, "term indices"))
-            for t in terms
-        ),
+        channel_id, tuple(ancillas), xi, tuple(etas), tuple(brands)
     )
-
-
-def _frame_from_json(obj: Dict, wing) -> WingFrame:
-    w_in, w_out = wing
-    members_json = _expect(_expect(obj, dict, "frame").get("members"), list, "frame members")
-    if not members_json:
-        raise SchemaError("frame without members")
-    flats = [_expect(flat, list, "frame member") for flat in members_json]
-    exact = all(isinstance(x, (str, int)) for flat in flats for x in flat)
-    members = tuple(
-        LinearProcess(
-            sig(w_in), sig(w_out),
-            decode_matrix(flat, (w_out.vdim, w_in.vdim), exact),
-        )
-        for flat in flats
-    )
-    retained = tuple(_expect(obj.get("retained", []), list, "retained"))
-    if not all(isinstance(j, int) and 0 <= j < len(members) for j in retained):
-        raise SchemaError(f"retained indices {list(retained)} outside the frame")
-    return WingFrame(w_in, w_out, members, retained)
 
 
 def verify_certificate(
@@ -346,7 +306,7 @@ def verify_certificate(
     alone, with no solver involved:
 
     - every eta is a valid, discard-preserving local channel;
-    - the coefficients sum to one, exactly in rational mode;
+    - the entries of xi sum to one, exactly in rational mode;
     - the recontraction residual is within the tolerance.
 
     The tolerance is ``tol``, by default ``effective_tol`` of the
@@ -356,7 +316,7 @@ def verify_certificate(
     Returns (ok, residual, detail); on failure ``detail`` names every check
     that failed.
     """
-    if cert.get("version") != FORMAT_VERSION:
+    if cert.get("version") != CERTIFICATE_VERSION:
         return False, None, f"unsupported certificate version {cert.get('version')!r}"
     digest = channel_digest(channel_obj)
     if cert.get("channelDigest") != digest:
@@ -376,7 +336,7 @@ def verify_certificate(
         problem = instrument_problem(eta)
         if problem:
             failed.append(f"eta {i} {problem}")
-    total = sum(realization.coefficients)
+    total = realization.xi.matrix.sum()
     sums_to_one = total == 1 if exact else abs(total - 1) <= tol
     if not sums_to_one:
         failed.append(f"coefficients sum to {total}, not 1")

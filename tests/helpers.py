@@ -5,9 +5,10 @@ paths it is used to check.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,9 +21,14 @@ from quasicause.completion import (
     effect_span,
     state_span,
 )
-from quasicause.decompose import _arithmetic, _wing_major_tensor
+from quasicause.decompose import TypeBrand, WingFrame, _wing_major_tensor, default_frames
 from quasicause.diagrams import Par
-from quasicause.errors import InvalidAssemblage, SignatureMismatch, TypeMismatch
+from quasicause.errors import (
+    InvalidAssemblage,
+    ResidualTooLarge,
+    SignatureMismatch,
+    TypeMismatch,
+)
 from quasicause.nonsignalling import (
     MultipartiteChannel,
     NSReport,
@@ -47,6 +53,7 @@ from quasicause.theories import (
     coords_to_density,
     discard_effect,
     hermitian_basis,
+    instrument_problem,
     vec_basis_matrix,
 )
 from quasicause.wires import (
@@ -54,10 +61,13 @@ from quasicause.wires import (
     QUANTUM,
     UNIT,
     Signature,
+    SystemType,
     classical,
+    extension,
     interleave,
     quantum,
     ravel_index,
+    sig,
 )
 
 F = Fraction
@@ -324,14 +334,112 @@ def assemble_common_cause(
     return MultipartiteChannel(tuple(wings), body, theory)
 
 
-def dense_xi_oracle(realization):
-    """The shared state built directly as a dense k^m vector on the ancilla
-    product, zero off the diagonal (c_k at (k, ..., k))."""
-    k, m = len(realization.coefficients), len(realization.ancilla_types)
-    exact_mode = _arithmetic(realization) == RATIONAL
-    vec = np.zeros((k,) * m, dtype=object if exact_mode else float)
-    vec[(np.arange(k),) * m] = realization.coefficients
-    return LinearProcess(EMPTY, Signature(realization.ancilla_types), vec.reshape(-1, 1))
+# -- the diagonal common cause --------------------------------------------------
+# The realization in its earlier, diagonal form: coefficient c_k on the point
+# (k, ..., k) of m ancillas of carrier k (the number of terms), eta_i reading
+# term k's member off ancilla value k, and the shared-k recontraction that
+# never builds the k^m state. It is the oracle of the product-form
+# realization and of its Tucker recontraction.
+
+@dataclass(frozen=True)
+class DiagonalRealization:
+    channel_id: str
+    ancilla_types: Tuple[SystemType, ...]
+    etas: Tuple[LinearProcess, ...]
+    brands: Tuple[TypeBrand, ...]
+    frame: Tuple[WingFrame, ...]
+    coefficients: Tuple[object, ...]
+    term_indices: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def xi(self) -> LinearProcess:
+        """The dense k^m state, zero off the diagonal."""
+        k, m = len(self.coefficients), len(self.ancilla_types)
+        exact_mode = not any(isinstance(c, float) for c in self.coefficients) and all(
+            e.arithmetic == RATIONAL for e in self.etas
+        )
+        vec = np.zeros((k,) * m, dtype=object if exact_mode else float)
+        vec[(np.arange(k),) * m] = self.coefficients
+        return LinearProcess(EMPTY, Signature(self.ancilla_types), vec.reshape(-1, 1))
+
+
+def _term_stack(frame: WingFrame, terms, wing: int) -> np.ndarray:
+    """Each term's member for ``wing`` as an (out, in, term) array."""
+    return np.stack([frame.members[idx[wing]].matrix for _, idx in terms], axis=-1)
+
+
+def shared_k_residual(channel, coefficients, stacks, exact_mode) -> object:
+    """Max-abs difference between sum_k c_k (x)_i stacks[i][:, :, k] and the
+    body.
+
+    Every wing reads the same index k, so each (out_i, in_i, k) stack is
+    multiplied into the running product along a shared k axis, and the last
+    wing's stack, weighted by the coefficients, contracts that axis away:
+    O(k * D_in * D_out) work, never a k^m tensor.
+    """
+    dtype = object if exact_mode else float
+    tensor = np.ones(len(coefficients), dtype=dtype)
+    for stack in stacks[:-1]:
+        # axes (o_1, x_1, ..., o_i, x_i, k) after wing i
+        tensor = tensor[..., None, None, :] * stack.astype(dtype)
+    weighted = stacks[-1].astype(dtype) * np.array(coefficients, dtype=dtype)
+    tensor = np.tensordot(tensor, weighted, axes=([-1], [-1]))
+    body = channel.body.matrix.astype(dtype)
+    rebuilt = np.transpose(tensor, np.argsort(interleave(channel.m))).reshape(body.shape)
+    return abs(rebuilt - body).max()
+
+
+def diagonal_realization(channel, qm, frames=None, channel_id="diag") -> DiagonalRealization:
+    """Package a quasi-mixture as (coefficients, eta_1..eta_m) on branded
+    ancillas of carrier k; the coefficients are the diagonal shared state."""
+    if frames is None:
+        frames = default_frames(channel)
+    frames = tuple(frames)
+    k_terms = len(qm.terms)
+    if k_terms == 0:
+        raise ResidualTooLarge("empty quasi-mixture")
+    exact_mode = all(not isinstance(c, float) for c, _ in qm.terms)
+
+    ancillas = tuple(
+        extension(channel_id, i + 1, k_terms) for i in range(channel.m)
+    )
+    brands = tuple(
+        TypeBrand(a, channel_id, i + 1, k_terms) for i, a in enumerate(ancillas)
+    )
+
+    etas = []
+    for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
+        # column x * k_terms + k holds column x of term k's member
+        mat = _term_stack(frame, qm.terms, i).reshape(w_out.vdim, w_in.vdim * k_terms)
+        if not exact_mode:
+            mat = mat.astype(float)
+        eta = LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat)
+        problem = instrument_problem(eta)
+        if problem:
+            raise ResidualTooLarge(f"eta for wing {i + 1} {problem}")
+        etas.append(eta)
+
+    total = sum(c for c, _ in qm.terms)
+    if not (total == 1 if exact_mode else abs(total - 1) <= 1e-9):
+        raise ResidualTooLarge(f"coefficients sum to {total}, not 1")
+    return DiagonalRealization(
+        channel_id=channel_id,
+        ancilla_types=ancillas,
+        etas=tuple(etas),
+        brands=brands,
+        frame=frames,
+        coefficients=tuple(c for c, _ in qm.terms),
+        term_indices=tuple(idx for _, idx in qm.terms),
+    )
+
+
+def verify_diagonal(channel, realization: DiagonalRealization) -> object:
+    """The shared-k recontraction of a diagonal realization: each eta_i read
+    as an (out_i, in_i, k) stack."""
+    k = len(realization.coefficients)
+    exact_mode = realization.xi.arithmetic == RATIONAL and channel.body.arithmetic == RATIONAL
+    stacks = [eta.matrix.reshape(eta.outputs.dim, -1, k) for eta in realization.etas]
+    return shared_k_residual(channel, realization.coefficients, stacks, exact_mode)
 
 
 def min_negativity_oracle(channel, frames) -> np.ndarray:

@@ -69,11 +69,11 @@ def test_register_pr_box(stoch_theory):
 
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_register_binary_float_past_the_dense_cap(m):
-    """The benchmark's generated common cause at m = 5, 6, 7 (243^5, 729^6
-    and 2187^7 diagonal points; the last are past the int64 range, so the
-    copy map's rows are Python ints) registers: xi is bound without its dense
-    view, whose read raises the library's TooLarge, as does diagram
-    recomposition."""
+    """The benchmark's generated common cause at m = 5, 6, 7, whose diagonal
+    common causes had 243^5 to 2187^7 points, registers with a dense xi of
+    4^m entries. At m = 5 the recomposition diagram evaluates to the body;
+    at m = 7 its widest composite, 2^14 inputs beside 4^7 ancilla points,
+    passes the dense cap and evaluation raises the library's TooLarge."""
     g = gen.common_cause(np.random.default_rng(7), m, exact=False)
     wires = Signature((BIT,) * m)
     chan = MultipartiteChannel(((BIT, BIT),) * m, LinearProcess(wires, wires, g.matrix), STOCH)
@@ -83,10 +83,13 @@ def test_register_binary_float_past_the_dense_cap(m):
     xi = gt.bindings[f"xi:{cid}"]
     assert xi.arithmetic == "float64"
     assert xi.outputs.wires == real.ancilla_types
-    with pytest.raises(TooLarge):
-        xi.matrix
-    with pytest.raises(TooLarge):
-        recomposition_term(gt, cid)
+    assert xi.matrix.shape == (4 ** m, 1)
+    term = recomposition_term(gt, cid)
+    if m == 5:
+        assert max_abs_diff(gt.eval(term), chan.body) <= 1e-9
+    if m == 7:
+        with pytest.raises(TooLarge):
+            gt.eval(term)
 
 
 def test_register_rejects_signalling():
@@ -381,7 +384,7 @@ def test_base_boundary_diagrams_stay_valid_quant():
         QUANT,
     )
     cid = register(gt, chan)
-    assert gt.registered[cid].realization.carrier_dim <= 3
+    assert np.count_nonzero(gt.registered[cid].realization.xi.matrix) <= 3
     in_wires = [w for w, _ in chan.wings]
     out_wires = [w for _, w in chan.wings]
     for _ in range(15):

@@ -11,15 +11,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from quasicause import QUANT, STOCH, classical, decompose, extension, process, quantum, sig, state
+from perfbench import gen
+from quasicause import (
+    EMPTY,
+    QUANT,
+    STOCH,
+    classical,
+    compose_par,
+    decompose,
+    extension,
+    identity,
+    permutation,
+    process,
+    quantum,
+    sig,
+    state,
+)
 from quasicause.assemblages import assemblage_to_channel, bb84_assemblage
 from quasicause.boxes import pr_box, product_channel, swap_channel
 from quasicause.decompose import (
     MIN_NEGATIVITY,
     MIN_NORM,
     CommonCauseRealization,
+    QuasiMixture,
     WingFrame,
-    _arithmetic,
     build_realization,
     decompose_quasimixture,
     default_frames,
@@ -38,12 +53,14 @@ from quasicause.procs import LinearProcess, compose_seq, effective_tol, max_abs_
 from quasicause.theories import discard_effect, hybrid_valid
 from tests.helpers import (
     assemble_common_cause,
-    dense_xi_oracle,
+    diagonal_realization,
+    fraction_compose_seq,
     min_negativity_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_float,
     random_stochastic_rational,
+    verify_diagonal,
 )
 
 F = Fraction
@@ -254,11 +271,15 @@ def test_pr_realization_exact_roundtrip():
     chan = pr_box()
     qm = decompose_quasimixture(chan)
     real = build_realization(chan, qm)
-    assert real.carrier_dim == len(qm.terms)
+    frames = default_frames(chan)
+    assert [a.vdim for a in real.ancilla_types] == [len(f) for f in frames]
     residual = verify_realization(chan, real)
     assert residual == 0
-    # xi is a quasi-distribution: some diagonal weight is negative
+    # xi is the coefficient tensor, a quasi-distribution: one nonzero entry
+    # per term, some of them negative
     xi_entries = list(real.xi.matrix[:, 0])
+    assert len(xi_entries) == len(frames[0]) * len(frames[1])
+    assert sum(x != 0 for x in xi_entries) == len(qm.terms)
     assert min(xi_entries) < 0
     assert sum(xi_entries) == 1
     # every eta is a valid instrument and discard preserving by construction
@@ -278,10 +299,10 @@ def test_coefficients_off_one_are_rejected(mode):
 def test_realization_ancillas_are_branded():
     chan = pr_box()
     real = build_realization(chan, decompose_quasimixture(chan))
-    for i, anc in enumerate(real.ancilla_types, start=1):
+    for i, (anc, frame) in enumerate(zip(real.ancilla_types, default_frames(chan)), start=1):
         assert anc.kind == "extension"
         assert anc.brand == (real.channel_id, i)
-        assert anc.vdim == real.carrier_dim
+        assert anc.vdim == len(frame)
     # brands never collide with base ids
     assert all(b.ext_type.id not in ("I", "C2", "Q2") for b in real.brands)
 
@@ -289,17 +310,9 @@ def test_realization_ancillas_are_branded():
 def test_tampered_xi_fails_verification():
     chan = pr_box()
     real = build_realization(chan, decompose_quasimixture(chan))
-    coefficients = list(real.coefficients)
-    coefficients[0] = coefficients[0] + F(1, 1000)
-    tampered = real.__class__(
-        channel_id=real.channel_id,
-        ancilla_types=real.ancilla_types,
-        etas=real.etas,
-        brands=real.brands,
-        frame=real.frame,
-        coefficients=tuple(coefficients),
-        term_indices=real.term_indices,
-    )
+    entries = real.xi.matrix.copy()
+    entries[0, 0] = entries[0, 0] + F(1, 1000)
+    tampered = replace(real, xi=LinearProcess(real.xi.inputs, real.xi.outputs, entries))
     residual = verify_realization(chan, tampered)
     assert residual >= F(1, 10000)
 
@@ -315,11 +328,14 @@ def test_verify_signature_mismatch():
 
 
 def test_verify_rejects_coefficients_off_the_carrier():
+    """xi must be a state on the ancillas the etas read."""
     chan = pr_box()
     real = build_realization(chan, decompose_quasimixture(chan))
-    short = replace(real, coefficients=real.coefficients[:-1])
-    with pytest.raises(SignatureMismatch):
-        verify_realization(chan, short)
+    k = real.xi.shape[0]
+    short = LinearProcess(EMPTY, sig(classical(k - 1)), real.xi.matrix[:-1])
+    for xi in (short, process(real.xi.matrix.T, sig(*real.ancilla_types), EMPTY)):
+        with pytest.raises(SignatureMismatch, match="xi"):
+            verify_realization(chan, replace(real, xi=xi))
 
 
 def test_classical_cc_roundtrip_exact():
@@ -377,65 +393,170 @@ def test_tripartite_binary_roundtrip_exact():
     assert verify_realization(chan, real) == 0
 
 
+def random_channel(rng, w_in, w_out, exact):
+    """A random valid channel matrix w_in -> w_out: column-stochastic on
+    classical wires, a random Stinespring transfer between qubits."""
+    if w_in.kind == "quantum":
+        return random_cptp_transfer(rng, (w_in.hilbert_dim,), (w_out.hilbert_dim,))
+    stochastic = random_stochastic_rational if exact else random_stochastic_float
+    return stochastic(rng, w_out.vdim, w_in.vdim)
+
+
+def draw_wings(m, dims, qubits, exact):
+    """Classical wings of the drawn dims, or (qubit, qubit) where drawn in
+    binary64 mode; the theory that holds them."""
+    wings = [
+        (QUBIT, QUBIT) if qubit and not exact else (classical(a), classical(b))
+        for (a, b), qubit in zip(dims[:m], qubits)
+    ]
+    return wings, QUANT if (QUBIT, QUBIT) in wings else STOCH
+
+
+WING_DIMS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=3, max_size=3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 3),
-    k=st.integers(1, 3),
-    dims=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                  min_size=3, max_size=3),
+    carriers=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    dims=WING_DIMS,
+    qubits=st.lists(st.booleans(), min_size=3, max_size=3),
     exact=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_recontraction_matches_dense_oracle(m, k, dims, exact, seed):
-    """The shared-index recontraction against the dense common-cause wiring
-    of the k^m xi, on random classical common-cause channels: bit-equal in
-    rational mode, within 1e-12 in binary64."""
-    wings = [(classical(a), classical(b)) for a, b in dims[:m]]
-    assume(k ** m * math.prod(w.vdim for w, _ in wings) <= 256)
+def test_recontraction_matches_dense_oracle(m, carriers, dims, qubits, exact, seed):
+    """The Tucker recontraction against the dense common-cause wiring of a
+    random, non-diagonal xi with carrier k_i on ancilla i, over random
+    controlled channels on classical or qubit wings: exactly 0 in rational
+    mode, within 1e-12 in binary64."""
+    wings, theory = draw_wings(m, dims, qubits, exact)
+    carriers = carriers[:m]
+    d_in, d_out = (math.prod(w.vdim for w in side) for side in zip(*wings))
+    assume(math.prod(carriers) * d_in * d_out <= 2 ** 12)
     rng = np.random.default_rng(seed)
-    stochastic = random_stochastic_rational if exact else random_stochastic_float
 
-    ancillas = tuple(extension("rand", i + 1, k) for i in range(m))
+    ancillas = tuple(extension("rand", i + 1, k) for i, k in enumerate(carriers))
     etas = tuple(
-        LinearProcess(sig(w_in, anc), sig(w_out),
-                      stochastic(rng, w_out.vdim, w_in.vdim * k))
+        LinearProcess(
+            sig(w_in, anc), sig(w_out),
+            np.stack([random_channel(rng, w_in, w_out, exact) for _ in range(anc.vdim)], -1)
+            .reshape(w_out.vdim, -1),
+        )
         for (w_in, w_out), anc in zip(wings, ancillas)
     )
-    real = CommonCauseRealization(
-        channel_id="rand", ancilla_types=ancillas, etas=etas, brands=(),
-        frame=(), coefficients=tuple(stochastic(rng, k, 1)[:, 0]),
-        term_indices=(),
+    weights = (random_stochastic_rational if exact else random_stochastic_float)(
+        rng, math.prod(carriers), 1
     )
-    oracle = assemble_common_cause(real.xi, etas, STOCH)
-    # the same mixture as frames of eta slices, term j on slice j of every wing
-    frames = []
-    for (w_in, w_out), eta in zip(wings, etas):
-        slices = eta.matrix.reshape(w_out.vdim, w_in.vdim, k)
-        frames.append(WingFrame(w_in, w_out, tuple(
-            LinearProcess(sig(w_in), sig(w_out), slices[:, :, j]) for j in range(k)
-        )))
-    terms = tuple((c, (j,) * m) for j, c in enumerate(real.coefficients))
-    residuals = (verify_realization(oracle, real),
-                 reconstruction_residual(oracle, frames, terms))
+    xi = LinearProcess(EMPTY, sig(*ancillas), weights)
+    real = CommonCauseRealization("rand", ancillas, xi, etas, ())
+    oracle = assemble_common_cause(xi, etas, theory)
+    residual = verify_realization(oracle, real)
     if exact:
         assert oracle.body.arithmetic == "rational"
-        assert residuals == (0, 0)
+        assert residual == 0
     else:
-        assert max(residuals) <= 1e-12
+        assert residual <= 1e-12
+
+
+SLICES = ("duplicate", "permuted", "distinct")
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 3),
     k=st.integers(1, 4),
-    exact_coefficients=st.booleans(),
-    exact_etas=st.booleans(),
+    dims=WING_DIMS,
+    qubits=st.lists(st.booleans(), min_size=3, max_size=3),
+    slices=st.lists(st.sampled_from(SLICES), min_size=3, max_size=3),
+    exact=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_deferred_xi_matches_dense_oracle(m, k, exact_coefficients, exact_etas, seed):
-    """xi as the coefficients followed by the copy map: its arithmetic and
-    signatures come without a dense build, and the one build its matrix
-    takes equals the direct diagonal k^m vector in value, dtype and str."""
+def test_product_form_recontraction_matches_the_shared_k_oracle(
+    m, k, dims, qubits, slices, exact, seed
+):
+    """One k-term mixture over random frames, against a random valid body,
+    in product form and in the diagonal form of the shared-k oracle: equal
+    residuals on rational bodies, within 1e-12 in binary64. Wing i's slices
+    of the oracle's eta_i (term j's member) repeat members ("duplicate"),
+    take each member once in a shuffled order ("permuted"), or once in
+    order ("distinct")."""
+    wings, theory = draw_wings(m, dims, qubits, exact)
+    d_in, d_out = (math.prod(w.vdim for w in side) for side in zip(*wings))
+    assume(k ** m * d_in * d_out <= 2 ** 12)
+    rng = np.random.default_rng(seed)
+
+    frames, columns = [], []
+    for (w_in, w_out), pattern in zip(wings, slices):
+        n = int(rng.integers(1, k + 1)) if pattern == "duplicate" else k
+        frames.append(WingFrame(w_in, w_out, tuple(
+            LinearProcess(sig(w_in), sig(w_out), random_channel(rng, w_in, w_out, exact))
+            for _ in range(n)
+        )))
+        columns.append({
+            "duplicate": rng.integers(0, n, size=k),
+            "permuted": rng.permutation(k),
+            "distinct": np.arange(k),
+        }[pattern])
+    weights = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 8))) for _ in range(k)]
+    weights[0] += 1 - sum(weights)
+    terms = tuple(
+        (c if exact else float(c), tuple(int(col[j]) for col in columns))
+        for j, c in enumerate(weights)
+    )
+    if exact:
+        body = random_stochastic_rational(rng, d_out, d_in)
+    else:
+        body = reduce(np.kron, [random_channel(rng, *w, exact) for w in wings])
+    in_sig, out_sig = (sig(*side) for side in zip(*wings))
+    chan = MultipartiteChannel(tuple(wings), LinearProcess(in_sig, out_sig, body), theory)
+    qm = QuasiMixture(terms, None, MIN_NORM)
+
+    want = verify_diagonal(chan, diagonal_realization(chan, qm, frames))
+    got = (
+        reconstruction_residual(chan, frames, terms),
+        verify_realization(chan, build_realization(chan, qm, frames)),
+    )
+    if exact:
+        assert got == (want, want)
+    else:
+        assert max(abs(g - want) for g in got) <= 1e-12
+
+
+@pytest.mark.parametrize("source", ["pr"] + [f"gen-m{m}-s{s}" for m in (2, 3) for s in range(6)])
+def test_product_form_and_diagonal_realizations_rebuild_the_body(source):
+    """Rational PR box and generated common causes: the product-form
+    realization recontracts with residual exactly 0, and wiring its xi into
+    its etas gives the body entry for entry, as does the diagonal oracle's."""
+    if source == "pr":
+        chan = pr_box()
+    else:
+        m, s = (int(part[1:]) for part in source.split("-")[1:])
+        g = gen.common_cause(np.random.default_rng(s), m, exact=True)
+        wires = sig(*[BIT] * m)
+        chan = MultipartiteChannel(((BIT, BIT),) * m, LinearProcess(wires, wires, g.matrix), STOCH)
+    qm = decompose_quasimixture(chan)
+    real = build_realization(chan, qm)
+    assert verify_realization(chan, real) == 0
+    oracle = diagonal_realization(chan, qm)
+    for shared, etas in ((real.xi, real.etas), (oracle.xi, oracle.etas)):
+        rebuilt = assemble_common_cause(shared, etas, STOCH).body.matrix
+        assert rebuilt.dtype == object
+        assert np.array_equal(rebuilt, chan.body.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    carriers=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    exact=st.booleans(),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_deferred_xi_matches_dense_oracle(m, carriers, exact, data, seed):
+    """xi beside an input and routed through a wire shuffle, as in the
+    recomposition diagram: its arithmetic and signatures come without a
+    dense build, and the one build its matrix takes equals the dense product
+    in value and dtype, and in rational mode in each entry's str."""
     rng = np.random.default_rng(seed)
     builds = []
     unbuilt = LinearProcess.__getattr__
@@ -444,29 +565,28 @@ def test_deferred_xi_matches_dense_oracle(m, k, exact_coefficients, exact_etas, 
         builds.append(name)
         return unbuilt(self, name)
 
-    bit = classical(2)
-    ancillas = tuple(extension("rand", i + 1, k) for i in range(m))
-    stochastic = random_stochastic_rational if exact_etas else random_stochastic_float
-    etas = tuple(LinearProcess(sig(bit, a), sig(bit), stochastic(rng, 2, 2 * k)) for a in ancillas)
-    weights = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 8))) for _ in range(k)]
+    ancillas = tuple(extension("rand", i + 1, k) for i, k in enumerate(carriers[:m]))
+    weights = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 8)))
+               for _ in range(math.prod(carriers[:m]))]
     weights[0] += 1 - sum(weights)  # a quasi-distribution
-    coefficients = tuple(weights if exact_coefficients else map(float, weights))
-    real = CommonCauseRealization(
-        channel_id="rand", ancilla_types=ancillas, etas=etas, brands=(),
-        frame=(), coefficients=coefficients, term_indices=(),
-    )
+    entries = np.array(weights if exact else [float(w) for w in weights],
+                       dtype=object if exact else float)
+    xi = LinearProcess(EMPTY, sig(*ancillas), entries.reshape(-1, 1))
+    beside = compose_par(identity(BIT), xi)
+    order = data.draw(st.permutations(range(m + 1)))
+    route = permutation(beside.outputs, order)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LinearProcess, "__getattr__", counted)
-        xi = real.xi
-        assert xi.arithmetic == _arithmetic(real)
-        assert xi.inputs.wires == () and xi.outputs.wires == ancillas
-        assert xi.shape == (k ** m, 1)
+        routed = compose_seq(beside, route)
+        assert routed.arithmetic == xi.arithmetic
+        assert routed.inputs.wires == (BIT,) and routed.outputs == route.outputs
         assert builds == []
-        dense = xi.matrix
-        assert xi.matrix is dense  # built once, then a plain attribute
+        dense = routed.matrix
+        assert routed.matrix is dense  # built once, then a plain attribute
         assert builds == ["matrix"]
-    oracle = dense_xi_oracle(real).matrix
+    oracle = fraction_compose_seq(beside.matrix, route.matrix)
     assert dense.dtype == oracle.dtype
     assert np.array_equal(dense, oracle)
-    assert [str(x) for x in dense.flat] == [str(x) for x in oracle.flat]
+    if exact:
+        assert [str(x) for x in dense.flat] == [str(x) for x in oracle.flat]

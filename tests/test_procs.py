@@ -37,7 +37,7 @@ from quasicause.errors import (
     TooLarge,
     TypeMismatch,
 )
-from quasicause.procs import DENSE_CAP, add, copy, numerators, scale
+from quasicause.procs import DENSE_CAP, add, numerators, scale
 from quasicause.wires import extension, ravel_index, unravel_index
 
 from tests.helpers import (
@@ -323,45 +323,23 @@ def test_public_constructor_rejects_float_in_rational_matrix():
         LinearProcess(EMPTY, sig(BIT), matrix)
 
 
-def copy_map(k, m):
-    return copy(k, [extension("c", i + 1, k) for i in range(m)])
-
-
-def dense_copy(k, m):
-    """The k -> k^m copy map, one column at a time."""
-    matrix = np.zeros((k ** m, k), dtype=object)
-    for c in range(k):
-        matrix[ravel_index([c] * m, [k] * m), c] = 1
-    return matrix
-
-
-def test_copy_map_needs_wires_of_its_carrier():
-    with pytest.raises(TypeMismatch):
-        copy(2, [extension("c", 1, 2), extension("c", 2, 3)])
-    with pytest.raises(TypeMismatch):
-        copy(2, [])
-
-
 def test_dense_views_above_the_cap_raise_too_large():
-    # the binary four-wing common cause (81^4 entries) is admitted
-    assert 81 ** 4 <= DENSE_CAP < 243 ** 5
-    big = copy_map(243, 5)
-    assert big.arithmetic == "rational" and big.shape == (243 ** 5, 243)
-    with pytest.raises(TooLarge):
-        big.matrix
-    point = state([F(1, 2), F(1, 4), F(1, 4)] + [0] * 240, classical(243))
+    # a shuffle of 2^14 points stores 2^14 rows, but its dense view would
+    # hold 2^28 entries, past the cap
+    assert 4 ** 8 <= DENSE_CAP < 2 ** 28
+    wires = sig(classical(2 ** 7), classical(2 ** 7))
+    big = permutation(wires, (1, 0))
+    assert big.arithmetic == "rational" and big.shape == (2 ** 14, 2 ** 14)
     with pytest.raises(TooLarge) as raised:
-        compose_seq(point, big).matrix
+        big.matrix
     assert isinstance(raised.value, QuasicauseError)
-    # past the int64 range (2187^7 points) the copy map's rows are Python
-    # ints: it composes without a build, and dense results stay refused
-    huge = copy_map(2187, 7)
-    assert huge.shape == (2187 ** 7, 2187)
-    assert compose_par(huge, identity(BIT)).shape == (2 * 2187 ** 7, 2 * 2187)
+    # composites of shuffles and the routing of a state build nothing that large
+    assert compose_par(big, identity(BIT)).shape == (2 ** 15, 2 ** 15)
+    point = state([F(1, 2), F(1, 2)] + [0] * (2 ** 14 - 2), wires)
+    routed = compose_seq(point, big)
+    assert routed.matrix[0, 0] == F(1, 2) and routed.matrix[2 ** 7, 0] == F(1, 2)
     with pytest.raises(TooLarge):
-        compose_par(number(1), huge)
-    with pytest.raises(TooLarge):
-        compose_seq(state([1] + [0] * 2186, classical(2187)), huge).matrix
+        compose_par(number(1), big)
 
 
 def test_dense_compositions_above_the_cap_raise_too_large():
@@ -397,30 +375,19 @@ def promoted_to(indexed_dense, other):
 @given(
     wires=st.lists(st.sampled_from(SHUFFLE_WIRES), min_size=1, max_size=2),
     data=st.data(),
-    k=st.integers(1, 3),
-    m=st.integers(1, 3),
     exact=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_one_indexed_operand_places_blocks_like_np_kron(wires, data, k, m, exact, seed):
-    """compose_par with exactly one shuffle, identity or copy map, in either
-    order, equals np.kron; copy maps also compose sequentially like the
-    dense product."""
+def test_one_indexed_operand_places_blocks_like_np_kron(wires, data, exact, seed):
+    """compose_par with exactly one shuffle or identity, in either order,
+    equals np.kron."""
     rng = np.random.default_rng(seed)
-    shuffle, shuffle_dense = shuffles(sig(*wires), data)
-    cp = copy_map(k, m)
-    assert_same(cp, dense_copy(k, m))
+    indexed, dense = shuffles(sig(*wires), data)
     ins = sig(*(classical(int(d)) for d in rng.integers(1, 4, size=2)))
     outs = sig(*(classical(int(d)) for d in rng.integers(1, 4, size=2)))
     other = process(random_operand(rng, (outs.dim, ins.dim), exact), ins, outs)
-    for indexed, dense in ((shuffle, shuffle_dense), (cp, dense_copy(k, m))):
-        assert_same_entries(compose_par(indexed, other), np.kron(*promoted_to(dense, other)))
-        assert_same_entries(compose_par(other, indexed), np.kron(*promoted_to(dense, other)[::-1]))
-
-    f = process(random_operand(rng, (k, ins.dim), exact), ins, sig(classical(k)))
-    assert_same(compose_seq(f, cp), dense_seq(f, cp))
-    g = process(random_operand(rng, (outs.dim, k ** m), exact), cp.outputs, outs)
-    assert_same(compose_seq(cp, g), dense_seq(cp, g))
+    assert_same_entries(compose_par(indexed, other), np.kron(*promoted_to(dense, other)))
+    assert_same_entries(compose_par(other, indexed), np.kron(*promoted_to(dense, other)[::-1]))
 
 
 # -- integer-numerator kernels against the dense Fraction algebra -----------

@@ -89,6 +89,17 @@ def test_certificate_verifies_rational():
     text = json.dumps(cert)
     ok, residual, detail = verify_certificate(json.loads(text), obj)
     assert ok and residual == 0
+    # version 2 carries only what the verifier checks, and an NS summary
+    assert cert["version"] == 2 and obj["version"] == 1
+    assert not {"frames", "quasiMixture"} & set(cert)
+    assert "carrier" not in cert["realization"]
+    assert all(set(s) == {"K", "residual"} for s in cert["nsReport"]["subsets"])
+
+
+def test_version_1_certificate_is_unsupported():
+    cert, obj = make_certificate(pr_box(), 0)
+    cert["version"] = 1
+    assert verify_certificate(cert, obj) == (False, None, "unsupported certificate version 1")
 
 
 def test_certificate_verifies_float():
@@ -158,25 +169,24 @@ def scaled(c, factor, exact):
 
 
 def test_zero_weight_slot_with_a_negative_eta_entry_is_rejected():
-    # one more carrier slot with coefficient 0 leaves the recontraction and
-    # the coefficient sum exact; its eta columns read (-1e-12, 1 + 1e-12)
+    # one more carrier slot on wing 1, where xi has weight 0, leaves the
+    # recontraction and the coefficient sum exact; its eta columns read
+    # (-1e-12, 1 + 1e-12)
     cert, obj = make_certificate(pr_box(), 0)
     bad = json.loads(json.dumps(cert))
     real = bad["realization"]
-    k = real["carrier"]
-    real["carrier"] = k + 1
-    for brand in real["brands"]:
-        brand["carrier"] = k + 1
+    brand = real["brands"][0]
+    k = brand["carrier"]
+    brand["carrier"] = k + 1
     tiny = Fraction(1, 10**12)
     forged = np.array([str(-tiny), str(1 + tiny)], dtype=object)[:, None, None]
-    for i, flat in enumerate(real["etas"]):
-        eta = np.array(flat, dtype=object).reshape(2, 2, k)  # (output, input, slot)
-        grown = np.concatenate([eta, np.broadcast_to(forged, (2, 2, 1))], axis=2)
-        real["etas"][i] = grown.reshape(-1).tolist()
+    eta = np.array(real["etas"][0], dtype=object).reshape(2, 2, k)  # (output, input, slot)
+    grown = np.concatenate([eta, np.broadcast_to(forged, (2, 2, 1))], axis=2)
+    real["etas"][0] = grown.reshape(-1).tolist()
     ok, residual, detail = verify_certificate(bad, obj)
     assert residual == 0
     assert not ok
-    assert "eta 1" in detail and "eta 2" in detail
+    assert "eta 1" in detail and "eta 2" not in detail
 
 
 def test_nan_eta_entry_is_rejected():
@@ -230,20 +240,42 @@ def test_malformed_files_raise_schema_error(case):
             verify_certificate(cert, obj)
 
 
+def _bump(path, by):
+    def mutate(obj):
+        *keys, last = path
+        for key in keys:
+            obj = obj[key]
+        obj[last] += by
+    return mutate
+
+
+XI_INDICES = ["realization", "xi", 0, "indices"]
+
 # certificate blocks that only the rebuild reads: case -> (mutation, exact)
 MALFORMED_BLOCKS = {
-    "frames not a list": (_set(["frames"], 3), True),
-    "frame not an object": (_set(["frames", 0], 3), True),
-    "one frame too many": (lambda o: o["frames"].append(o["frames"][0]), True),
-    "frame members not a list": (_set(["frames", 0, "members"], 3), True),
-    "frame without members": (_set(["frames", 0, "members"], []), False),
-    "frame member not a list": (_set(["frames", 0, "members", 0], 3), True),
-    "retained not a list": (_set(["frames", 0, "retained"], 3), True),
-    "retained index off the frame": (_set(["frames", 0, "retained"], [99]), False),
-    "quasiMixture not an object": (_set(["quasiMixture"], 3), True),
-    "terms not a list": (_set(["quasiMixture", "terms"], 3), False),
-    "term not an object": (_set(["quasiMixture", "terms", 0], 3), True),
-    "term indices not a list": (_set(["quasiMixture", "terms", 0, "indices"], 3), True),
+    "realization not an object": (_set(["realization"], 3), True),
+    "etas not a list": (_set(["realization", "etas"], 3), True),
+    "one eta too many": (lambda o: o["realization"]["etas"].append(o["realization"]["etas"][0]), True),
+    "eta without entries": (_set(["realization", "etas", 0], []), False),
+    "eta entry not a number": (_set(["realization", "etas", 0, 0], [1]), True),
+    "xi not a list": (_set(["realization", "xi"], 3), False),
+    "xi indices not a list": (_set(XI_INDICES, 3), True),
+    "xi indices one too many": (lambda o: o["realization"]["xi"][0]["indices"].append(0), True),
+    "xi indices one too few": (lambda o: o["realization"]["xi"][0]["indices"].pop(), False),
+    "xi index a bool": (_set(XI_INDICES + [0], False), True),
+    "xi index not an int": (_set(XI_INDICES + [0], 0.0), False),
+    "xi index a string": (_set(XI_INDICES + [0], "0"), True),
+    "xi index negative": (_set(XI_INDICES + [0], -1), True),
+    "xi index at the carrier": (
+        lambda o: _set(XI_INDICES + [0], o["realization"]["brands"][0]["carrier"])(o), False
+    ),
+    "brand carrier past its eta": (_bump(["realization", "brands", 1, "carrier"], 1), True),
+    "brand carrier short of its eta": (_bump(["realization", "brands", 0, "carrier"], -1), False),
+    "brand carrier not an int": (_set(["realization", "brands", 0, "carrier"], "4"), True),
+    "brand carrier zero": (_set(["realization", "brands", 0, "carrier"], 0), True),
+    "xi carriers past the dense cap": (
+        lambda o: [b.update(carrier=2 ** 14) for b in o["realization"]["brands"]], True
+    ),
     "both brands on wing 1": (_set(["realization", "brands", 1, "wing"], 1), True),
     "brand on wing 7": (_set(["realization", "brands", 0, "wing"], 7), True),
     "brand without a wing": (lambda o: o["realization"]["brands"][0].pop("wing"), True),
