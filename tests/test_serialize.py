@@ -259,6 +259,7 @@ MALFORMED_BLOCKS = {
     "eta without entries": (_set(["realization", "etas", 0], []), False),
     "eta entry not a number": (_set(["realization", "etas", 0, 0], [1]), True),
     "xi not a list": (_set(["realization", "xi"], 3), False),
+    "term not an object": (_set(["realization", "xi", -1], [0, 1]), False),
     "xi indices not a list": (_set(XI_INDICES, 3), True),
     "xi indices one too many": (lambda o: o["realization"]["xi"][0]["indices"].append(0), True),
     "xi indices one too few": (lambda o: o["realization"]["xi"][0]["indices"].pop(), False),
