@@ -414,8 +414,6 @@ def op_equiv(
         raise SignatureMismatch("operands have different signatures")
     fp = gt.eval(f, extra)
     gp = gt.eval(g, extra)
-    exact_mode = fp.arithmetic == gp.arithmetic == RATIONAL
-    tolerance = effective_tol(RATIONAL if exact_mode else FLOAT64, tol)
 
     state_spans = [_span(gt, "state", w, depth) for w in f_in]
     effect_spans = [_span(gt, "effect", w, depth) for w in f_out]
@@ -425,6 +423,9 @@ def op_equiv(
     effects = reduce(compose_par, [stack for _, stack in effect_spans], number(1))
     lhs = compose_seq(compose_seq(states, fp), effects)
     rhs = compose_seq(compose_seq(states, gp), effects)
+    # a binary64 tester makes the comparison binary64 even for exact operands
+    exact_mode = lhs.arithmetic == rhs.arithmetic == RATIONAL
+    tolerance = effective_tol(RATIONAL if exact_mode else FLOAT64, tol)
     if max_abs_diff(lhs, rhs) <= tolerance:
         return EquivResult(False, depth)
 

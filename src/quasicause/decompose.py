@@ -20,11 +20,19 @@ zero where the mixture has no term, and ``eta_i`` applies member j when its
 ancilla reads j. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the
 channel, and recontraction is the Tucker product of ``xi`` with the member
 matrices: m ``procs.mode_product``s, one per wing.
+
+A wing's frame depends only on the theory and the wing's (input, output)
+types, never on the channel: ``local_channel_frame`` builds it once per
+(theory, in, out) and every later call, for any channel, shares that one
+object. Frames are immutable, and what is derived from one (its member
+matrix, ``retained``, duals, LP rows and the validity of its controlled
+frame) is computed once per frame and kept as read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import count, product
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,6 +51,7 @@ from .procs import (
     FLOAT64,
     RATIONAL,
     LinearProcess,
+    _freeze,
     add,
     compose_seq,
     effective_tol,
@@ -51,7 +60,7 @@ from .procs import (
     scale,
 )
 from .theories import Theory, instrument_problem
-from .wires import CLASSICAL, EMPTY, Signature, SystemType, extension, interleave, sig
+from .wires import CLASSICAL, EMPTY, Signature, SystemType, classical, extension, interleave, sig
 
 PRUNE = 1e-12
 
@@ -66,32 +75,93 @@ class WingFrame:
     ``retained`` indexes a leftmost-first maximal linearly independent
     subfamily; the solver works over retained members only, which makes the
     affine solution unique, while coefficients keep full-family indexing.
+
+    Everything derived from the members (their stacked matrix, ``retained``,
+    the LP's independent rows, the min-norm duals and the check of the
+    controlled frame) is computed on first use and kept on the instance, as
+    read-only arrays.
     """
 
     in_type: SystemType
     out_type: SystemType
     members: Tuple[LinearProcess, ...]
-    retained: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.retained:
-            kept = _independent_columns(self.matrix(as_float=not self.exact), self.exact)
-            object.__setattr__(self, "retained", kept)
 
     def __len__(self):
         return len(self.members)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(m.arithmetic == RATIONAL for m in self.members)
 
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return _freeze(np.stack([m.matrix.reshape(-1) for m in self.members], axis=1))
+
+    @cached_property
+    def _float_matrix(self) -> np.ndarray:
+        return _freeze(self._matrix.astype(float))
+
     def matrix(self, as_float: bool = False) -> np.ndarray:
-        cols = [m.matrix.reshape(-1) for m in self.members]
-        out = np.stack(cols, axis=1)
-        return out.astype(float) if as_float else out
+        """One column per member, the member's matrix in C order."""
+        return self._float_matrix if as_float else self._matrix
+
+    @cached_property
+    def retained(self) -> Tuple[int, ...]:
+        return _independent_columns(self.matrix(as_float=not self.exact), self.exact)
+
+    @cached_property
+    def _retained_matrix(self) -> np.ndarray:
+        return _freeze(self._matrix[:, list(self.retained)])
+
+    @cached_property
+    def _float_retained_matrix(self) -> np.ndarray:
+        return _freeze(self._float_matrix[:, list(self.retained)])
 
     def retained_matrix(self, as_float: bool = False) -> np.ndarray:
-        return self.matrix(as_float)[:, list(self.retained)]
+        return self._float_retained_matrix if as_float else self._retained_matrix
+
+    @cached_property
+    def lp_rows(self) -> Tuple[int, ...]:
+        """Leftmost-first independent rows of the binary64 member matrix."""
+        return _independent_columns(self._float_matrix.T, exact_mode=False)
+
+    @cached_property
+    def _exact_dual(self) -> np.ndarray:
+        f = self._retained_matrix
+        # retained columns are independent, so the pseudo-inverse is (F^T F)^-1 F^T
+        return _freeze(exact.solve(f.T @ f, f.T))
+
+    @cached_property
+    def _float_dual(self) -> np.ndarray:
+        return _freeze(np.linalg.pinv(self._float_retained_matrix))
+
+    def dual(self, as_float: bool = False) -> np.ndarray:
+        """Minimum-norm left inverse of the retained members: exact (for an
+        exact frame) or the binary64 pseudo-inverse."""
+        return self._float_dual if as_float else self._exact_dual
+
+    @cached_property
+    def _eta_problem(self) -> Optional[str]:
+        return _controlled_frame_problem(self, as_float=False)
+
+    @cached_property
+    def _float_eta_problem(self) -> Optional[str]:
+        return _controlled_frame_problem(self, as_float=True)
+
+    def eta_problem(self, as_float: bool = False) -> Optional[str]:
+        """Why the controlled frame (member j applied when the control reads
+        j) is not a valid instrument in that arithmetic, or None."""
+        return self._float_eta_problem if as_float else self._eta_problem
+
+
+def _controlled_frame_problem(frame: WingFrame, as_float: bool) -> Optional[str]:
+    """``instrument_problem`` of the eta-shaped matrix, whose column
+    x * |F| + j is column x of member j, on a classical control of |F|
+    points: the test a branded ancilla of that carrier gets, since extension
+    carriers count as classical there."""
+    control = classical(len(frame))
+    mat = frame.matrix(as_float).reshape(frame.out_type.vdim, -1)
+    return instrument_problem(LinearProcess(sig(frame.in_type, control), sig(frame.out_type), mat))
 
 
 def _independent_columns(matrix: np.ndarray, exact_mode: bool) -> Tuple[int, ...]:
@@ -185,12 +255,14 @@ def measure_prepare_frame(
     return tuple(members)
 
 
+@lru_cache(maxsize=None)
 def local_channel_frame(
     theory: Theory, in_type: SystemType, out_type: SystemType
 ) -> WingFrame:
     """Pick the smaller of the deterministic or measure-prepare families for
     classical pairs, the measure-prepare family otherwise; verify the affine
-    hull has the full discard-preserving dimension."""
+    hull has the full discard-preserving dimension. Built once per (theory,
+    in, out) and shared; ``__wrapped__`` builds a fresh one."""
     if in_type.kind == CLASSICAL and out_type.kind == CLASSICAL:
         det_size = out_type.vdim ** in_type.vdim
         mp_size = 1 + in_type.vdim * out_type.vdim
@@ -308,10 +380,7 @@ def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
     if not exact_mode:
         tensor = tensor.astype(float)
     for axis, frame in enumerate(frames):
-        f = frame.retained_matrix(as_float=not exact_mode)
-        # retained columns are independent, so the pseudo-inverse is (F^T F)^-1 F^T
-        dual = exact.solve(f.T @ f, f.T) if exact_mode else np.linalg.pinv(f)
-        tensor = mode_product(tensor, dual, axis)
+        tensor = mode_product(tensor, frame.dual(as_float=not exact_mode), axis)
     full = np.zeros(tuple(len(f) for f in frames), dtype=object if exact_mode else float)
     full[np.ix_(*(f.retained for f in frames))] = tensor
     return full.reshape(-1)
@@ -330,17 +399,11 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
     body that the frames cannot reach, or a float body that is only nearly
     consistent, is caught by the full-body residual check after it.
     """
-    mats = [frame.matrix(as_float=True) for frame in frames]
-    rows = [list(_independent_columns(f.T, exact_mode=False)) for f in mats]
-    a = np.array([[1.0]])
-    for f, r in zip(mats, rows):
-        a = np.kron(a, f[r])
+    a, a_eq = _lp_matrices(frames)
+    rows = [frame.lp_rows for frame in frames]
     b = _wing_major_tensor(channel).astype(float)[np.ix_(*rows)].reshape(-1)
     n = a.shape[1]
-    # c = x[:n] - x[n:] with x >= 0, so sum(x) is sum |c| at the optimum
-    res = linprog(
-        np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0, None), method="highs"
-    )
+    res = linprog(np.ones(2 * n), A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
         raise ResidualTooLarge(f"negativity LP failed: {res.message}")
     coeffs = res.x[:n] - res.x[n:]
@@ -356,18 +419,34 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
     return coeffs
 
 
+@lru_cache(maxsize=4)
+def _lp_matrices(frames: Tuple[WingFrame, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """The LP's product of each frame's independent rows, ``a``, and its
+    equality matrix [a, -a]: c = x[:n] - x[n:] with x >= 0, so sum(x) is
+    sum |c| at the optimum. Kept for the last few frame tuples."""
+    a = np.array([[1.0]])
+    for frame in frames:
+        a = np.kron(a, frame.matrix(as_float=True)[list(frame.lp_rows)])
+    return _freeze(a), _freeze(np.hstack([a, -a]))
+
+
 def _pruned_terms(coeffs, frame_sizes, exact_mode):
-    terms: List[Tuple[object, Tuple[int, ...]]] = []
+    """The coefficients that survive pruning, each with its index tuple, in C
+    order: the nonzero ones in rational mode, those above ``PRUNE`` in
+    magnitude in binary64, where the pruned mass moves onto the largest."""
+    if exact_mode:
+        kept = np.flatnonzero(coeffs != 0)
+    else:
+        small = np.abs(coeffs) <= PRUNE
+        kept = np.flatnonzero(~small)
+    indices = zip(*(axis.tolist() for axis in np.unravel_index(kept, frame_sizes)))
+    terms = list(zip(coeffs[kept].tolist(), indices))
+    if exact_mode:
+        return tuple(terms)
     dropped = 0
-    for c, indices in zip(coeffs, product(*map(range, frame_sizes))):
-        if exact_mode:
-            if c == 0:
-                continue
-        elif abs(c) <= PRUNE:
-            dropped += c
-            continue
-        terms.append((c if exact_mode else float(c), indices))
-    if not exact_mode and terms and dropped:
+    for c in coeffs[np.flatnonzero(small)]:  # in C order, one entry at a time
+        dropped += c
+    if terms and dropped:
         # keep the affine sum at exactly one; the touched coefficient moves
         # by at most the pruned mass
         big = max(range(len(terms)), key=lambda i: abs(terms[i][0]))
@@ -437,12 +516,11 @@ def build_realization(
     etas = []
     for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
         # column x * |F_i| + j holds column x of member j
-        mat = frame.matrix(as_float=not exact_mode).reshape(w_out.vdim, -1)
-        eta = LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat)
-        problem = instrument_problem(eta)
+        problem = frame.eta_problem(as_float=not exact_mode)
         if problem:
             raise ResidualTooLarge(f"eta for wing {i + 1} {problem}")
-        etas.append(eta)
+        mat = frame.matrix(as_float=not exact_mode).reshape(w_out.vdim, -1)
+        etas.append(LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat))
 
     total = sum(c for c, _ in qm.terms)
     if not (total == 1 if exact_mode else abs(total - 1) <= 1e-9):

@@ -90,6 +90,16 @@ def decode_matrix(flat, shape: Tuple[int, int], exact: bool) -> np.ndarray:
         for i, x in enumerate(flat):
             out[i // shape[1], i % shape[1]] = decode_number(x, True)
         return out
+    if all(issubclass(k, (int, float)) and k is not bool for k in set(map(type, flat))):
+        # numbers only (numpy's float64 included): one conversion and one
+        # finiteness check; an int past binary64's range or a non-finite
+        # entry falls through to the per-entry decoder, which names it
+        try:
+            out = np.array(flat, dtype=float)
+        except OverflowError:
+            out = None
+        if out is not None and np.isfinite(out).all():
+            return out.reshape(shape)
     return np.array(
         [decode_number(x, False) for x in flat], dtype=float
     ).reshape(shape)

@@ -21,7 +21,13 @@ from quasicause.completion import (
     effect_span,
     state_span,
 )
-from quasicause.decompose import TypeBrand, WingFrame, _wing_major_tensor, default_frames
+from quasicause.decompose import (
+    PRUNE,
+    TypeBrand,
+    WingFrame,
+    _wing_major_tensor,
+    default_frames,
+)
 from quasicause.diagrams import Par
 from quasicause.errors import (
     InvalidAssemblage,
@@ -47,6 +53,7 @@ from quasicause.procs import (
     number,
     permutation,
 )
+from quasicause.serialize import decode_number
 from quasicause.theories import (
     QUANT,
     Theory,
@@ -466,6 +473,63 @@ def min_negativity_oracle(channel, frames) -> np.ndarray:
     return coeffs
 
 
+def fresh_frame_data(frame: WingFrame) -> Dict[str, object]:
+    """What a frame derives from its members, computed from scratch: the
+    member matrix in both arithmetics, the retained columns, the LP's
+    independent rows and the min-norm duals (the exact one for exact frames
+    only)."""
+    exact_mode = all(m.arithmetic == RATIONAL for m in frame.members)
+    own = np.stack([m.matrix.reshape(-1) for m in frame.members], axis=1)
+    flt = own.astype(float)
+    retained = _greedy_columns(own if exact_mode else flt, exact_mode)
+    kept_own, kept_flt = own[:, list(retained)], flt[:, list(retained)]
+    return {
+        "matrix": own,
+        "float_matrix": flt,
+        "retained": retained,
+        "lp_rows": _greedy_columns(flt.T, False),
+        "float_dual": np.linalg.pinv(kept_flt),
+        "exact_dual": exact.solve(kept_own.T @ kept_own, kept_own.T) if exact_mode else None,
+    }
+
+
+def _greedy_columns(matrix, exact_mode) -> Tuple[int, ...]:
+    """Leftmost-first maximal independent columns, one rank per column."""
+    kept = []
+    for j in range(matrix.shape[1]):
+        trial = matrix[:, kept + [j]]
+        r = exact.rank(trial) if exact_mode else np.linalg.matrix_rank(trial, tol=1e-9)
+        if r == len(kept) + 1:
+            kept.append(j)
+    return tuple(kept)
+
+
+def pruned_terms_oracle(coeffs, frame_sizes, exact_mode):
+    """Pruning as one loop over every index tuple in C order: zeros dropped
+    in rational mode; in binary64, entries of magnitude <= PRUNE dropped and
+    their sum added to the largest kept coefficient."""
+    terms = []
+    dropped = 0
+    for c, indices in zip(coeffs, product(*map(range, frame_sizes))):
+        if exact_mode:
+            if c == 0:
+                continue
+        elif abs(c) <= PRUNE:
+            dropped += c
+            continue
+        terms.append((c if exact_mode else float(c), indices))
+    if not exact_mode and terms and dropped:
+        big = max(range(len(terms)), key=lambda i: abs(terms[i][0]))
+        c, idx = terms[big]
+        terms[big] = (c + dropped, idx)
+    return tuple(terms)
+
+
+def decode_matrix_oracle(flat, shape):
+    """A binary64 matrix decoded entry by entry."""
+    return np.array([decode_number(x, False) for x in flat], dtype=float).reshape(shape)
+
+
 # -- the dense Fraction process algebra ---------------------------------------
 # Entry-by-entry object arithmetic on the matrices, with binary64 promotion by
 # per-entry float(); the library's integer-numerator kernels must agree with
@@ -610,15 +674,13 @@ def op_equiv_oracle(gt, f, g, extra=None, depth=None, tol=None):
         raise SignatureMismatch("operands have different signatures")
     fp = gt.eval(f, extra)
     gp = gt.eval(g, extra)
-    tolerance = effective_tol(
-        RATIONAL
-        if fp.arithmetic == RATIONAL and gp.arithmetic == RATIONAL
-        else "float64",
-        tol,
-    )
 
     state_sets = [state_span(gt, w, depth) for w in f_in]
     effect_sets = [effect_span(gt, w, depth) for w in f_out]
+    # one tolerance for every pair: binary64 if any operand or tester is
+    testers = [p for spans in (state_sets, effect_sets) for span in spans for _, p in span]
+    exact_mode = all(p.arithmetic == RATIONAL for p in [fp, gp] + testers)
+    tolerance = effective_tol(RATIONAL if exact_mode else "float64", tol)
 
     effects = [_par_fold(c) for c in product(*effect_sets)]
     for state_combo in product(*state_sets):

@@ -249,10 +249,32 @@ def random_matrix(rng, shape, exact):
 def test_op_equiv_agrees_with_the_pairwise_oracle(
     hybrid_theory, data, exact_f, exact_g, shift, one_entry, depth, seed
 ):
-    gt = hybrid_theory
-    rng = np.random.default_rng(seed)
-    wires = st.lists(st.sampled_from(probe_wires(gt)), max_size=2)
+    wires = st.lists(st.sampled_from(probe_wires(hybrid_theory)), max_size=2)
     ins, outs = sig(*data.draw(wires)), sig(*data.draw(wires))
+    check_op_equiv_against_oracle(
+        hybrid_theory, ins, outs, exact_f, exact_g, shift, one_entry, depth, seed
+    )
+
+
+@pytest.mark.parametrize("outs, seed", [(("Q2",), 0), (("A1@pr",), 10452634)])
+def test_op_equiv_compares_at_binary64_tolerance_behind_float_testers(
+    hybrid_theory, outs, seed
+):
+    # exact operands fed binary64 span testers (the BB84 ancilla's) are
+    # compared in binary64: at tolerance 0, rounding alone of about 1e-17
+    # told f and g apart at the wrong tester
+    by_id = {w.id: w for w in probe_wires(hybrid_theory)}
+    ins = sig(by_id["A1@pr"], by_id["A2@bb84"])
+    outs = sig(*(by_id[w] for w in outs))
+    check_op_equiv_against_oracle(
+        hybrid_theory, ins, outs, True, True, F(1, 5), True, 2, seed
+    )
+
+
+def check_op_equiv_against_oracle(gt, ins, outs, exact_f, exact_g, shift, one_entry, depth, seed):
+    """f at random, g = f shifted along a random (or one-entry) direction,
+    each in its own arithmetic; op_equiv must match the pairwise oracle."""
+    rng = np.random.default_rng(seed)
     shape = (outs.dim, ins.dim)
     f = random_matrix(rng, shape, exact_f)
     direction = random_matrix(rng, shape, exact_f)

@@ -55,7 +55,9 @@ from tests.helpers import (
     assemble_common_cause,
     diagonal_realization,
     fraction_compose_seq,
+    fresh_frame_data,
     min_negativity_oracle,
+    pruned_terms_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_float,
@@ -111,6 +113,110 @@ def test_frame_members_are_channels_classical():
     frame = local_channel_frame(STOCH, classical(3), BIT)
     for member in frame.members:
         assert STOCH.valid(member)
+
+
+FRAME_WINGS = [
+    (STOCH, BIT, BIT),
+    (STOCH, classical(3), classical(3)),
+    (QUANT, BIT, BIT),
+    (QUANT, BIT, QUBIT),
+    (QUANT, QUBIT, QUBIT),
+]
+
+
+@pytest.mark.parametrize("theory, w_in, w_out", FRAME_WINGS)
+def test_shared_frame_matches_a_fresh_build(theory, w_in, w_out):
+    """The memoized frame and everything it derives equal a fresh build's
+    members, computed from scratch: bit for bit when rational, equal arrays
+    in binary64; every kept array is read-only."""
+    frame = local_channel_frame(theory, w_in, w_out)
+    assert local_channel_frame(theory, w_in, w_out) is frame
+    fresh = local_channel_frame.__wrapped__(theory, w_in, w_out)
+    assert fresh is not frame
+    want = fresh_frame_data(fresh)
+    assert frame.exact == (want["exact_dual"] is not None)
+    assert frame.matrix().dtype == want["matrix"].dtype
+    assert np.array_equal(frame.matrix(), want["matrix"])
+    assert np.array_equal(frame.matrix(as_float=True), want["float_matrix"])
+    assert frame.retained == want["retained"]
+    assert frame.lp_rows == want["lp_rows"]
+    assert np.array_equal(frame.dual(as_float=True), want["float_dual"])
+    kept = [frame.matrix(), frame.matrix(as_float=True), frame.retained_matrix(),
+            frame.retained_matrix(as_float=True), frame.dual(as_float=True),
+            *decompose._lp_matrices((frame, frame))]
+    if frame.exact:
+        assert frame.dual().dtype == object
+        assert np.array_equal(frame.dual(), want["exact_dual"])
+        kept.append(frame.dual())
+    assert not any(arr.flags.writeable for arr in kept)
+    assert frame.eta_problem() is None and frame.eta_problem(as_float=True) is None
+
+
+def test_identical_wings_share_one_frame():
+    ch = product_channel(STOCH, [deterministic_frame(BIT, BIT)[1]] * 4)
+    frames = default_frames(ch)
+    assert len(frames) == 4 and all(f is frames[0] for f in frames)
+    assert default_frames(ch)[0] is frames[0]
+
+
+@pytest.mark.parametrize("mode", [MIN_NORM, MIN_NEGATIVITY])
+def test_caller_built_frame_derives_its_own_data(mode):
+    """A frame built by hand from fresh copies of the shared frame's members
+    decomposes like the shared one, from data computed on that instance."""
+    shared = local_channel_frame(STOCH, BIT, BIT)
+    own = WingFrame(BIT, BIT, deterministic_frame(BIT, BIT))
+    got = decompose_quasimixture(pr_box(), mode=mode, frames=(own, own))
+    want = decompose_quasimixture(pr_box(), mode=mode, frames=(shared, shared))
+    assert got.terms == want.terms
+    build_realization(pr_box(), got, (own, own))
+    kept = {
+        MIN_NORM: {"retained", "_exact_dual", "_eta_problem"},
+        MIN_NEGATIVITY: {"lp_rows", "_float_eta_problem"},
+    }[mode]
+    assert kept <= set(vars(own))
+    assert vars(own)["_matrix"] is not vars(shared)["_matrix"]
+    assert np.array_equal(own.matrix(), shared.matrix())
+
+
+def test_frame_with_an_invalid_member_fails_build_realization():
+    """A member with an entry of -1e-12 makes the controlled frame invalid in
+    rational mode, even where the mixture gives that member zero weight, and
+    stays within binary64's tolerance; each arithmetic keeps its own check."""
+    det = deterministic_frame(BIT, BIT)
+    bad = LinearProcess(sig(BIT), sig(BIT), np.array([[F(-1, 10**12), 0],
+                                                      [1 + F(1, 10**12), 1]], dtype=object))
+    frame = WingFrame(BIT, BIT, det + (bad,))
+    shared = local_channel_frame(STOCH, BIT, BIT)
+    qm = decompose_quasimixture(pr_box())
+    floats = replace(qm, terms=tuple((float(c), idx) for c, idx in qm.terms))
+    build_realization(pr_box(), floats, (shared, frame))
+    with pytest.raises(ResidualTooLarge, match="eta for wing 2 is not completely positive"):
+        build_realization(pr_box(), qm, (shared, frame))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    exact=st.booleans(),
+    data=st.data(),
+)
+def test_pruning_matches_the_loop_oracle(sizes, exact, data):
+    """Vectorized pruning against the per-index loop: the same terms, in the
+    same order, with the same types and bits (the pruned mass included)."""
+    n = math.prod(sizes)
+    if exact:
+        entry = st.one_of(st.just(0), st.fractions(max_denominator=9))
+    else:
+        entry = st.one_of(
+            st.just(0.0),
+            st.floats(-1e-12, 1e-12),
+            st.floats(-3, 3, allow_nan=False),
+        )
+    values = data.draw(st.lists(entry, min_size=n, max_size=n))
+    coeffs = np.array(values, dtype=object if exact else float)
+    got = decompose._pruned_terms(coeffs, tuple(sizes), exact)
+    want = pruned_terms_oracle(coeffs, tuple(sizes), exact)
+    assert repr(got) == repr(want)
 
 
 def test_product_channel_single_term():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicause import QUANT, STOCH, classical, process, quantum, sig, state
 from quasicause.assemblages import bb84_assemblage
@@ -23,12 +25,14 @@ from quasicause.serialize import (
     channel_digest,
     channel_from_json,
     channel_to_json,
+    decode_matrix,
     realization_from_certificate,
     verify_certificate,
 )
 from quasicause.theories import hybrid_valid
 from tests.helpers import (
     assemble_common_cause,
+    decode_matrix_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_rational,
@@ -355,3 +359,35 @@ def test_malformed_assemblage_files_raise_schema_error(case):
     MALFORMED_ASSEMBLAGES[case](obj)
     with pytest.raises(SchemaError):
         assemblage_from_json(obj)
+
+
+# entries the fast path must hand to the per-entry decoder
+ODD_ENTRIES = [10 ** 400, -(10 ** 400), True, False, None, [], "1/3", "-2", "x", "1/0"]
+
+
+def decoded(flat, shape, decode):
+    try:
+        return decode(flat, shape).tobytes()
+    except SchemaError as err:
+        return f"SchemaError: {err}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    numbers=st.lists(
+        st.one_of(st.integers(-(2 ** 60), 2 ** 60), st.floats(), st.floats().map(np.float64)),
+        max_size=12,
+    ),
+    odd=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(ODD_ENTRIES)), max_size=2),
+)
+def test_float_matrix_decodes_like_the_per_entry_loop(numbers, odd):
+    """Binary64 decoding agrees with the per-entry decoder: the same bits on
+    accepted lists, a SchemaError with the same message on rejected ones."""
+    flat = list(numbers)
+    for i, x in odd:
+        if flat:
+            flat[i % len(flat)] = x
+    shape = (1, len(flat))
+    assert decoded(flat, shape, lambda f, s: decode_matrix(f, s, False)) == decoded(
+        flat, shape, decode_matrix_oracle
+    )
