@@ -18,17 +18,27 @@ differing entry in state-major order (product state, then product effect). A
 Distinguished verdict is conclusive (the witness re-evaluates to different
 classical numbers); an equivalence verdict is only up to the reported depth.
 
+The generated candidates come from one kernel per leg of a registered
+channel: the leg functionals e · eta_leg · (s ⊗ ·), over the leg's probe
+states s and effects e, as the rows of one matrix on the ancilla. An
+ancilla's effect candidates are its own leg's rows; its state candidates are
+xi's coefficient tensor mode-multiplied by every other leg's matrix. No
+candidate diagram is evaluated; each candidate keeps the term that names it.
+
 The theory object is single-writer during register calls and read-shared
-afterwards; span, equivalence and suite queries are pure reads.
+afterwards. Queries are not pure reads: spans, leg kernels and the S and E
+products fill a per-theory cache (each register call clears it), and the
+first ``recomposition_term`` call for a channel binds its wire route. Two
+concurrent queries may both compute one entry; either result is the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,24 +61,29 @@ from .errors import (
 )
 from .nonsignalling import MultipartiteChannel, check_nonsignalling
 from .procs import (
+    _INT64_LIMIT,
     FLOAT64,
     RATIONAL,
     LinearProcess,
+    _amax,
+    _exact,
+    _int_matmul,
+    _matmul,
+    _trusted,
     add,
     compose_par,
     compose_seq,
-    effect,
     effective_tol,
     identity,
     max_abs_diff,
+    mode_product,
     number,
     numerators,
     permutation,
     scale,
-    state,
 )
-from .theories import Theory, discard_effect
-from .wires import EXTENSION, Signature, SystemType, classical, interleave, sig, unravel_index
+from .theories import Theory
+from .wires import EMPTY, EXTENSION, Signature, SystemType, classical, interleave, sig, unravel_index
 
 
 @dataclass(frozen=True)
@@ -111,7 +126,7 @@ class GeneratedTheory:
         self.bindings: Dict[str, LinearProcess] = {}
         self.extension_types: Dict[str, SystemType] = {}
         self._ext_owner: Dict[str, Tuple[str, int]] = {}
-        self._span_cache: Dict[Tuple[str, str, int], tuple] = {}
+        self._span_cache: Dict[tuple, object] = {}
 
     # -- binding helpers ---------------------------------------------------
     def bind(self, name: str, proc: LinearProcess) -> str:
@@ -183,7 +198,6 @@ def register(
     for w_in, w_out in channel.wings:
         gt._bind_base_type(w_in)
         gt._bind_base_type(w_out)
-    gt.bind(f"route:{channel_id}", _interleave_route(channel, realization))
     return channel_id
 
 
@@ -194,13 +208,17 @@ def _interleave_route(channel, realization) -> LinearProcess:
 
 
 def recomposition_term(gt: GeneratedTheory, channel_id: str) -> Term:
-    """The realization diagram: inputs beside xi, routed into the etas."""
+    """The realization diagram: inputs beside xi, routed into the etas. The
+    route is bound on the first call, since only this diagram reads it."""
     entry = gt.registered[channel_id]
     m = entry.channel.m
+    route = f"route:{channel_id}"
+    if route not in gt.bindings:
+        gt.bind(route, _interleave_route(entry.channel, entry.realization))
     in_ids = [w.id for w, _ in entry.channel.wings]
     ins = _par([Leaf(f"id:{wid}") for wid in in_ids])
     side = Par(ins, Leaf(f"xi:{channel_id}"))
-    routed = Seq(side, Leaf(f"route:{channel_id}"))
+    routed = Seq(side, Leaf(route))
     return Seq(routed, _par([Leaf(f"eta{i}:{channel_id}") for i in range(1, m + 1)]))
 
 
@@ -230,27 +248,18 @@ def is_in_base(
 
 
 def _probe_discard(gt: GeneratedTheory, ext_type: SystemType):
-    """Feed each base frame state of the wing's input beside the ancilla into
-    its eta and discard the output. Returns the effect that the reference
-    state gives, and the largest gap to it over the frame states."""
-    owner = gt._ext_owner.get(ext_type.id)
-    if owner is None:
-        raise UnknownType(f"{ext_type.id} is not a registered extension type")
-    channel_id, wing = owner
-    entry = gt.registered[channel_id]
-    eta = entry.realization.etas[wing - 1]
-    w_in, _ = entry.channel.wings[wing - 1]
-    dis_out = discard_effect(eta.outputs)
-
-    def probe(state_proc):
-        front = compose_par(state_proc, identity(sig(ext_type)))
-        return compose_seq(compose_seq(front, eta), dis_out)
-
-    reference = probe(gt.base.reference_state(w_in))
-    worst = 0
-    for s in gt.base.state_frame(w_in):
-        worst = max(worst, max_abs_diff(probe(s), reference))
-    return reference, worst
+    """Feed the reference state and each base frame state of the wing's input
+    beside the ancilla into its eta and discard the output: the (s, dis) rows
+    of the wing's leg kernel. Returns the effect that the reference state
+    gives, and the largest gap to it over the frame states."""
+    channel_id, wing = _owner(gt, ext_type)
+    kernel = _leg_kernel(gt, channel_id, wing, 2)
+    _, effects = _probes(gt, channel_id, wing, 2)
+    rows = list(range(0, kernel.outputs.dim, len(effects)))
+    label = sig(classical(len(rows)))
+    probed = _block(kernel, kernel.inputs, label, rows=rows)
+    reference = _block(kernel, kernel.inputs, label, rows=[0] * len(rows))
+    return _block(kernel, kernel.inputs, EMPTY, rows=[0]), max_abs_diff(probed, reference)
 
 
 def discard_ext(
@@ -276,83 +285,187 @@ def discard_ext_deviation(
 
 # -- generated spans -------------------------------------------------------
 
+def _owner(gt: GeneratedTheory, t: SystemType) -> Tuple[str, int]:
+    owner = gt._ext_owner.get(t.id)
+    if owner is None:
+        raise UnknownType(f"{t.id} is not a registered extension type")
+    return owner
+
+
+def _probes(
+    gt: GeneratedTheory, channel_id: str, leg: int, depth: int
+) -> Tuple[List[str], List[str]]:
+    """Binding names of the leg's probe states (the reference state, then at
+    depth 2 and above the frame states of its input) and probe effects (the
+    discard, then the frame effects of its output)."""
+    w_in, w_out = gt.registered[channel_id].channel.wings[leg - 1]
+    gt._bind_base_type(w_in)
+    gt._bind_base_type(w_out)
+    states = [f"ref:{w_in.id}"]
+    effects = [f"dis:{w_out.id}"]
+    if depth >= 2:
+        states += [f"st:{w_in.id}:{l}" for l in range(len(gt.base.state_frame(w_in)))]
+        effects += [f"ef:{w_out.id}:{j}" for j in range(len(gt.base.effect_frame(w_out)))]
+    return states, effects
+
+
 def _leg_functionals(
     gt: GeneratedTheory, channel_id: str, leg: int, depth: int
 ) -> List[Term]:
-    """Terms of shape A_leg -> I built from eta_leg with frame probes."""
-    entry = gt.registered[channel_id]
-    w_in, w_out = entry.channel.wings[leg - 1]
-    anc = entry.realization.ancilla_types[leg - 1]
-    gt._bind_base_type(w_in)
-    gt._bind_base_type(w_out)
-    states = [Leaf(f"ref:{w_in.id}")]
-    effects = [Leaf(f"dis:{w_out.id}")]
-    if depth >= 2:
-        states += [
-            Leaf(f"st:{w_in.id}:{l}")
-            for l in range(len(gt.base.state_frame(w_in)))
-        ]
-        effects += [
-            Leaf(f"ef:{w_out.id}:{j}")
-            for j in range(len(gt.base.effect_frame(w_out)))
-        ]
-    out = []
-    for s in states:
-        for e in effects:
-            front = Par(s, Leaf(f"id:{anc.id}"))
-            out.append(Seq(Seq(front, Leaf(f"eta{leg}:{channel_id}")), e))
-    return out
+    """Terms of shape A_leg -> I built from eta_leg with frame probes, in the
+    leg kernel's row order: probe states outer, probe effects inner."""
+    anc = gt.registered[channel_id].realization.ancilla_types[leg - 1]
+    states, effects = _probes(gt, channel_id, leg, depth)
+    eta = Leaf(f"eta{leg}:{channel_id}")
+    return [
+        Seq(Seq(Par(Leaf(s), Leaf(f"id:{anc.id}")), eta), Leaf(e))
+        for s in states
+        for e in effects
+    ]
+
+
+def _stack(t: SystemType, kind: str, procs: Sequence[LinearProcess]) -> LinearProcess:
+    """States (``kind`` "state") as the columns of classical(n) -> t, or
+    effects as the rows of t -> classical(n); binary64 unless all are
+    rational."""
+    exact_mode = all(p.arithmetic == RATIONAL for p in procs)
+    mats = [p.matrix if exact_mode else p.to_float().matrix for p in procs]
+    label = sig(classical(len(procs)))
+    if kind == "state":
+        return LinearProcess(label, sig(t), np.concatenate(mats, axis=1))
+    return LinearProcess(sig(t), label, np.concatenate(mats, axis=0))
+
+
+def _operands(*procs: LinearProcess):
+    """The matrices of ``procs`` in one arithmetic, and the denominator of
+    their product: integer numerators and the product of their denominators
+    when every process is rational, binary64 matrices and None otherwise."""
+    if all(p.arithmetic == RATIONAL for p in procs):
+        ints = [numerators(p) for p in procs]
+        return [num for num, _ in ints], math.prod(den for _, den in ints)
+    return [p.to_float().matrix for p in procs], None
+
+
+def _made(inputs: Signature, outputs: Signature, matrix: np.ndarray, den: Optional[int]):
+    """The process matrix / den, or the binary64 ``matrix`` when den is None."""
+    if den is None:
+        return _trusted(inputs, outputs, matrix)
+    return _exact(inputs, outputs, matrix, den)
+
+
+def _block(p: LinearProcess, inputs: Signature, outputs: Signature, rows=slice(None), cols=slice(None)):
+    """Rows ``rows`` and columns ``cols`` of ``p``, between the given signatures."""
+    if p.arithmetic == RATIONAL:
+        num, den = numerators(p)
+        return _exact(inputs, outputs, num[rows][:, cols], den)
+    return _trusted(inputs, outputs, p.matrix[rows][:, cols])
+
+
+def _select(stack: LinearProcess, kind: str, picks: List[int], label: Signature) -> LinearProcess:
+    """Candidates ``picks`` of a stack (its columns when ``kind`` is
+    "state", its rows otherwise), on ``label`` in place of classical(n)."""
+    if kind == "state":
+        return _block(stack, label, stack.outputs, cols=picks)
+    return _block(stack, stack.inputs, label, rows=picks)
+
+
+def _leg_kernel(gt: GeneratedTheory, channel_id: str, leg: int, depth: int) -> LinearProcess:
+    """The leg functionals as one process A_leg -> classical(n): row (s, e)
+    is e · eta_leg · (s ⊗ ·), in ``_leg_functionals`` order. The probe
+    effects and then the probe states are contracted into the eta matrix
+    (out, in, |F|), on integer numerators over one denominator when every
+    piece is rational, else in binary64. Cached per theory; depths from 2 on
+    share one kernel."""
+    anc = gt.registered[channel_id].realization.ancilla_types[leg - 1]
+    key = ("leg", anc.id, min(depth, 2))
+    if key not in gt._span_cache:
+        w_in, w_out = gt.registered[channel_id].channel.wings[leg - 1]
+        states, effects = _probes(gt, channel_id, leg, depth)
+        (s, e, eta), den = _operands(
+            _stack(w_in, "state", [gt.bindings[n] for n in states]),
+            _stack(w_out, "effect", [gt.bindings[n] for n in effects]),
+            gt.bindings[f"eta{leg}:{channel_id}"],
+        )
+        mul = _matmul if den is None else _int_matmul
+        # (effects, in, |F|) -> (in, effects * |F|), then the states take the input
+        probed = mul(e, eta).reshape(len(effects), w_in.vdim, anc.vdim)
+        probed = probed.transpose(1, 0, 2).reshape(w_in.vdim, -1)
+        rows = mul(s.T, probed).reshape(-1, anc.vdim)
+        gt._span_cache[key] = _made(sig(anc), sig(classical(len(rows))), rows, den)
+    return gt._span_cache[key]
+
+
+def _candidates(
+    gt: GeneratedTheory, kind: str, t: SystemType, depth: int
+) -> Tuple[LinearProcess, Callable[[int], Term]]:
+    """Every depth-bounded generated state (``kind`` "state") or effect of a
+    wire as one stack, classical(n) -> t with candidate j as column j or t ->
+    classical(n) with candidate j as row j, and the term of candidate j.
+
+    A base wire's candidates are its frame states or effects. An extension
+    wire's effects are the rows of its leg kernel; its states are the xi core
+    mode-multiplied by the leg kernel of every other leg, own axis last, so
+    candidate j is the one whose per-leg functionals are j's mixed-radix
+    digits (leftmost leg most significant)."""
+    if t.kind != EXTENSION:
+        gt._bind_base_type(t)
+        prefix, frame = (
+            ("st", gt.base.state_frame(t)) if kind == "state" else ("ef", gt.base.effect_frame(t))
+        )
+        names = [f"{prefix}:{t.id}:{l}" for l in range(len(frame))]
+        return _stack(t, kind, [gt.bindings[n] for n in names]), lambda j: Leaf(names[j])
+    channel_id, wing = _owner(gt, t)
+    if kind == "effect":
+        terms = _leg_functionals(gt, channel_id, wing, depth)
+        return _leg_kernel(gt, channel_id, wing, depth), terms.__getitem__
+    m = gt.registered[channel_id].channel.m
+    xi = gt.bindings[f"xi:{channel_id}"]
+    legs = [leg for leg in range(1, m + 1) if leg != wing]
+    (core, *kernels), den = _operands(
+        xi, *(_leg_kernel(gt, channel_id, leg, depth) for leg in legs)
+    )
+    if den is not None and (
+        any(a.dtype == object for a in [core, *kernels])
+        or _amax(core) * math.prod(_amax(k) * k.shape[1] for k in kernels) >= _INT64_LIMIT
+    ):
+        core, kernels = core.astype(object), [k.astype(object) for k in kernels]
+    core = core.reshape(xi.outputs.dims)
+    for leg, kernel in zip(legs, kernels):
+        core = mode_product(core, kernel, leg - 1)
+    rows = np.moveaxis(core, wing - 1, -1).reshape(-1, t.vdim)
+    stack = _made(sig(classical(len(rows))), sig(t), rows.T, den)
+
+    per_leg = [
+        [Leaf(f"id:{t.id}")] if leg == wing else _leg_functionals(gt, channel_id, leg, depth)
+        for leg in range(1, m + 1)
+    ]
+    radices = [len(terms) for terms in per_leg]
+
+    def term(j: int) -> Term:
+        digits = unravel_index(j, radices)
+        return Seq(Leaf(f"xi:{channel_id}"), _par([p[d] for p, d in zip(per_leg, digits)]))
+
+    return stack, term
+
+
+def _listed(gt: GeneratedTheory, kind: str, t: SystemType, depth: int):
+    stack, term = _candidates(gt, kind, t, depth)
+    n = (stack.inputs if kind == "state" else stack.outputs).dim
+    return [(term(j), _select(stack, kind, [j], EMPTY)) for j in range(n)]
 
 
 def state_candidates(
     gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None
 ) -> List[Tuple[Term, LinearProcess]]:
     """All depth-bounded generated states of a wire, with their terms."""
-    depth = depth or gt.tester_depth
-    if t.kind != EXTENSION:
-        gt._bind_base_type(t)
-        names = [
-            f"st:{t.id}:{l}" for l in range(len(gt.base.state_frame(t)))
-        ]
-        return [(Leaf(n), gt.bindings[n]) for n in names]
-    owner = gt._ext_owner.get(t.id)
-    if owner is None:
-        raise UnknownType(f"{t.id} is not a registered extension type")
-    channel_id, wing = owner
-    entry = gt.registered[channel_id]
-    m = entry.channel.m
-    per_leg: List[List[Term]] = []
-    for leg in range(1, m + 1):
-        if leg == wing:
-            per_leg.append([Leaf(f"id:{t.id}")])
-        else:
-            per_leg.append(_leg_functionals(gt, channel_id, leg, depth))
-    out = []
-    for combo in iproduct(*per_leg):
-        term = Seq(Leaf(f"xi:{channel_id}"), _par(combo))
-        out.append((term, gt.eval(term)))
-    return out
+    return _listed(gt, "state", t, depth or gt.tester_depth)
 
 
 def effect_candidates(
     gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None
 ) -> List[Tuple[Term, LinearProcess]]:
     """All depth-bounded generated effects of a wire, with their terms."""
-    depth = depth or gt.tester_depth
-    if t.kind != EXTENSION:
-        gt._bind_base_type(t)
-        names = [
-            f"ef:{t.id}:{j}" for j in range(len(gt.base.effect_frame(t)))
-        ]
-        return [(Leaf(n), gt.bindings[n]) for n in names]
-    owner = gt._ext_owner.get(t.id)
-    if owner is None:
-        raise UnknownType(f"{t.id} is not a registered extension type")
-    channel_id, wing = owner
-    return [
-        (term, gt.eval(term))
-        for term in _leg_functionals(gt, channel_id, wing, depth)
-    ]
+    return _listed(gt, "effect", t, depth or gt.tester_depth)
 
 
 def _span(gt: GeneratedTheory, kind: str, t: SystemType, depth: int):
@@ -362,24 +475,15 @@ def _span(gt: GeneratedTheory, kind: str, t: SystemType, depth: int):
     classical(n) whose row j is effect j (None when the span is empty)."""
     key = (kind, t.id, depth)
     if key not in gt._span_cache:
-        candidates = state_candidates if kind == "state" else effect_candidates
-        cands = candidates(gt, t, depth)
-        exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
-        if exact_mode:
-            # column j is candidate j times its positive denominator, which
-            # keeps the leftmost independent columns and builds no Fraction
-            cols = [numerators(p)[0].reshape(-1) for _, p in cands]
-            stacked = np.stack(cols, axis=1).astype(object)
-        else:
-            stacked = np.stack([p.to_float().matrix.reshape(-1) for _, p in cands], axis=1)
-        kept = [cands[j] for j in _independent_columns(stacked, exact_mode)]
-        n = len(kept)
-        pieces = [
-            compose_seq(effect(point, classical(n)), p) if kind == "state"
-            else compose_seq(p, state(point, classical(n)))
-            for point, (_, p) in zip(np.eye(n, dtype=int).tolist(), kept)
-        ]
-        gt._span_cache[key] = kept, reduce(add, pieces) if pieces else None
+        stack, term = _candidates(gt, kind, t, depth)
+        exact_mode = stack.arithmetic == RATIONAL
+        # in rational mode the numerators: candidate j times one positive
+        # denominator, which keeps the leftmost independent ones
+        values = numerators(stack)[0] if exact_mode else stack.matrix
+        picks = list(_independent_columns(values if kind == "state" else values.T, exact_mode))
+        kept = [(term(j), _select(stack, kind, [j], EMPTY)) for j in picks]
+        span = _select(stack, kind, picks, sig(classical(len(picks)))) if picks else None
+        gt._span_cache[key] = kept, span
     return gt._span_cache[key]
 
 
@@ -391,6 +495,20 @@ def state_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
 def effect_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated effects of a wire."""
     return _span(gt, "effect", t, depth or gt.tester_depth)[0]
+
+
+def _testers(gt: GeneratedTheory, kind: str, wires: Signature, depth: int):
+    """The span members of each wire and the Kronecker product of their
+    stacks (None when some span is empty), cached per (kind, wires, depth)."""
+    key = (kind + "s", tuple(w.id for w in wires), depth)
+    if key not in gt._span_cache:
+        spans = [_span(gt, kind, w, depth) for w in wires]
+        stacks = [stack for _, stack in spans]
+        product = (
+            None if any(s is None for s in stacks) else reduce(compose_par, stacks, number(1))
+        )
+        gt._span_cache[key] = [kept for kept, _ in spans], product
+    return gt._span_cache[key]
 
 
 # -- operational equivalence ----------------------------------------------
@@ -415,12 +533,10 @@ def op_equiv(
     fp = gt.eval(f, extra)
     gp = gt.eval(g, extra)
 
-    state_spans = [_span(gt, "state", w, depth) for w in f_in]
-    effect_spans = [_span(gt, "effect", w, depth) for w in f_out]
-    if any(stack is None for _, stack in state_spans + effect_spans):
+    state_sets, states = _testers(gt, "state", f_in, depth)
+    effect_sets, effects = _testers(gt, "effect", f_out, depth)
+    if states is None or effects is None:
         return EquivResult(False, depth)  # an empty span gives no testers
-    states = reduce(compose_par, [stack for _, stack in state_spans], number(1))
-    effects = reduce(compose_par, [stack for _, stack in effect_spans], number(1))
     lhs = compose_seq(compose_seq(states, fp), effects)
     rhs = compose_seq(compose_seq(states, gp), effects)
     # a binary64 tester makes the comparison binary64 even for exact operands
@@ -431,11 +547,11 @@ def op_equiv(
 
     gaps = abs(add(lhs, scale(-1, rhs)).matrix.T) > tolerance
     i, j = (int(k[0]) for k in np.nonzero(gaps.astype(bool)))
-    s_digits = unravel_index(i, [len(kept) for kept, _ in state_spans])
-    e_digits = unravel_index(j, [len(kept) for kept, _ in effect_spans])
+    s_digits = unravel_index(i, [len(kept) for kept in state_sets])
+    e_digits = unravel_index(j, [len(kept) for kept in effect_sets])
     witness = TesterWitness(
-        _par([kept[d][0] for (kept, _), d in zip(state_spans, s_digits)]),
-        _par([kept[d][0] for (kept, _), d in zip(effect_spans, e_digits)]),
+        _par([kept[d][0] for kept, d in zip(state_sets, s_digits)]),
+        _par([kept[d][0] for kept, d in zip(effect_sets, e_digits)]),
         lhs.matrix[j, i],
         rhs.matrix[j, i],
     )

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -254,6 +255,30 @@ def certificate_to_json(
     }
 
 
+def _xi_points(indices: List[list], carriers: Tuple[int, ...]) -> np.ndarray:
+    """The C-order point of each xi entry's indices in the core of shape
+    ``carriers``. All entries are checked in one pass; when one is not a list
+    of ints inside the carriers, one per wing, or repeats an earlier one, a
+    second, per-entry pass names the first such entry."""
+    m = len(carriers)
+    if set(map(len, indices)) <= {m} and set(map(type, chain.from_iterable(indices))) <= {int}:
+        try:
+            digits = np.array(indices, dtype=np.int64).reshape(len(indices), m)
+        except OverflowError:
+            digits = None
+        if digits is not None and ((digits >= 0) & (digits < carriers)).all():
+            points = np.ravel_multi_index(tuple(digits.T), carriers)
+            if len(np.unique(points)) == len(points):
+                return points
+    seen = set()
+    for idx in map(tuple, indices):
+        in_range = all(type(j) is int and 0 <= j < k for j, k in zip(idx, carriers))
+        if len(idx) != m or not in_range or idx in seen:
+            raise SchemaError(f"xi indices {list(idx)} outside the carriers or repeated")
+        seen.add(idx)
+    raise AssertionError("the one-pass check refused valid xi indices")
+
+
 def realization_from_certificate(
     obj: Dict, channel: MultipartiteChannel
 ) -> CommonCauseRealization:
@@ -282,16 +307,12 @@ def realization_from_certificate(
     if math.prod(carriers) > DENSE_CAP:
         raise SchemaError(f"xi on carriers {carriers} exceeds {DENSE_CAP} entries")
 
-    core = np.zeros(carriers, dtype=object if exact else float)
-    seen = set()
-    for entry in _expect(real.get("xi", []), list, "xi"):
-        idx = tuple(_expect(_expect(entry, dict, "xi entry").get("indices"), list, "xi indices"))
-        in_range = all(type(j) is int and 0 <= j < k for j, k in zip(idx, carriers))
-        if len(idx) != m or not in_range or idx in seen:
-            raise SchemaError(f"xi indices {list(idx)} outside the carriers or repeated")
-        seen.add(idx)
-        core[idx] = decode_number(entry.get("c"), exact)
-    xi = LinearProcess(EMPTY, Signature(tuple(ancillas)), core.reshape(-1, 1))
+    entries = _expect(real.get("xi", []), list, "xi")
+    terms = [_expect(entry, dict, "xi entry") for entry in entries]
+    points = _xi_points([_expect(t.get("indices"), list, "xi indices") for t in terms], carriers)
+    core = np.zeros((math.prod(carriers), 1), dtype=object if exact else float)
+    core[points] = decode_matrix([t.get("c") for t in terms], (len(terms), 1), exact)
+    xi = LinearProcess(EMPTY, Signature(tuple(ancillas)), core)
 
     etas_json = _expect(real.get("etas", []), list, "etas")
     if len(etas_json) != m:

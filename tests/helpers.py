@@ -13,7 +13,6 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from quasicause import exact
 from quasicause.assemblages import Assemblage
 from quasicause.completion import (
     EquivResult,
@@ -28,10 +27,11 @@ from quasicause.decompose import (
     _wing_major_tensor,
     default_frames,
 )
-from quasicause.diagrams import Par
+from quasicause.diagrams import Leaf, Par, Seq
 from quasicause.errors import (
     InvalidAssemblage,
     ResidualTooLarge,
+    SchemaError,
     SignatureMismatch,
     TypeMismatch,
 )
@@ -53,7 +53,7 @@ from quasicause.procs import (
     number,
     permutation,
 )
-from quasicause.serialize import decode_number
+from quasicause.serialize import _expect, decode_number
 from quasicause.theories import (
     QUANT,
     Theory,
@@ -65,6 +65,7 @@ from quasicause.theories import (
 )
 from quasicause.wires import (
     EMPTY,
+    EXTENSION,
     QUANTUM,
     UNIT,
     Signature,
@@ -234,6 +235,49 @@ def hybrid_valid_oracle(p, tol=None):
     return True
 
 
+def rref_oracle(matrix: np.ndarray):
+    """Reduced row echelon form and the pivot column indices, by Gaussian
+    elimination on ``Fraction`` entries."""
+    rows = [[F(x) for x in row] for row in matrix]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    out = np.empty((n_rows, n_cols), dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[i, j] = x
+    return out, tuple(pivots)
+
+
+def rank_oracle(matrix: np.ndarray) -> int:
+    return len(rref_oracle(matrix)[1])
+
+
+def solve_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ x = b by ``Fraction`` elimination of [a | b]; ValueError when a is singular."""
+    n = a.shape[0]
+    reduced, pivots = rref_oracle(np.concatenate([a, b.reshape(n, -1)], axis=1))
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return reduced[:, n:]
+
+
 def greedy_rank_subset(candidates, exact_mode):
     """Leftmost-first maximal-rank subset of (term, process) candidates, one
     rank computation per candidate."""
@@ -244,7 +288,7 @@ def greedy_rank_subset(candidates, exact_mode):
         trial = vectors + [vec if exact_mode else vec.astype(float)]
         stacked = np.stack(trial, axis=1)
         if exact_mode:
-            r = exact.rank(stacked)
+            r = rank_oracle(stacked)
         else:
             r = int(np.linalg.matrix_rank(stacked, tol=1e-9))
         if r == len(trial):
@@ -489,7 +533,7 @@ def fresh_frame_data(frame: WingFrame) -> Dict[str, object]:
         "retained": retained,
         "lp_rows": _greedy_columns(flt.T, False),
         "float_dual": np.linalg.pinv(kept_flt),
-        "exact_dual": exact.solve(kept_own.T @ kept_own, kept_own.T) if exact_mode else None,
+        "exact_dual": solve_oracle(kept_own.T @ kept_own, kept_own.T) if exact_mode else None,
     }
 
 
@@ -498,7 +542,7 @@ def _greedy_columns(matrix, exact_mode) -> Tuple[int, ...]:
     kept = []
     for j in range(matrix.shape[1]):
         trial = matrix[:, kept + [j]]
-        r = exact.rank(trial) if exact_mode else np.linalg.matrix_rank(trial, tol=1e-9)
+        r = rank_oracle(trial) if exact_mode else np.linalg.matrix_rank(trial, tol=1e-9)
         if r == len(kept) + 1:
             kept.append(j)
     return tuple(kept)
@@ -523,6 +567,21 @@ def pruned_terms_oracle(coeffs, frame_sizes, exact_mode):
         c, idx = terms[big]
         terms[big] = (c + dropped, idx)
     return tuple(terms)
+
+
+def xi_core_oracle(real, carriers, exact):
+    """The xi core of a certificate's realization block, one entry at a time:
+    its indices checked and its coefficient decoded before the next entry."""
+    core = np.zeros(carriers, dtype=object if exact else float)
+    seen = set()
+    for entry in _expect(real.get("xi", []), list, "xi"):
+        idx = tuple(_expect(_expect(entry, dict, "xi entry").get("indices"), list, "xi indices"))
+        in_range = all(type(j) is int and 0 <= j < k for j, k in zip(idx, carriers))
+        if len(idx) != len(carriers) or not in_range or idx in seen:
+            raise SchemaError(f"xi indices {list(idx)} outside the carriers or repeated")
+        seen.add(idx)
+        core[idx] = decode_number(entry.get("c"), exact)
+    return core.reshape(-1, 1)
 
 
 def decode_matrix_oracle(flat, shape):
@@ -707,3 +766,82 @@ def _par_fold(combo):
         term = Par(term, t2)
         proc = compose_par(proc, p2)
     return term, proc
+
+
+# -- generated candidates by diagram evaluation -------------------------------
+# One diagram per candidate, evaluated in full: the tester spans' contraction
+# kernel in ``completion`` must give the same terms, in the same order, and the
+# same values.
+
+def _oracle_leg_terms(gt, channel_id, leg, depth):
+    """Terms A_leg -> I from eta_leg with frame probes, states outer."""
+    entry = gt.registered[channel_id]
+    w_in, w_out = entry.channel.wings[leg - 1]
+    anc = entry.realization.ancilla_types[leg - 1]
+    states = [Leaf(f"ref:{w_in.id}")]
+    effects = [Leaf(f"dis:{w_out.id}")]
+    if depth >= 2:
+        states += [Leaf(f"st:{w_in.id}:{l}") for l in range(len(gt.base.state_frame(w_in)))]
+        effects += [Leaf(f"ef:{w_out.id}:{j}") for j in range(len(gt.base.effect_frame(w_out)))]
+    out = []
+    for s in states:
+        for e in effects:
+            front = Par(s, Leaf(f"id:{anc.id}"))
+            out.append(Seq(Seq(front, Leaf(f"eta{leg}:{channel_id}")), e))
+    return out
+
+
+def _oracle_par(terms):
+    out = terms[0]
+    for t in terms[1:]:
+        out = Par(out, t)
+    return out
+
+
+def state_candidates_oracle(gt, t, depth):
+    """(term, value) of every generated state of a wire, each diagram
+    evaluated on its own: frame states on a base wire; on an ancilla, xi with
+    every other leg closed by one leg functional, in ``product`` order."""
+    if t.kind != EXTENSION:
+        names = [f"st:{t.id}:{l}" for l in range(len(gt.base.state_frame(t)))]
+        return [(Leaf(n), gt.bindings[n]) for n in names]
+    channel_id, wing = gt._ext_owner[t.id]
+    per_leg = [
+        [Leaf(f"id:{t.id}")] if leg == wing else _oracle_leg_terms(gt, channel_id, leg, depth)
+        for leg in range(1, gt.registered[channel_id].channel.m + 1)
+    ]
+    out = []
+    for combo in product(*per_leg):
+        term = Seq(Leaf(f"xi:{channel_id}"), _oracle_par(combo))
+        out.append((term, gt.eval(term)))
+    return out
+
+
+def effect_candidates_oracle(gt, t, depth):
+    """(term, value) of every generated effect of a wire, each evaluated."""
+    if t.kind != EXTENSION:
+        names = [f"ef:{t.id}:{j}" for j in range(len(gt.base.effect_frame(t)))]
+        return [(Leaf(n), gt.bindings[n]) for n in names]
+    channel_id, wing = gt._ext_owner[t.id]
+    return [(term, gt.eval(term)) for term in _oracle_leg_terms(gt, channel_id, wing, depth)]
+
+
+def probe_discard_oracle(gt, ext_type):
+    """Each base frame state of the wing's input beside the ancilla, into
+    eta, then the output discard: the reference state's effect and the
+    largest gap to it over the frame states."""
+    channel_id, wing = gt._ext_owner[ext_type.id]
+    entry = gt.registered[channel_id]
+    eta = entry.realization.etas[wing - 1]
+    w_in, _ = entry.channel.wings[wing - 1]
+    dis_out = discard_effect(eta.outputs)
+
+    def probe(state_proc):
+        front = compose_par(state_proc, identity(sig(ext_type)))
+        return compose_seq(compose_seq(front, eta), dis_out)
+
+    reference = probe(gt.base.reference_state(w_in))
+    worst = 0
+    for s in gt.base.state_frame(w_in):
+        worst = max(worst, max_abs_diff(probe(s), reference))
+    return reference, worst

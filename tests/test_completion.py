@@ -36,14 +36,25 @@ from quasicause.errors import (
     WrongKind,
 )
 from quasicause.nonsignalling import MultipartiteChannel
-from quasicause.procs import LinearProcess, compose_seq, max_abs_diff
-from quasicause.wires import Signature
+from quasicause.procs import (
+    LinearProcess,
+    compose_par,
+    compose_seq,
+    effective_tol,
+    identity,
+    max_abs_diff,
+    permutation,
+)
+from quasicause.wires import Signature, interleave
 from tests.helpers import (
+    effect_candidates_oracle,
     greedy_rank_subset,
     op_equiv_oracle,
+    probe_discard_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_rational,
+    state_candidates_oracle,
 )
 
 F = Fraction
@@ -437,3 +448,157 @@ def test_spans_keep_the_greedy_leftmost_subset():
                 exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
                 want = [term for term, _ in greedy_rank_subset(cands, exact_mode)]
                 assert [term for term, _ in span(gt, w, depth)] == want
+
+
+def generated_theory(base, m, exact, seed=7):
+    """A theory holding one generated binary common-cause channel."""
+    g = gen.common_cause(np.random.default_rng(seed), m, exact=exact)
+    wires = Signature((BIT,) * m)
+    gt = new_theory(base)
+    register(gt, MultipartiteChannel(((BIT, BIT),) * m, LinearProcess(wires, wires, g.matrix), base))
+    return gt
+
+
+def pr_theory(base):
+    gt = new_theory(base)
+    register(gt, pr_box(), channel_id="pr")
+    return gt
+
+
+def bb84_theory():
+    gt = new_theory(QUANT)
+    realize_assemblage(gt, bb84_assemblage(), "bb84")
+    return gt
+
+
+CANDIDATE_THEORIES = {
+    "pr-stoch": lambda: pr_theory(STOCH),
+    "pr-quant": lambda: pr_theory(QUANT),
+    "bb84": bb84_theory,
+    "gen-m2-exact": lambda: generated_theory(STOCH, 2, True),
+    "gen-m2-float": lambda: generated_theory(STOCH, 2, False),
+    "gen-m3-exact": lambda: generated_theory(STOCH, 3, True),
+    "gen-m3-float": lambda: generated_theory(STOCH, 3, False),
+}
+
+
+def theory_wires(gt):
+    """Every ancilla of the theory and every base wire of its channels."""
+    wires = {
+        w
+        for entry in gt.registered.values()
+        for w in entry.realization.ancilla_types
+        + tuple(t for pair in entry.channel.wings for t in pair)
+    }
+    return sorted(wires, key=lambda w: w.id)
+
+
+def assert_same_value(got, want):
+    """Bit for bit when both are rational, within the binary64 tolerance
+    otherwise."""
+    assert (got.inputs, got.outputs) == (want.inputs, want.outputs)
+    if got.arithmetic == want.arithmetic == RATIONAL:
+        assert max_abs_diff(got, want) == 0
+    else:
+        assert max_abs_diff(got, want) <= effective_tol("float64")
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_THEORIES))
+def test_contracted_candidates_match_the_diagram_oracle(name):
+    gt = CANDIDATE_THEORIES[name]()
+    for w in theory_wires(gt):
+        for depth in (1, 2):
+            for candidates, oracle in (
+                (state_candidates, state_candidates_oracle),
+                (effect_candidates, effect_candidates_oracle),
+            ):
+                got, want = candidates(gt, w, depth), oracle(gt, w, depth)
+                assert [term for term, _ in got] == [term for term, _ in want]
+                exact_mode = all(p.arithmetic == RATIONAL for _, p in want)
+                assert all((p.arithmetic == RATIONAL) == exact_mode for _, p in got)
+                for (_, p), (_, q) in zip(got, want):
+                    assert_same_value(p, q)
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_THEORIES))
+def test_extension_discard_matches_the_probe_oracle(name):
+    gt = CANDIDATE_THEORIES[name]()
+    for entry in gt.registered.values():
+        for anc in entry.realization.ancilla_types:
+            want, gap = probe_discard_oracle(gt, anc)
+            assert_same_value(discard_ext(gt, anc), want)
+            got_gap = discard_ext_deviation(gt, anc)
+            if want.arithmetic == RATIONAL:
+                assert got_gap == gap == 0
+            else:
+                assert abs(got_gap - gap) <= effective_tol("float64")
+
+
+def test_registering_again_refreshes_the_cached_testers():
+    """A query fills the theory's span and tester caches; a later
+    registration clears them, so the answers equal a fresh theory's."""
+    gt = pr_theory(QUANT)
+    pr_ancs = gt.registered["pr"].realization.ancilla_types
+    bit_pair = sig(BIT, pr_ancs[0])
+    ones, zeros = [1] * bit_pair.dim, [0] * bit_pair.dim
+    extra = {
+        "f": process([ones, zeros], bit_pair, sig(BIT)),
+        "g": process([zeros, ones], bit_pair, sig(BIT)),
+    }
+    first = op_equiv(gt, Leaf("f"), Leaf("g"), extra)
+    assert first.distinguished
+    assert any(key[0] == "states" for key in gt._span_cache)
+    realize_assemblage(gt, bb84_assemblage(), "bb84")
+    assert not gt._span_cache
+
+    fresh = pr_theory(QUANT)
+    realize_assemblage(fresh, bb84_assemblage(), "bb84")
+    cases = [(Leaf("f"), Leaf("g")), (Leaf("xi:pr"), Leaf("xi:pr")),
+             (Leaf("xi:bb84"), Leaf("xi:bb84")), (Leaf("eta2:bb84"), Leaf("eta2:bb84"))]
+    for f, g in cases:
+        got, want = op_equiv(gt, f, g, extra), op_equiv(fresh, f, g, extra)
+        assert (got.distinguished, got.depth) == (want.distinguished, want.depth)
+        assert got.witness == want.witness
+    for w in theory_wires(fresh):
+        for span in (state_span, effect_span):
+            assert [t for t, _ in span(gt, w)] == [t for t, _ in span(fresh, w)]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_route_is_bound_by_the_first_recomposition(exact):
+    gt = pr_theory(STOCH) if exact else generated_theory(STOCH, 3, False)
+    cid = sorted(gt.registered)[0]
+    assert not any(name.startswith("route:") for name in gt.bindings)
+    real = gt.registered[cid].realization
+    chan = gt.registered[cid].channel
+    rebuilt = gt.eval(recomposition_term(gt, cid))
+    assert f"route:{cid}" in gt.bindings
+    # the realization diagram composed by hand: inputs beside xi, shuffled
+    # into (in_1, anc_1, in_2, anc_2, ...), into the etas side by side
+    ins = identity(Signature(tuple(w for w, _ in chan.wings)))
+    side = compose_par(ins, real.xi)
+    routed = compose_seq(side, permutation(side.outputs, interleave(chan.m)))
+    etas = real.etas[0]
+    for eta in real.etas[1:]:
+        etas = compose_par(etas, eta)
+    want = compose_seq(routed, etas)
+    assert rebuilt.arithmetic == want.arithmetic
+    assert max_abs_diff(rebuilt, want) == 0
+    assert max_abs_diff(rebuilt, chan.body) <= effective_tol(rebuilt.arithmetic)
+
+
+@pytest.mark.parametrize("scale", [2 ** 61, 2 ** 70])
+def test_contracted_candidates_stay_exact_past_int64(scale):
+    """A xi whose numerators fit int64 but whose contractions do not, and one
+    whose numerators do not fit at all: the candidates stay exact."""
+    gt = pr_theory(STOCH)
+    xi = gt.bindings["xi:pr"]
+    den = 2 ** 61 - 1
+    entries = [F(scale + 7 * j, den) for j in range(xi.outputs.dim)]
+    gt.bind("xi:pr", LinearProcess(xi.inputs, xi.outputs, np.array(entries, dtype=object).reshape(-1, 1)))
+    anc = gt.registered["pr"].realization.ancilla_types[0]
+    got, want = state_candidates(gt, anc, 2), state_candidates_oracle(gt, anc, 2)
+    assert [term for term, _ in got] == [term for term, _ in want]
+    for (_, p), (_, q) in zip(got, want):
+        assert p.arithmetic == q.arithmetic == RATIONAL
+        assert max_abs_diff(p, q) == 0

@@ -1,15 +1,19 @@
 """Exact rational linear algebra: echelon form, rank and solve."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicause.exact import (
     independent_columns,
     rank,
-    rref,
     solve,
 )
+from tests.helpers import rref_oracle as rref, solve_oracle
 
 F = Fraction
 
@@ -23,6 +27,7 @@ def test_rref_identity():
     reduced, pivots = rref(a)
     assert pivots == (0, 1)
     assert reduced[0, 0] == 1 and reduced[1, 1] == 1
+    assert independent_columns(a) == pivots
 
 
 def test_rank_and_columns():
@@ -37,3 +42,54 @@ def test_solve_exact():
     x = solve(a, b)
     assert list((a @ x)[:, 0]) == [F(1), F(2)]
 
+
+fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices, often of deficient rank (a product through
+    a narrower middle) and sometimes all zero."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    shape = st.sampled_from(["full", "product", "zero"])
+    kind = draw(shape)
+    if kind == "zero" or not rows or not cols:
+        return np.zeros((rows, cols), dtype=int).astype(object)
+    if kind == "product":
+        mid = draw(st.integers(1, 3))
+        a = np.array(draw(st.lists(fractions, min_size=rows * mid, max_size=rows * mid)), dtype=object)
+        b = np.array(draw(st.lists(fractions, min_size=mid * cols, max_size=mid * cols)), dtype=object)
+        return a.reshape(rows, mid) @ b.reshape(mid, cols)
+    entries = draw(st.lists(fractions, min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=object).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_pivots_agree_with_the_fraction_rref(matrix):
+    _, pivots = rref(matrix)
+    assert independent_columns(matrix) == pivots
+    assert rank(matrix) == len(pivots)
+    # integer numerators over one positive denominator pivot alike
+    den = math.lcm(*(F(x).denominator for x in matrix.flat))
+    ints = np.array([[int(x * den) for x in row] for row in matrix], dtype=np.int64)
+    assert independent_columns(ints.reshape(matrix.shape)) == pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 3))
+def test_solutions_agree_with_the_fraction_rref(data, n, k):
+    a = np.array(data.draw(st.lists(fractions, min_size=n * n, max_size=n * n)), dtype=object)
+    b = np.array(data.draw(st.lists(fractions, min_size=n * k, max_size=n * k)), dtype=object)
+    a, b = a.reshape(n, n), b.reshape(n, k)
+    if data.draw(st.booleans()):  # make a singular: its last row the sum of the others
+        a[-1] = a[:-1].sum(axis=0) if n > 1 else 0
+    try:
+        want = solve_oracle(a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve(a, b)
+        return
+    got = solve(a, b)
+    assert got.shape == want.shape
+    assert all(type(x) is F and x == y for x, y in zip(got.flat, want.flat))

@@ -1,6 +1,7 @@
 """File round trips and certificate verification from files alone."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,10 @@ from quasicause.decompose import (
     decompose_quasimixture,
     verify_realization,
 )
+from perfbench import gen
 from quasicause.errors import SchemaError
-from quasicause.nonsignalling import check_nonsignalling
+from quasicause.procs import DENSE_CAP
+from quasicause.nonsignalling import MultipartiteChannel, check_nonsignalling
 from quasicause.serialize import (
     assemblage_from_json,
     assemblage_to_json,
@@ -33,6 +36,7 @@ from quasicause.theories import hybrid_valid
 from tests.helpers import (
     assemble_common_cause,
     decode_matrix_oracle,
+    xi_core_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_rational,
@@ -391,3 +395,56 @@ def test_float_matrix_decodes_like_the_per_entry_loop(numbers, odd):
     assert decoded(flat, shape, lambda f, s: decode_matrix(f, s, False)) == decoded(
         flat, shape, decode_matrix_oracle
     )
+
+
+XI_CASES = ["xi entry not an object"] + sorted(
+    case for case in MALFORMED_BLOCKS if case.startswith(("xi ", "term "))
+)
+
+
+def _xi_case(case):
+    if case in MALFORMED:
+        _, mutate, exact = MALFORMED[case]
+    else:
+        mutate, exact = MALFORMED_BLOCKS[case]
+    return mutate, exact
+
+
+def _carriers(cert):
+    return tuple(b["carrier"] for b in cert["realization"]["brands"])
+
+
+@pytest.mark.parametrize("case", XI_CASES)
+def test_xi_faults_keep_the_per_entry_message(case):
+    mutate, exact = _xi_case(case)
+    cert, obj = certificate_pair(exact)
+    cert = json.loads(json.dumps(cert))
+    mutate(cert)
+    if math.prod(_carriers(cert)) > DENSE_CAP:
+        want = f"xi on carriers {_carriers(cert)} exceeds {DENSE_CAP} entries"
+    else:
+        with pytest.raises(SchemaError) as oracle:
+            xi_core_oracle(cert["realization"], _carriers(cert), exact)
+        want = str(oracle.value)
+    with pytest.raises(SchemaError) as got:
+        realization_from_certificate(cert, channel_from_json(obj))
+    assert str(got.value) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3), exact=st.booleans(),
+       shuffle=st.booleans())
+def test_xi_core_matches_the_per_entry_decode(seed, m, exact, shuffle):
+    g = gen.common_cause(np.random.default_rng(seed), m, exact=exact)
+    bit = classical(2)
+    wires = (bit,) * m
+    chan = MultipartiteChannel(((bit, bit),) * m, process(g.matrix, sig(*wires), sig(*wires)), STOCH)
+    cert, _ = make_certificate(chan, 0 if exact else 1e-9)
+    cert = json.loads(json.dumps(cert))
+    if shuffle:  # entry order is free
+        np.random.default_rng(seed).shuffle(cert["realization"]["xi"])
+    want = xi_core_oracle(cert["realization"], _carriers(cert), exact)
+    got = realization_from_certificate(cert, chan).xi.matrix
+    assert got.dtype == want.dtype
+    assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+    assert (got == want).all()
