@@ -27,6 +27,11 @@ types, never on the channel: ``local_channel_frame`` builds it once per
 object. Frames are immutable, and what is derived from one (its member
 matrix, ``retained``, duals, LP rows and the validity of its controlled
 frame) is computed once per frame and kept as read-only arrays.
+
+Only the min-negativity mode needs an LP solver. scipy loads on the first
+min-negativity solve, inside ``_min_negativity_coefficients``, and nowhere
+else: importing this module, the min-norm mode, realization and
+verification never load it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from itertools import count, product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import exact
 from .errors import (
@@ -398,7 +402,12 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
     its own. The system has full row rank, so every body is feasible here; a
     body that the frames cannot reach, or a float body that is only nearly
     consistent, is caught by the full-body residual check after it.
+
+    scipy is imported here, on the first min-negativity solve, and nowhere
+    else in the package: a process that solves no LP never loads it.
     """
+    from scipy.optimize import linprog
+
     a, a_eq = _lp_matrices(frames)
     rows = [frame.lp_rows for frame in frames]
     b = _wing_major_tensor(channel).astype(float)[np.ix_(*rows)].reshape(-1)

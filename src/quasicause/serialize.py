@@ -425,9 +425,18 @@ def assemblage_from_json(obj: Dict):
         type(n) is int and n > 0 for n in settings + outcomes + (d,)
     ):
         raise SchemaError("assemblage needs settings, outcomes, trustedDim")
+    # sizes are checked before the table is allocated
+    want = math.prod(outcomes) * math.prod(settings)
+    if want * d * d > DENSE_CAP:
+        raise SchemaError(
+            f"assemblage of {want} elements on dimension {d} exceeds {DENSE_CAP} entries"
+        )
+    elements = _expect(obj.get("elements", []), list, "elements")
+    if len(elements) != want:
+        raise SchemaError(f"{len(elements)} elements given, {want} required")
     table = np.zeros(outcomes + settings + (d * d,))
     seen = set()
-    for el in _expect(obj.get("elements", []), list, "elements"):
+    for el in elements:
         el = _expect(el, dict, "element")
         a, x = (tuple(_expect(el.get(k, []), list, f"element {k}")) for k in ("a", "x"))
         if len(a) != len(outcomes) or len(x) != len(settings) or not all(
@@ -441,7 +450,4 @@ def assemblage_from_json(obj: Dict):
             raise SchemaError(f"element a={a} x={x} has {len(coords)} coords")
         table[a + x] = [decode_number(c, False) for c in coords]
         seen.add((a, x))
-    want = math.prod(outcomes) * math.prod(settings)
-    if len(seen) != want:
-        raise SchemaError(f"{len(seen)} elements given, {want} required")
     return Assemblage(settings, outcomes, d, table)

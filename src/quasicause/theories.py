@@ -295,41 +295,57 @@ class Theory:
         coords[0] = 1 / math.sqrt(t.hilbert_dim)
         return state(coords, t, exact=False)
 
-    def state_frame(self, t: SystemType) -> List[LinearProcess]:
+    def state_frame(self, t: SystemType) -> Tuple[LinearProcess, ...]:
+        """Spanning states of ``t``: the point masses for a classical wire,
+        the maximally mixed state then one state per traceless basis element
+        for a quantum wire. Built once per (theory, type) and shared."""
         self._require(t)
-        if t.kind == CLASSICAL:
-            return [
-                state([1 if i == j else 0 for i in range(t.vdim)], t)
-                for j in range(t.vdim)
-            ]
-        d = t.hilbert_dim
-        basis = hermitian_basis(d)
-        frame = [self.reference_state(t)]
-        for a, b in enumerate(basis[1:], start=1):
-            opnorm = float(np.abs(np.linalg.eigvalsh(b)).max())
-            coords = np.zeros(t.vdim)
-            coords[0] = 1 / math.sqrt(d)
-            coords[a] = 1 / (d * opnorm)
-            frame.append(state(coords, t, exact=False))
-        return frame
+        return _state_frame(self, t)
 
-    def effect_frame(self, t: SystemType) -> List[LinearProcess]:
+    def effect_frame(self, t: SystemType) -> Tuple[LinearProcess, ...]:
+        """Spanning effects of ``t``: the point indicators for a classical
+        wire, the discard then one effect per traceless basis element for a
+        quantum wire. Built once per (theory, type) and shared."""
         self._require(t)
-        if t.kind == CLASSICAL:
-            return [
-                effect([1 if i == j else 0 for i in range(t.vdim)], t)
-                for j in range(t.vdim)
-            ]
-        d = t.hilbert_dim
-        basis = hermitian_basis(d)
-        frame = [self.discard(t)]
-        for a, b in enumerate(basis[1:], start=1):
-            opnorm = float(np.abs(np.linalg.eigvalsh(b)).max())
-            row = np.zeros(t.vdim)
-            row[0] = math.sqrt(d) / 2
-            row[a] = 1 / (2 * opnorm)
-            frame.append(effect(row, t, exact=False))
-        return frame
+        return _effect_frame(self, t)
+
+
+@lru_cache(maxsize=None)
+def _state_frame(theory: Theory, t: SystemType) -> Tuple[LinearProcess, ...]:
+    if t.kind == CLASSICAL:
+        return tuple(
+            state([1 if i == j else 0 for i in range(t.vdim)], t)
+            for j in range(t.vdim)
+        )
+    d = t.hilbert_dim
+    basis = hermitian_basis(d)
+    frame = [theory.reference_state(t)]
+    for a, b in enumerate(basis[1:], start=1):
+        opnorm = float(np.abs(np.linalg.eigvalsh(b)).max())
+        coords = np.zeros(t.vdim)
+        coords[0] = 1 / math.sqrt(d)
+        coords[a] = 1 / (d * opnorm)
+        frame.append(state(coords, t, exact=False))
+    return tuple(frame)
+
+
+@lru_cache(maxsize=None)
+def _effect_frame(theory: Theory, t: SystemType) -> Tuple[LinearProcess, ...]:
+    if t.kind == CLASSICAL:
+        return tuple(
+            effect([1 if i == j else 0 for i in range(t.vdim)], t)
+            for j in range(t.vdim)
+        )
+    d = t.hilbert_dim
+    basis = hermitian_basis(d)
+    frame = [theory.discard(t)]
+    for a, b in enumerate(basis[1:], start=1):
+        opnorm = float(np.abs(np.linalg.eigvalsh(b)).max())
+        row = np.zeros(t.vdim)
+        row[0] = math.sqrt(d) / 2
+        row[a] = 1 / (2 * opnorm)
+        frame.append(effect(row, t, exact=False))
+    return tuple(frame)
 
 
 STOCH = Theory("Stoch", quantum_allowed=False)

@@ -7,6 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -349,7 +350,8 @@ def test_min_negativity_lp_has_one_row_per_unit_of_rank(build, monkeypatch):
         shapes.append(A_eq.shape)
         return linprog(cost, A_eq=A_eq, **kwargs)
 
-    monkeypatch.setattr(decompose, "linprog", spy)
+    # decompose imports linprog when it solves, so the spy goes on scipy
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
     decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
     frames = default_frames(chan)
     ranks = [np.linalg.matrix_rank(f.matrix(as_float=True)) for f in frames]

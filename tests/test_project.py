@@ -1,16 +1,19 @@
-"""Project metadata: what pyproject.toml declares exists."""
+"""Project-level checks: what pyproject.toml declares exists, and which
+dependencies the package loads on which paths."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def test_console_scripts_resolve_to_callables():
+    tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})
     for name, target in scripts.items():
@@ -19,3 +22,70 @@ def test_console_scripts_resolve_to_callables():
         for part in attribute.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} -> {target} is not callable"
+
+
+# Run in a fresh interpreter: the test helpers load scipy into this one.
+LP_FREE_PATHS = """
+import importlib
+import pkgutil
+import sys
+
+import numpy as np
+
+import quasicause
+from quasicause import QUANT
+from quasicause.assemblages import bb84_assemblage, realize_assemblage
+from quasicause.boxes import pr_box
+from quasicause.completion import new_theory, quotient_suite, register
+from quasicause.decompose import (
+    MIN_NEGATIVITY,
+    build_realization,
+    decompose_quasimixture,
+    negativity,
+    verify_realization,
+)
+from quasicause.nonsignalling import check_nonsignalling
+from quasicause.serialize import (
+    certificate_to_json,
+    channel_digest,
+    channel_to_json,
+    verify_certificate,
+)
+
+for info in pkgutil.iter_modules(quasicause.__path__):
+    importlib.import_module(f"quasicause.{info.name}")
+
+gt = new_theory(QUANT)
+register(gt, pr_box(), "pr")
+realize_assemblage(gt, bb84_assemblage(), "bb84")
+assert quotient_suite(gt, 2, np.random.default_rng(0)).passed
+
+chan = pr_box()
+report = check_nonsignalling(chan)
+qm = decompose_quasimixture(chan, ns_report=report)
+real = build_realization(chan, qm)
+obj = channel_to_json(chan)
+cert = certificate_to_json(
+    chan, channel_digest(obj), report, qm, real, verify_realization(chan, real), 0
+)
+assert verify_certificate(cert, obj)[0]
+
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"LP-free paths loaded {loaded[:5]}"
+
+qm = decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
+assert abs(negativity(qm) - 0.5) <= 1e-9
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_the_min_negativity_lp_loads_scipy():
+    """Importing the package, registering, realizing an assemblage, the
+    quotient suite and certificate checks never load scipy; the first
+    min-negativity solve does."""
+    path = [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", LP_FREE_PATHS], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -345,6 +345,10 @@ def _repeat_first_element(obj):
     obj["elements"][1] = dict(obj["elements"][0])
 
 
+def _drop_last_element(obj):
+    obj["elements"].pop()
+
+
 MALFORMED_ASSEMBLAGES = {
     "coordinate a non-number string": _set(["elements", 0, "coords", 0], "abc"),
     "NaN coordinate": _set(["elements", 0, "coords", 0], float("nan")),
@@ -354,6 +358,9 @@ MALFORMED_ASSEMBLAGES = {
     "elements not a list": _set(["elements"], 5),
     "element not an object": _set(["elements", 0], 5),
     "element repeated in place of another": _repeat_first_element,
+    "element missing": _drop_last_element,
+    "trusted dimension past numpy's limit": _set(["trustedDim"], 10 ** 30),
+    "setting count past numpy's limit": _set(["settings", 0], 10 ** 30),
 }
 
 

@@ -22,7 +22,8 @@ from quasicause import (
     sig,
     state,
 )
-from quasicause.errors import WrongKind
+from quasicause import theories
+from quasicause.errors import UnknownType, WrongKind
 from quasicause.theories import (
     choi_of_transfer,
     discard_effect,
@@ -178,6 +179,32 @@ def test_frames_span_and_pairing():
             for e in effects:
                 prob = compose_seq(s, e.to_float()).as_scalar()
                 assert -1e-12 <= prob <= 1 + 1e-12
+
+
+def _entries(frame):
+    return [(p.inputs, p.outputs, p.matrix.dtype, p.matrix.tolist()) for p in frame]
+
+
+@pytest.mark.parametrize(
+    "theory, t",
+    [(STOCH, BIT), (QUANT, BIT), (QUANT, QUBIT)],
+    ids=["stoch-bit", "quant-bit", "quant-qubit"],
+)
+@pytest.mark.parametrize("kind", ["state", "effect"])
+def test_frames_are_built_once_and_match_a_fresh_build(theory, t, kind):
+    frame = getattr(theory, f"{kind}_frame")
+    fresh = getattr(theories, f"_{kind}_frame").__wrapped__(theory, t)
+    first = frame(t)
+    assert isinstance(first, tuple)
+    assert _entries(first) == _entries(fresh)
+    assert frame(t) is first
+
+
+@pytest.mark.parametrize("kind", ["state", "effect"])
+def test_frames_of_a_refused_type_raise_on_every_call(kind):
+    for _ in range(2):
+        with pytest.raises(UnknownType):
+            getattr(STOCH, f"{kind}_frame")(QUBIT)
 
 
 def test_frame_states_are_valid():
