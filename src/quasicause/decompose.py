@@ -12,14 +12,14 @@ exactly (rational mode) or in binary64. The coefficient sum is automatic:
 every frame member is discard-preserving, so applying the output discard and
 any normalized probe state to both sides forces sum c = 1 for *any* solution.
 
-The realization is that mixture in product form: a correlated quasi-state
-``xi`` on one fresh branded ancilla per wing, ancilla i of carrier |F_i|,
-plus one controlled frame ``eta_i`` per wing. Entry (j_1, ..., j_m) of
-``xi`` is the coefficient of the product of member j_i of each wing's frame,
-zero where the mixture has no term, and ``eta_i`` applies member j when its
+The mixture is its coefficient tensor, one axis per wing: entry
+(j_1, ..., j_m) is the coefficient of the product of member j_i of each
+wing's frame. The realization is that tensor in product form: it is ``xi``,
+a quasi-state on one fresh branded ancilla per wing, ancilla i of carrier
+|F_i|, and one controlled frame ``eta_i`` per wing applies member j when its
 ancilla reads j. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the
-channel, and recontraction is the Tucker product of ``xi`` with the member
-matrices: m ``procs.mode_product``s, one per wing.
+channel; recontraction is the Tucker product of ``xi`` with the member
+matrices, one ``procs.mode_product`` per wing.
 
 A wing's frame depends only on the theory and the wing's (input, output)
 types, never on the channel: ``local_channel_frame`` builds it once per
@@ -114,30 +114,19 @@ class WingFrame:
         return _independent_columns(self.matrix(as_float=not self.exact), self.exact)
 
     @cached_property
-    def _retained_matrix(self) -> np.ndarray:
-        return _freeze(self._matrix[:, list(self.retained)])
-
-    @cached_property
-    def _float_retained_matrix(self) -> np.ndarray:
-        return _freeze(self._float_matrix[:, list(self.retained)])
-
-    def retained_matrix(self, as_float: bool = False) -> np.ndarray:
-        return self._float_retained_matrix if as_float else self._retained_matrix
-
-    @cached_property
     def lp_rows(self) -> Tuple[int, ...]:
         """Leftmost-first independent rows of the binary64 member matrix."""
         return _independent_columns(self._float_matrix.T, exact_mode=False)
 
     @cached_property
     def _exact_dual(self) -> np.ndarray:
-        f = self._retained_matrix
+        f = self._matrix[:, list(self.retained)]
         # retained columns are independent, so the pseudo-inverse is (F^T F)^-1 F^T
         return _freeze(exact.solve(f.T @ f, f.T))
 
     @cached_property
     def _float_dual(self) -> np.ndarray:
-        return _freeze(np.linalg.pinv(self._float_retained_matrix))
+        return _freeze(np.linalg.pinv(self._float_matrix[:, list(self.retained)]))
 
     def dual(self, as_float: bool = False) -> np.ndarray:
         """Minimum-norm left inverse of the retained members: exact (for an
@@ -170,8 +159,8 @@ def _controlled_frame_problem(frame: WingFrame, as_float: bool) -> Optional[str]
 
 def _independent_columns(matrix: np.ndarray, exact_mode: bool) -> Tuple[int, ...]:
     """Leftmost-first maximal linearly independent column subset: the pivots
-    of one exact ``rref`` in rational mode, a greedy rank test at 1e-9 in
-    binary64."""
+    of one exact elimination (``exact._eliminate``) in rational mode, a
+    greedy rank test at 1e-9 in binary64."""
     if exact_mode:
         return exact.independent_columns(matrix)
     kept: List[int] = []
@@ -181,13 +170,25 @@ def _independent_columns(matrix: np.ndarray, exact_mode: bool) -> Tuple[int, ...
     return tuple(kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiMixture:
-    """Affine coefficients over tuples of per-wing frame indices."""
+    """The affine mixture as its coefficient tensor: entry (j_1, ..., j_m)
+    of ``coefficients``, axis i of length |F_i|, weighs the product of member
+    j_i of each wing's frame. Read-only; ints and ``Fraction``s in rational
+    mode, binary64 otherwise. ``build_realization`` makes it ``xi``, and
+    ``terms``, (coefficient, index tuple) pairs, are its nonzero entries in
+    C order."""
 
-    terms: Tuple[Tuple[object, Tuple[int, ...]], ...]
+    coefficients: np.ndarray
     residual: object
     mode: str
+
+    def __post_init__(self):
+        _freeze(self.coefficients)
+
+    @cached_property
+    def terms(self) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
+        return nonzero_entries(self.coefficients)
 
     @property
     def coefficient_sum(self):
@@ -195,6 +196,13 @@ class QuasiMixture:
 
     def min_coefficient(self):
         return min(c for c, _ in self.terms)
+
+
+def nonzero_entries(tensor: np.ndarray) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
+    """Each nonzero entry of ``tensor`` with its index tuple, in C order; an
+    object entry as it is, a binary64 one as a Python float."""
+    nonzero = np.nonzero(tensor)
+    return tuple(zip(tensor[nonzero].tolist(), zip(*(axis.tolist() for axis in nonzero))))
 
 
 @dataclass(frozen=True)
@@ -211,10 +219,10 @@ class TypeBrand:
 class CommonCauseRealization:
     """The shared quasi-state ``xi`` and the controlled frames ``eta_i``.
 
-    ``xi`` is a state on ``ancilla_types``, one ancilla per wing of carrier
-    |F_i|: entry (j_1, ..., j_m) is the coefficient of the product of member
-    j_i of each wing's frame. ``eta_i`` maps (in_i, ancilla_i) to out_i, and
-    its column x * |F_i| + j is column x of member j."""
+    ``xi`` is the mixture's coefficient tensor as a state on
+    ``ancilla_types``, one ancilla per wing of carrier |F_i|. ``eta_i`` maps
+    (in_i, ancilla_i) to out_i; its column x * |F_i| + j is column x of
+    member j."""
 
     channel_id: str
     ancilla_types: Tuple[SystemType, ...]
@@ -366,20 +374,22 @@ def decompose_quasimixture(
         exact_mode = False
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    tolerance = effective_tol(RATIONAL if exact_mode else "float64", tol)
+    tolerance = effective_tol(RATIONAL if exact_mode else FLOAT64, tol)
 
-    terms = _pruned_terms(coeffs, tuple(len(f) for f in frames), exact_mode)
-    residual = reconstruction_residual(channel, frames, terms)
+    if not exact_mode:
+        coeffs = _pruned(coeffs)
+    factors = [f.matrix(as_float=not exact_mode) for f in frames]
+    residual = _recontraction_residual(channel, coeffs, factors)
     if residual > tolerance:
         raise ResidualTooLarge(
             f"reconstruction residual {residual} exceeds tolerance {tolerance}"
         )
-    return QuasiMixture(terms, residual, mode)
+    return QuasiMixture(coeffs, residual, mode)
 
 
 def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
     """Unique affine solution over the retained (independent) sub-frames,
-    scattered back into full-frame indexing."""
+    scattered back into the full frame-shaped tensor."""
     tensor = _wing_major_tensor(channel)
     if not exact_mode:
         tensor = tensor.astype(float)
@@ -387,7 +397,7 @@ def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
         tensor = mode_product(tensor, frame.dual(as_float=not exact_mode), axis)
     full = np.zeros(tuple(len(f) for f in frames), dtype=object if exact_mode else float)
     full[np.ix_(*(f.retained for f in frames))] = tensor
-    return full.reshape(-1)
+    return full
 
 
 def _min_negativity_coefficients(channel, frames) -> np.ndarray:
@@ -425,7 +435,7 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
         polished[support] = sol
         if np.abs(a @ polished - b).max() <= np.abs(a @ coeffs - b).max() + 1e-12:
             coeffs = polished
-    return coeffs
+    return coeffs.reshape(tuple(len(f) for f in frames))
 
 
 @lru_cache(maxsize=4)
@@ -439,29 +449,20 @@ def _lp_matrices(frames: Tuple[WingFrame, ...]) -> Tuple[np.ndarray, np.ndarray]
     return _freeze(a), _freeze(np.hstack([a, -a]))
 
 
-def _pruned_terms(coeffs, frame_sizes, exact_mode):
-    """The coefficients that survive pruning, each with its index tuple, in C
-    order: the nonzero ones in rational mode, those above ``PRUNE`` in
-    magnitude in binary64, where the pruned mass moves onto the largest."""
-    if exact_mode:
-        kept = np.flatnonzero(coeffs != 0)
-    else:
-        small = np.abs(coeffs) <= PRUNE
-        kept = np.flatnonzero(~small)
-    indices = zip(*(axis.tolist() for axis in np.unravel_index(kept, frame_sizes)))
-    terms = list(zip(coeffs[kept].tolist(), indices))
-    if exact_mode:
-        return tuple(terms)
+def _pruned(coeffs: np.ndarray) -> np.ndarray:
+    """The binary64 coefficients with every entry of magnitude at most
+    ``PRUNE`` set to zero, and the pruned mass, summed in C order, added to
+    the first entry of largest magnitude."""
+    small = np.abs(coeffs) <= PRUNE
     dropped = 0
-    for c in coeffs[np.flatnonzero(small)]:  # in C order, one entry at a time
+    for c in coeffs[small]:  # in C order, one entry at a time
         dropped += c
-    if terms and dropped:
+    pruned = np.where(small, 0.0, coeffs)
+    if dropped and not small.all():
         # keep the affine sum at exactly one; the touched coefficient moves
         # by at most the pruned mass
-        big = max(range(len(terms)), key=lambda i: abs(terms[i][0]))
-        c, idx = terms[big]
-        terms[big] = (c + dropped, idx)
-    return tuple(terms)
+        pruned.flat[np.argmax(np.abs(pruned))] += dropped
+    return pruned
 
 
 def reconstruction_residual(
@@ -470,22 +471,19 @@ def reconstruction_residual(
     terms: Sequence[Tuple[object, Tuple[int, ...]]],
 ) -> object:
     """Max-abs difference between sum_k c_k (x)_i member and the body: the
-    terms scattered into the coefficient tensor, recontracted with each
-    frame's member matrix."""
+    terms added into a coefficient tensor, recontracted with each frame's
+    member matrix. Rational when the frames and every coefficient are."""
+    sizes = tuple(len(f) for f in frames)
     exact_mode = all(f.exact for f in frames) and not any(
         isinstance(c, float) for c, _ in terms
     )
-    core = _coefficient_tensor(terms, tuple(len(f) for f in frames), exact_mode)
+    core = np.zeros(sizes, dtype=object if exact_mode else float)
+    for c, idx in terms:
+        if len(idx) != len(sizes) or not all(0 <= j < n for j, n in zip(idx, sizes)):
+            raise SignatureMismatch(f"term index {idx} is outside frames of sizes {sizes}")
+        core[idx] += c
     factors = [f.matrix(as_float=not exact_mode) for f in frames]
     return _recontraction_residual(channel, core, factors)
-
-
-def _coefficient_tensor(terms, frame_sizes, exact_mode) -> np.ndarray:
-    """Each coefficient c_k added at its index tuple, zero elsewhere."""
-    core = np.zeros(frame_sizes, dtype=object if exact_mode else float)
-    for c, idx in terms:
-        core[idx] += c
-    return core
 
 
 def negativity(qm: QuasiMixture):
@@ -502,18 +500,19 @@ def build_realization(
     frames: Optional[Sequence[WingFrame]] = None,
     channel_id: Optional[str] = None,
 ) -> CommonCauseRealization:
-    """Package a quasi-mixture in product form: the coefficient tensor as
+    """Package a quasi-mixture in product form: its coefficient tensor as
     ``xi`` on branded ancillas of carrier |F_i|, each wing's frame as its
-    controlled channel ``eta_i``. Every frame member must be a valid channel,
-    whether or not the mixture weights it."""
+    controlled channel ``eta_i``, in the tensor's arithmetic. Every frame
+    member must be a valid channel, whether or not the mixture weights it."""
     if frames is None:
         frames = default_frames(channel)
     frames = tuple(frames)
+    core, sizes = qm.coefficients, tuple(map(len, frames))
+    if core.shape != sizes:
+        raise SignatureMismatch(f"coefficients of shape {core.shape} on frames of sizes {sizes}")
     if channel_id is None:
         channel_id = f"ch{next(_fresh)}"
-    if not qm.terms:
-        raise ResidualTooLarge("empty quasi-mixture")
-    exact_mode = all(not isinstance(c, float) for c, _ in qm.terms)
+    exact_mode = core.dtype == object
 
     ancillas = tuple(
         extension(channel_id, i + 1, len(frame)) for i, frame in enumerate(frames)
@@ -531,10 +530,9 @@ def build_realization(
         mat = frame.matrix(as_float=not exact_mode).reshape(w_out.vdim, -1)
         etas.append(LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat))
 
-    total = sum(c for c, _ in qm.terms)
-    if not (total == 1 if exact_mode else abs(total - 1) <= 1e-9):
+    total = qm.coefficient_sum
+    if not (total == 1 if exact_mode else abs(total - 1) <= effective_tol(FLOAT64)):
         raise ResidualTooLarge(f"coefficients sum to {total}, not 1")
-    core = _coefficient_tensor(qm.terms, tuple(len(f) for f in frames), exact_mode)
     xi = LinearProcess(EMPTY, Signature(ancillas), core.reshape(-1, 1))
     return CommonCauseRealization(channel_id, ancillas, xi, tuple(etas), brands)
 

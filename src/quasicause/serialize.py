@@ -26,6 +26,7 @@ from .decompose import (
     QuasiMixture,
     TypeBrand,
     _arithmetic,
+    nonzero_entries,
     verify_realization,
 )
 from .errors import SchemaError
@@ -117,7 +118,7 @@ def _wing_type_to_json(t: SystemType) -> Dict:
 def _wing_type_from_json(obj: Dict) -> SystemType:
     kind = _expect(obj, dict, "wire").get("kind")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError(f"bad wire dim {dim!r}")
     if kind == "classical":
         return classical(dim)
@@ -146,7 +147,7 @@ def channel_to_json(channel: MultipartiteChannel) -> Dict:
 
 
 def channel_from_json(obj: Dict) -> MultipartiteChannel:
-    if obj.get("version") != FORMAT_VERSION:
+    if _expect(obj, dict, "channel").get("version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported version {obj.get('version')!r}")
     if obj.get("basisConvention") != BASIS_CONVENTION:
         raise SchemaError(
@@ -179,20 +180,6 @@ def canonical_bytes(obj: Dict) -> bytes:
 
 def channel_digest(obj: Dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_bytes(obj)).hexdigest()
-
-
-def load_channel(path: str) -> Tuple[MultipartiteChannel, str]:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return channel_from_json(obj), channel_digest(obj)
-
-
-def save_channel(channel: MultipartiteChannel, path: str) -> str:
-    obj = channel_to_json(channel)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-    return channel_digest(obj)
 
 
 # -- ns reports ---------------------------------------------------------------
@@ -234,8 +221,8 @@ def certificate_to_json(
         "realization": {
             "channelId": realization.channel_id,
             "xi": [
-                {"indices": [int(j) for j in idx], "c": encode_number(core[tuple(idx)])}
-                for idx in np.argwhere(core != 0)
+                {"indices": list(idx), "c": encode_number(c)}
+                for c, idx in nonzero_entries(core)
             ],
             "etas": [encode_matrix(e.matrix) for e in realization.etas],
             "brands": [
@@ -283,7 +270,7 @@ def realization_from_certificate(
     obj: Dict, channel: MultipartiteChannel
 ) -> CommonCauseRealization:
     """Rebuild xi and the etas from certificate data alone."""
-    exact = obj.get("arithmetic") == RATIONAL
+    exact = _expect(obj, dict, "certificate").get("arithmetic") == RATIONAL
     real = obj.get("realization")
     if not isinstance(real, dict):
         raise SchemaError("certificate lacks a realization block")
@@ -347,7 +334,7 @@ def verify_certificate(
     Returns (ok, residual, detail); on failure ``detail`` names every check
     that failed.
     """
-    if cert.get("version") != CERTIFICATE_VERSION:
+    if _expect(cert, dict, "certificate").get("version") != CERTIFICATE_VERSION:
         return False, None, f"unsupported certificate version {cert.get('version')!r}"
     digest = channel_digest(channel_obj)
     if cert.get("channelDigest") != digest:
@@ -378,17 +365,6 @@ def verify_certificate(
     return True, residual, f"recontraction residual {residual} within tolerance {tol}"
 
 
-def save_certificate(obj: Dict, path: str):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
-def load_json(path: str) -> Dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 # -- assemblage files ----------------------------------------------------------
 
 def assemblage_to_json(asm) -> Dict:
@@ -415,7 +391,7 @@ def assemblage_to_json(asm) -> Dict:
 def assemblage_from_json(obj: Dict):
     from .assemblages import Assemblage
 
-    if obj.get("version") != FORMAT_VERSION:
+    if _expect(obj, dict, "assemblage").get("version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported version {obj.get('version')!r}")
     settings, outcomes = (
         tuple(_expect(obj.get(k, []), list, k)) for k in ("settings", "outcomes")

@@ -565,7 +565,7 @@ def pruned_terms_oracle(coeffs, frame_sizes, exact_mode):
     if not exact_mode and terms and dropped:
         big = max(range(len(terms)), key=lambda i: abs(terms[i][0]))
         c, idx = terms[big]
-        terms[big] = (c + dropped, idx)
+        terms[big] = (float(c + dropped), idx)
     return tuple(terms)
 
 

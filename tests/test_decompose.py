@@ -142,8 +142,7 @@ def test_shared_frame_matches_a_fresh_build(theory, w_in, w_out):
     assert frame.retained == want["retained"]
     assert frame.lp_rows == want["lp_rows"]
     assert np.array_equal(frame.dual(as_float=True), want["float_dual"])
-    kept = [frame.matrix(), frame.matrix(as_float=True), frame.retained_matrix(),
-            frame.retained_matrix(as_float=True), frame.dual(as_float=True),
+    kept = [frame.matrix(), frame.matrix(as_float=True), frame.dual(as_float=True),
             *decompose._lp_matrices((frame, frame))]
     if frame.exact:
         assert frame.dual().dtype == object
@@ -189,7 +188,8 @@ def test_frame_with_an_invalid_member_fails_build_realization():
     frame = WingFrame(BIT, BIT, det + (bad,))
     shared = local_channel_frame(STOCH, BIT, BIT)
     qm = decompose_quasimixture(pr_box())
-    floats = replace(qm, terms=tuple((float(c), idx) for c, idx in qm.terms))
+    qm = replace(qm, coefficients=np.pad(qm.coefficients, ((0, 0), (0, 1))))
+    floats = replace(qm, coefficients=qm.coefficients.astype(float))
     build_realization(pr_box(), floats, (shared, frame))
     with pytest.raises(ResidualTooLarge, match="eta for wing 2 is not completely positive"):
         build_realization(pr_box(), qm, (shared, frame))
@@ -215,7 +215,8 @@ def test_pruning_matches_the_loop_oracle(sizes, exact, data):
         )
     values = data.draw(st.lists(entry, min_size=n, max_size=n))
     coeffs = np.array(values, dtype=object if exact else float)
-    got = decompose._pruned_terms(coeffs, tuple(sizes), exact)
+    tensor = coeffs.reshape(sizes)
+    got = QuasiMixture(tensor if exact else decompose._pruned(tensor), None, MIN_NORM).terms
     want = pruned_terms_oracle(coeffs, tuple(sizes), exact)
     assert repr(got) == repr(want)
 
@@ -399,9 +400,28 @@ def test_pr_realization_exact_roundtrip():
 def test_coefficients_off_one_are_rejected(mode):
     chan = pr_box()
     qm = decompose_quasimixture(chan, mode=mode)
-    doubled = replace(qm, terms=tuple((2 * c, idx) for c, idx in qm.terms))
+    doubled = replace(qm, coefficients=2 * qm.coefficients)
     with pytest.raises(ResidualTooLarge, match="coefficients sum to"):
         build_realization(chan, doubled)
+
+
+def two_member_frames():
+    half = WingFrame(BIT, BIT, deterministic_frame(BIT, BIT)[:2])
+    return half, half
+
+
+def test_frames_smaller_than_the_coefficients_fail_build_realization():
+    qm = decompose_quasimixture(pr_box())
+    with pytest.raises(SignatureMismatch, match=r"shape \(4, 4\) on frames of sizes \(2, 2\)"):
+        build_realization(pr_box(), qm, two_member_frames())
+
+
+def test_a_term_outside_its_frame_fails_reconstruction_residual():
+    qm = decompose_quasimixture(pr_box())
+    with pytest.raises(SignatureMismatch, match="outside frames of sizes"):
+        reconstruction_residual(pr_box(), two_member_frames(), qm.terms)
+    with pytest.raises(SignatureMismatch, match="outside frames of sizes"):
+        reconstruction_residual(pr_box(), default_frames(pr_box()), [(1, (0, -1))])
 
 
 def test_realization_ancillas_are_branded():
@@ -617,7 +637,10 @@ def test_product_form_recontraction_matches_the_shared_k_oracle(
         body = reduce(np.kron, [random_channel(rng, *w, exact) for w in wings])
     in_sig, out_sig = (sig(*side) for side in zip(*wings))
     chan = MultipartiteChannel(tuple(wings), LinearProcess(in_sig, out_sig, body), theory)
-    qm = QuasiMixture(terms, None, MIN_NORM)
+    core = np.zeros(tuple(len(f) for f in frames), dtype=object if exact else float)
+    for c, idx in terms:
+        core[idx] += c
+    qm = QuasiMixture(core, None, MIN_NORM)
 
     want = verify_diagonal(chan, diagonal_realization(chan, qm, frames))
     got = (

@@ -1,5 +1,6 @@
 """File round trips and certificate verification from files alone."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -24,6 +25,7 @@ from quasicause.nonsignalling import MultipartiteChannel, check_nonsignalling
 from quasicause.serialize import (
     assemblage_from_json,
     assemblage_to_json,
+    canonical_bytes,
     certificate_to_json,
     channel_digest,
     channel_from_json,
@@ -102,6 +104,51 @@ def test_certificate_verifies_rational():
     assert not {"frames", "quasiMixture"} & set(cert)
     assert "carrier" not in cert["realization"]
     assert all(set(s) == {"K", "residual"} for s in cert["nsReport"]["subsets"])
+
+
+def rational_common_cause(seed, dims):
+    """Classical wings of the given dims over a shared rational state on one
+    bit per wing, each local map a random rational channel."""
+    rng = np.random.default_rng(seed)
+    anc = classical(2)
+    shared = state(list(random_stochastic_rational(rng, 2 ** len(dims), 1)[:, 0]),
+                   sig(*[anc] * len(dims)))
+    locals_ = [
+        process(random_stochastic_rational(rng, d, d * 2), sig(classical(d), anc), sig(classical(d)))
+        for d in dims
+    ]
+    return assemble_common_cause(shared, locals_, STOCH)
+
+
+# channel id -> SHA-256 of canonical_bytes of its rational min-norm
+# certificate; a changed digest is a changed certificate format or answer
+CERTIFICATE_DIGESTS = {
+    "pr": "f7d3966c78ecc682e744df234bfe86cd4391920951d9d8ceb202561b427edd83",
+    "cc-m2": "d3c34702b81fd2bea646407e52659e27790d1304e2e110e47dc81985fd631c09",
+    "cc-m2-trit": "47018a132718f7362a143a117287bce1eb8c7be7e713ce9a24bc48b1470f0a97",
+    "cc-m3": "2dccc02f72786ba86ce3787d9c8f4aa9ef9f2672a309399d89a17de28578b762",
+}
+BYTE_STABLE_CHANNELS = {
+    "pr": pr_box,
+    "cc-m2": lambda: rational_common_cause(1, (2, 2)),
+    "cc-m2-trit": lambda: rational_common_cause(2, (3, 2)),
+    "cc-m3": lambda: rational_common_cause(3, (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("channel_id", sorted(CERTIFICATE_DIGESTS))
+def test_rational_certificates_are_byte_stable(channel_id):
+    """Rational min-norm certificates keep their exact bytes."""
+    chan = BYTE_STABLE_CHANNELS[channel_id]()
+    report = check_nonsignalling(chan)
+    qm = decompose_quasimixture(chan, ns_report=report)
+    real = build_realization(chan, qm, channel_id=channel_id)
+    obj = channel_to_json(chan)
+    cert = certificate_to_json(
+        chan, channel_digest(obj), report, qm, real, verify_realization(chan, real), 0
+    )
+    digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
+    assert digest == CERTIFICATE_DIGESTS[channel_id]
 
 
 def test_version_1_certificate_is_unsupported():
@@ -220,7 +267,15 @@ def _set(path, value):
     return mutate
 
 
-# case -> (file, mutation, exact)
+def _quantum_dim_true(obj):
+    # wing 1's input becomes {"kind": "quantum", "dim": true}, and the matrix
+    # is cut to fit a one-dimensional input there, so only the dim check can
+    # refuse the file
+    obj["wings"][0]["in"] = {"kind": "quantum", "dim": True}
+    obj["matrix"] = obj["matrix"][: len(obj["matrix"]) // 2]
+
+
+# case -> (file, mutation or whole replacement file, exact)
 MALFORMED = {
     "wing missing in": ("channel", lambda o: o["wings"][0].pop("in"), True),
     "wings not a list": ("channel", _set(["wings"], 3), True),
@@ -232,6 +287,9 @@ MALFORMED = {
     "brand wing not an int": ("certificate", _set(["realization", "brands", 0, "wing"], "x"), True),
     "eta not a list": ("certificate", _set(["realization", "etas", 0], 3), True),
     "declared tolerance not a number": ("certificate", _set(["tolerance"], "abc"), False),
+    "wire dim a bool": ("channel", _quantum_dim_true, True),
+    "channel not an object": ("channel", [], True),
+    "certificate not an object": ("certificate", [], False),
 }
 
 
@@ -240,12 +298,21 @@ def test_malformed_files_raise_schema_error(case):
     target, mutate, exact = MALFORMED[case]
     cert, obj = certificate_pair(exact)
     cert = json.loads(json.dumps(cert))
-    mutate(obj if target == "channel" else cert)
+    doc = obj if target == "channel" else cert
+    if callable(mutate):
+        mutate(doc)
+    else:
+        doc = mutate
     with pytest.raises(SchemaError):
         if target == "channel":
-            channel_from_json(obj)
+            channel_from_json(doc)
         else:
-            verify_certificate(cert, obj)
+            verify_certificate(doc, obj)
+
+
+def test_realization_from_a_non_object_raises_schema_error():
+    with pytest.raises(SchemaError):
+        realization_from_certificate([], pr_box())
 
 
 def _bump(path, by):
@@ -361,13 +428,18 @@ MALFORMED_ASSEMBLAGES = {
     "element missing": _drop_last_element,
     "trusted dimension past numpy's limit": _set(["trustedDim"], 10 ** 30),
     "setting count past numpy's limit": _set(["settings", 0], 10 ** 30),
+    "assemblage not an object": "x",
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ASSEMBLAGES))
 def test_malformed_assemblage_files_raise_schema_error(case):
     obj = json.loads(json.dumps(assemblage_to_json(bb84_assemblage())))
-    MALFORMED_ASSEMBLAGES[case](obj)
+    mutate = MALFORMED_ASSEMBLAGES[case]
+    if callable(mutate):
+        mutate(obj)
+    else:
+        obj = mutate
     with pytest.raises(SchemaError):
         assemblage_from_json(obj)
 
