@@ -22,8 +22,10 @@ The generated candidates come from one kernel per leg of a registered
 channel: the leg functionals e · eta_leg · (s ⊗ ·), over the leg's probe
 states s and effects e, as the rows of one matrix on the ancilla. An
 ancilla's effect candidates are its own leg's rows; its state candidates are
-xi's coefficient tensor mode-multiplied by every other leg's matrix. No
-candidate diagram is evaluated; each candidate keeps the term that names it.
+xi's coefficient tensor mode-multiplied by every other leg's matrix. Every
+contraction is a ``procs.mode_product``, on integer numerators when all its
+operands are rational. No candidate diagram is evaluated; each candidate
+keeps the term that names it.
 
 The theory object is single-writer during register calls and read-shared
 afterwards. Queries are not pure reads: spans, leg kernels and the S and E
@@ -61,15 +63,13 @@ from .errors import (
 )
 from .nonsignalling import MultipartiteChannel, check_nonsignalling
 from .procs import (
-    _INT64_LIMIT,
     FLOAT64,
     RATIONAL,
     LinearProcess,
-    _amax,
-    _exact,
-    _int_matmul,
-    _matmul,
-    _trusted,
+    Operand,
+    _apply,
+    _made,
+    _operand,
     add,
     compose_par,
     compose_seq,
@@ -336,29 +336,18 @@ def _stack(t: SystemType, kind: str, procs: Sequence[LinearProcess]) -> LinearPr
     return LinearProcess(sig(t), label, np.concatenate(mats, axis=0))
 
 
-def _operands(*procs: LinearProcess):
-    """The matrices of ``procs`` in one arithmetic, and the denominator of
-    their product: integer numerators and the product of their denominators
-    when every process is rational, binary64 matrices and None otherwise."""
+def _operands(*procs: LinearProcess) -> List[Operand]:
+    """``procs`` as ``mode_product`` operands in one arithmetic: their
+    integer forms when every process is rational, binary64 matrices
+    otherwise."""
     if all(p.arithmetic == RATIONAL for p in procs):
-        ints = [numerators(p) for p in procs]
-        return [num for num, _ in ints], math.prod(den for _, den in ints)
-    return [p.to_float().matrix for p in procs], None
-
-
-def _made(inputs: Signature, outputs: Signature, matrix: np.ndarray, den: Optional[int]):
-    """The process matrix / den, or the binary64 ``matrix`` when den is None."""
-    if den is None:
-        return _trusted(inputs, outputs, matrix)
-    return _exact(inputs, outputs, matrix, den)
+        return [numerators(p) for p in procs]
+    return [p.to_float().matrix for p in procs]
 
 
 def _block(p: LinearProcess, inputs: Signature, outputs: Signature, rows=slice(None), cols=slice(None)):
     """Rows ``rows`` and columns ``cols`` of ``p``, between the given signatures."""
-    if p.arithmetic == RATIONAL:
-        num, den = numerators(p)
-        return _exact(inputs, outputs, num[rows][:, cols], den)
-    return _trusted(inputs, outputs, p.matrix[rows][:, cols])
+    return _made(inputs, outputs, _apply(_operand(p), lambda a: a[rows][:, cols]))
 
 
 def _select(stack: LinearProcess, kind: str, picks: List[int], label: Signature) -> LinearProcess:
@@ -372,26 +361,24 @@ def _select(stack: LinearProcess, kind: str, picks: List[int], label: Signature)
 def _leg_kernel(gt: GeneratedTheory, channel_id: str, leg: int, depth: int) -> LinearProcess:
     """The leg functionals as one process A_leg -> classical(n): row (s, e)
     is e · eta_leg · (s ⊗ ·), in ``_leg_functionals`` order. The probe
-    effects and then the probe states are contracted into the eta matrix
-    (out, in, |F|), on integer numerators over one denominator when every
-    piece is rational, else in binary64. Cached per theory; depths from 2 on
-    share one kernel."""
+    effects and then the probe states are mode-multiplied into the eta
+    matrix (out, in, |F|), on integer numerators when every piece is
+    rational, else in binary64. Cached per theory; depths from 2 on share
+    one kernel."""
     anc = gt.registered[channel_id].realization.ancilla_types[leg - 1]
     key = ("leg", anc.id, min(depth, 2))
     if key not in gt._span_cache:
         w_in, w_out = gt.registered[channel_id].channel.wings[leg - 1]
         states, effects = _probes(gt, channel_id, leg, depth)
-        (s, e, eta), den = _operands(
+        s, e, eta = _operands(
             _stack(w_in, "state", [gt.bindings[n] for n in states]),
             _stack(w_out, "effect", [gt.bindings[n] for n in effects]),
             gt.bindings[f"eta{leg}:{channel_id}"],
         )
-        mul = _matmul if den is None else _int_matmul
-        # (effects, in, |F|) -> (in, effects * |F|), then the states take the input
-        probed = mul(e, eta).reshape(len(effects), w_in.vdim, anc.vdim)
-        probed = probed.transpose(1, 0, 2).reshape(w_in.vdim, -1)
-        rows = mul(s.T, probed).reshape(-1, anc.vdim)
-        gt._span_cache[key] = _made(sig(anc), sig(classical(len(rows))), rows, den)
+        probed = mode_product(_apply(eta, lambda a: a.reshape(w_out.vdim, w_in.vdim, -1)), e, 0)
+        probed = mode_product(probed, _apply(s, np.transpose), 1)  # (effects, states, |F|)
+        rows = _apply(probed, lambda a: a.transpose(1, 0, 2))  # the states outer
+        gt._span_cache[key] = _made(sig(anc), sig(classical(len(states) * len(effects))), rows)
     return gt._span_cache[key]
 
 
@@ -421,19 +408,13 @@ def _candidates(
     m = gt.registered[channel_id].channel.m
     xi = gt.bindings[f"xi:{channel_id}"]
     legs = [leg for leg in range(1, m + 1) if leg != wing]
-    (core, *kernels), den = _operands(
-        xi, *(_leg_kernel(gt, channel_id, leg, depth) for leg in legs)
-    )
-    if den is not None and (
-        any(a.dtype == object for a in [core, *kernels])
-        or _amax(core) * math.prod(_amax(k) * k.shape[1] for k in kernels) >= _INT64_LIMIT
-    ):
-        core, kernels = core.astype(object), [k.astype(object) for k in kernels]
-    core = core.reshape(xi.outputs.dims)
-    for leg, kernel in zip(legs, kernels):
-        core = mode_product(core, kernel, leg - 1)
-    rows = np.moveaxis(core, wing - 1, -1).reshape(-1, t.vdim)
-    stack = _made(sig(classical(len(rows))), sig(t), rows.T, den)
+    kernels = [_leg_kernel(gt, channel_id, leg, depth) for leg in legs]
+    core, *ops = _operands(xi, *kernels)
+    core = _apply(core, lambda a: a.reshape(xi.outputs.dims))
+    for leg, op in zip(legs, ops):
+        core = mode_product(core, op, leg - 1)
+    rows = _apply(core, lambda a: np.moveaxis(a, wing - 1, -1).reshape(-1, t.vdim).T)
+    stack = _made(sig(classical(math.prod(k.outputs.dim for k in kernels))), sig(t), rows)
 
     per_leg = [
         [Leaf(f"id:{t.id}")] if leg == wing else _leg_functionals(gt, channel_id, leg, depth)

@@ -19,14 +19,18 @@ a quasi-state on one fresh branded ancilla per wing, ancilla i of carrier
 |F_i|, and one controlled frame ``eta_i`` per wing applies member j when its
 ancilla reads j. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the
 channel; recontraction is the Tucker product of ``xi`` with the member
-matrices, one ``procs.mode_product`` per wing.
+matrices, one ``procs.mode_product`` per wing. In rational mode every
+contraction runs on integer numerators over one denominator: ``Fraction``s
+appear only in ``QuasiMixture.coefficients`` and the realization built
+from it, and in an exact residual, max |numerator gap| / denominator.
 
 A wing's frame depends only on the theory and the wing's (input, output)
 types, never on the channel: ``local_channel_frame`` builds it once per
 (theory, in, out) and every later call, for any channel, shares that one
 object. Frames are immutable, and what is derived from one (its member
 matrix, ``retained``, duals, LP rows and the validity of its controlled
-frame) is computed once per frame and kept as read-only arrays.
+frame, and the integer forms of its matrix and exact dual) is computed once
+per frame and kept as read-only arrays.
 
 Only the min-negativity mode needs an LP solver. scipy loads on the first
 min-negativity solve, inside ``_min_negativity_coefficients``, and nowhere
@@ -55,11 +59,18 @@ from .procs import (
     FLOAT64,
     RATIONAL,
     LinearProcess,
+    Operand,
+    _apply,
+    _float_of,
+    _fractions,
     _freeze,
+    _operand,
+    _to_ints,
     add,
     compose_seq,
     effective_tol,
     max_abs_diff,
+    max_gap,
     mode_product,
     scale,
 )
@@ -132,6 +143,15 @@ class WingFrame:
         """Minimum-norm left inverse of the retained members: exact (for an
         exact frame) or the binary64 pseudo-inverse."""
         return self._float_dual if as_float else self._exact_dual
+
+    @cached_property
+    def _ints(self) -> Tuple[Operand, Operand]:
+        return _to_ints(self._matrix), _to_ints(self._exact_dual)
+
+    def operands(self, as_float: bool = False) -> Tuple[Operand, Operand]:
+        """``matrix()`` and ``dual()`` as ``mode_product`` operands: an exact
+        frame's integer forms (num, den), or the binary64 arrays."""
+        return (self._float_matrix, self._float_dual) if as_float else self._ints
 
     @cached_property
     def _eta_problem(self) -> Optional[str]:
@@ -311,24 +331,25 @@ def default_frames(channel: MultipartiteChannel) -> Tuple[WingFrame, ...]:
     )
 
 
-def _wing_major_tensor(channel: MultipartiteChannel) -> np.ndarray:
-    """Reshape the body so axis i runs over wing i's (out, in) pairs."""
-    t = np.transpose(channel.wing_tensor, interleave(channel.m))
-    return t.reshape(tuple(o.vdim * i.vdim for i, o in channel.wings))
+def _wing_major_tensor(channel: MultipartiteChannel) -> Operand:
+    """The body as a ``mode_product`` operand (numerators over their
+    denominator when rational) with axis i over wing i's (out, in) pairs."""
+    shape = tuple(o.vdim * i.vdim for i, o in channel.wings)
+    return _apply(channel.wing_operand, lambda t: np.transpose(t, interleave(channel.m)).reshape(shape))
 
 
-def _recontraction_residual(channel, core, factors) -> object:
+def _recontraction_residual(channel, core: Operand, factors: Sequence[Operand]) -> object:
     """Max-abs difference between the body and the Tucker product of ``core``
     with ``factors``: the core has one axis per wing, and factors[i], of shape
     (out_i * in_i, core.shape[i]), holds wing i's member matrices as columns.
     Rational when every operand is, binary64 otherwise."""
     target = _wing_major_tensor(channel)
-    if not all(a.dtype == object for a in (core, target, *factors)):
-        core, target = core.astype(float), target.astype(float)
-        factors = [f.astype(float) for f in factors]
+    if not all(isinstance(x, tuple) for x in (core, target, *factors)):
+        core, target = _float_of(core), _float_of(target)
+        factors = [_float_of(f) for f in factors]
     for axis, factor in enumerate(factors):
         core = mode_product(core, factor, axis)
-    return abs(core - target).max()
+    return max_gap(core, target)
 
 
 def decompose_quasimixture(
@@ -378,26 +399,26 @@ def decompose_quasimixture(
 
     if not exact_mode:
         coeffs = _pruned(coeffs)
-    factors = [f.matrix(as_float=not exact_mode) for f in frames]
+    factors = [f.operands(as_float=not exact_mode)[0] for f in frames]
     residual = _recontraction_residual(channel, coeffs, factors)
     if residual > tolerance:
         raise ResidualTooLarge(
             f"reconstruction residual {residual} exceeds tolerance {tolerance}"
         )
-    return QuasiMixture(coeffs, residual, mode)
+    return QuasiMixture(_fractions(*coeffs) if exact_mode else coeffs, residual, mode)
 
 
-def _min_norm_coefficients(channel, frames, exact_mode) -> np.ndarray:
+def _min_norm_coefficients(channel, frames, exact_mode) -> Operand:
     """Unique affine solution over the retained (independent) sub-frames,
-    scattered back into the full frame-shaped tensor."""
+    scattered back into the full frame-shaped tensor: numerators over one
+    denominator in exact mode."""
     tensor = _wing_major_tensor(channel)
-    if not exact_mode:
-        tensor = tensor.astype(float)
     for axis, frame in enumerate(frames):
-        tensor = mode_product(tensor, frame.dual(as_float=not exact_mode), axis)
-    full = np.zeros(tuple(len(f) for f in frames), dtype=object if exact_mode else float)
-    full[np.ix_(*(f.retained for f in frames))] = tensor
-    return full
+        tensor = mode_product(tensor, frame.operands(as_float=not exact_mode)[1], axis)
+    num = tensor[0] if exact_mode else tensor
+    full = np.zeros(tuple(len(f) for f in frames), dtype=num.dtype)
+    full[np.ix_(*(f.retained for f in frames))] = num
+    return (full, tensor[1]) if exact_mode else full
 
 
 def _min_negativity_coefficients(channel, frames) -> np.ndarray:
@@ -420,20 +441,36 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
 
     a, a_eq = _lp_matrices(frames)
     rows = [frame.lp_rows for frame in frames]
-    b = _wing_major_tensor(channel).astype(float)[np.ix_(*rows)].reshape(-1)
+    b = _float_of(_wing_major_tensor(channel))[np.ix_(*rows)].reshape(-1)
     n = a.shape[1]
     res = linprog(np.ones(2 * n), A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
         raise ResidualTooLarge(f"negativity LP failed: {res.message}")
     coeffs = res.x[:n] - res.x[n:]
     # polish: least-squares refit on the LP support tightens the equality
-    # constraints to machine precision without changing the support
-    support = np.abs(coeffs) > 1e-10
-    if support.any():
-        sol, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
-        polished = np.zeros(n)
-        polished[support] = sol
-        if np.abs(a @ polished - b).max() <= np.abs(a @ coeffs - b).max() + 1e-12:
+    # constraints to machine precision without changing the support. At a
+    # degenerate vertex (support of rank below the row count) b may miss the
+    # support's span, so the refit on a square basis holding the support is
+    # tried too, and the better fit kept
+    def misfit(x):
+        return np.abs(a @ x - b).max()
+
+    def refit(cols):
+        sol, _, rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
+        x = np.zeros(n)
+        x[cols] = sol
+        return x, rank
+
+    support = np.flatnonzero(np.abs(coeffs) > 1e-10)
+    if support.size:
+        polished, rank = refit(support)
+        if rank < len(b):  # add the columns that raise the rank, leftmost-first
+            basis: List[int] = []
+            for j in [*support, *np.setdiff1d(np.arange(n), support)]:
+                if len(basis) < len(b) and np.linalg.matrix_rank(a[:, basis + [j]]) > len(basis):
+                    basis.append(j)
+            polished = min(polished, refit(basis)[0], key=misfit)
+        if misfit(polished) <= misfit(coeffs) + 1e-12:
             coeffs = polished
     return coeffs.reshape(tuple(len(f) for f in frames))
 
@@ -482,8 +519,8 @@ def reconstruction_residual(
         if len(idx) != len(sizes) or not all(0 <= j < n for j, n in zip(idx, sizes)):
             raise SignatureMismatch(f"term index {idx} is outside frames of sizes {sizes}")
         core[idx] += c
-    factors = [f.matrix(as_float=not exact_mode) for f in frames]
-    return _recontraction_residual(channel, core, factors)
+    factors = [f.operands(as_float=not exact_mode)[0] for f in frames]
+    return _recontraction_residual(channel, _to_ints(core) if exact_mode else core, factors)
 
 
 def negativity(qm: QuasiMixture):
@@ -564,8 +601,8 @@ def verify_realization(
         raise SignatureMismatch("xi is not a state on the ancillas")
 
     factors = [
-        eta.matrix.reshape(eta.outputs.dim * w_in.vdim, anc.vdim)
+        _operand(eta, (eta.outputs.dim * w_in.vdim, anc.vdim))
         for eta, (w_in, _), anc in zip(realization.etas, channel.wings, ancillas)
     ]
-    core = xi.matrix.reshape(tuple(a.vdim for a in ancillas))
+    core = _operand(xi, tuple(a.vdim for a in ancillas))
     return _recontraction_residual(channel, core, factors)

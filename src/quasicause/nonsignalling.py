@@ -19,7 +19,8 @@ classical wire with n outcomes and sqrt(d) for a qudit.
 
 Each wing is three mode products on the body's wing tensor (one axis per
 wire) with a single-wire discard and reference state; no operator on the
-whole wire space is built.
+whole wire space is built. A rational body is contracted on its integer
+numerators, so the check does no ``Fraction`` arithmetic.
 
 Wing labels are 1-based throughout this module's public surface.
 """
@@ -29,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import OutOfRange, TypeMismatch
-from .procs import LinearProcess, effective_tol, mode_product
+from .procs import LinearProcess, Operand, _made, _operand, effective_tol, max_gap, mode_product
 from .theories import Theory
 from .wires import Signature, SystemType
 
@@ -61,10 +60,11 @@ class MultipartiteChannel:
         return len(self.wings)
 
     @property
-    def wing_tensor(self) -> np.ndarray:
-        """The body with one axis per wire: (out_1..out_m, in_1..in_m)."""
-        body = self.body
-        return body.matrix.reshape(body.outputs.dims + body.inputs.dims)
+    def wing_operand(self) -> Operand:
+        """The body with one axis per wire, (out_1..out_m, in_1..in_m), as a
+        ``procs.mode_product`` operand: a rational body's cached numerators
+        (``procs.numerators``) over their denominator, or the binary64 matrix."""
+        return _operand(self.body, self.body.outputs.dims + self.body.inputs.dims)
 
 
 def _prechecked(wings, body: LinearProcess, theory: Theory) -> MultipartiteChannel:
@@ -108,11 +108,10 @@ def discard_outputs(
     subset = tuple(sorted(set(subset)))
     if not subset or not 1 <= subset[0] <= subset[-1] <= channel.m:
         raise OutOfRange(f"wings to discard {subset} must be nonempty in 1..{channel.m}")
-    tensor, outs = channel.wing_tensor, channel.body.outputs
+    tensor, outs = channel.wing_operand, channel.body.outputs
     for k in subset:
-        tensor = mode_product(tensor, channel.theory.discard(outs[k - 1]).matrix, k - 1)
-    kept = _rest(outs, subset)
-    return LinearProcess(channel.body.inputs, kept, tensor.reshape(kept.dim, -1))
+        tensor = mode_product(tensor, _operand(channel.theory.discard(outs[k - 1])), k - 1)
+    return _made(channel.body.inputs, _rest(outs, subset), tensor)
 
 
 def check_nonsignalling(
@@ -127,26 +126,21 @@ def check_nonsignalling(
     one-wing channel has no proper subset of wings, so it gets no check.
 
     The report holds the checks of subsets (1,) .. (m,) only, because they
-    decide every other subset K: with L_K the body with the outputs of K
-    discarded and E_k = r_k u_k on input k, L_K = L_K E_k for each k in K
-    (L_K is L_k followed by the other discards in K), and the E_k commute, so
-    L_K = L_K prod_{k in K} E_k. In binary64 subset K's residual is at most
-    sum_{k in K} r_k prod_{j in K, j != k} |u_out_j|_1, where r_k is wing k's
-    residual and |u|_1 is n for a classical wire with n outcomes and sqrt(d)
-    for a qudit.
+    decide every other subset (the module docstring gives the argument and
+    the binary64 bound on the other subsets' residuals).
     """
     tolerance = effective_tol(channel.body.arithmetic, tol)
     m, ins, outs, theory = channel.m, channel.body.inputs, channel.body.outputs, channel.theory
+    body = channel.wing_operand
     checks: List[SubsetCheck] = []
     for k in range(1, m + 1) if m > 1 else ():
         axis, w_in = m + k - 1, ins[k - 1]
-        shape = outs.dims[:k - 1] + (1,) + outs.dims[k:]
-        discarded = discard_outputs(channel, (k,)).matrix.reshape(shape + ins.dims)
-        candidate = mode_product(discarded, theory.reference_state(w_in).matrix.T, axis)
-        rebuilt = mode_product(candidate, theory.discard(w_in).matrix.T, axis)
-        kept = _rest(outs, (k,))
-        marginal = LinearProcess(_rest(ins, (k,)), kept, candidate.reshape(kept.dim, -1))
-        checks.append(SubsetCheck((k,), abs(discarded - rebuilt).max(), marginal))
+        discarded = mode_product(body, _operand(theory.discard(outs[k - 1])), k - 1)
+        # the state as a row and the discard as a column: their transposes
+        candidate = mode_product(discarded, _operand(theory.reference_state(w_in), (1, -1)), axis)
+        rebuilt = mode_product(candidate, _operand(theory.discard(w_in), (-1, 1)), axis)
+        marginal = _made(_rest(ins, (k,)), _rest(outs, (k,)), candidate)
+        checks.append(SubsetCheck((k,), max_gap(discarded, rebuilt), marginal))
     return NSReport(tuple(checks), tolerance)
 
 

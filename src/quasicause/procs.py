@@ -9,17 +9,19 @@ made; they are never read off a matrix.
 
 A rational process is computed on as an integer numerator array over one
 positive common denominator, kept canonical (the gcd of every numerator and
-the denominator is 1). Composition, Kronecker products, sums, scalings,
-mixtures and comparisons are numpy integer kernels on those numerators:
-int64 where a bound on the operands' magnitudes proves that nothing
-overflows, object arrays of Python ints otherwise, and never a per-entry
-``gcd``. ``Fraction`` entries exist only in the ``.matrix`` view (an object
-array of ints and ``Fraction``), which a composition result builds on its
-first read; a process made by the public constructor computes its integer
-form once, when it is first composed, and keeps it. Promotion to binary64
-divides numerators by the denominator, which gives ``float(Fraction)`` bit
-for bit: both values are exact in binary64 up to 2^53, so the division is
-correctly rounded, and larger ones are divided as Python ints.
+the denominator is 1). Composition, Kronecker products, mode products,
+sums, scalings, mixtures and comparisons are numpy integer kernels on those
+numerators: int64 where a bound on the operands' magnitudes proves that
+nothing overflows, object arrays of Python ints otherwise, and never a
+per-entry ``gcd``; ``mode_product``'s rational operands are bare
+``(numerators, denominator)`` pairs. ``Fraction`` entries exist only in the
+``.matrix`` view (an object array of ints and ``Fraction``), which a
+composition result builds on its first read; a process made by the public
+constructor computes its integer form once, when it is first composed, and
+keeps it. Promotion to binary64 divides numerators by the denominator,
+which gives ``float(Fraction)`` bit for bit: both values are exact in
+binary64 up to 2^53, so the division is correctly rounded, and larger ones
+are divided as Python ints.
 
 Wire shuffles and identities are bijections of the basis points: 0/1
 matrices with exactly one 1 in each row and each column. Those built by
@@ -84,6 +86,7 @@ _INT64_LIMIT = 2 ** 63
 _EXACT_FLOAT = 2 ** 53
 
 Ints = Tuple[np.ndarray, int]  # numerators (int64 or Python ints), denominator
+Operand = Union[np.ndarray, Ints]  # a binary64 array, or a rational one's Ints
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -239,6 +242,12 @@ def _exact(inputs: Signature, outputs: Signature, num: np.ndarray, den: int) -> 
     return _bare(inputs, outputs, RATIONAL, _ints=(_freeze(num), den))
 
 
+def _made(inputs: Signature, outputs: Signature, x: Operand) -> LinearProcess:
+    """The process of operand ``x`` reshaped (C order) to the signatures."""
+    x = _apply(x, lambda a: a.reshape(outputs.dim, inputs.dim))
+    return _exact(inputs, outputs, *x) if isinstance(x, tuple) else _trusted(inputs, outputs, x)
+
+
 # -- integer numerators --------------------------------------------------------
 
 def _amax(num: np.ndarray) -> int:
@@ -272,24 +281,43 @@ def _to_ints(matrix: np.ndarray) -> Ints:
 
 
 def _fractions(num: np.ndarray, den: int) -> np.ndarray:
-    """The object matrix num / den: ints when den is 1, ``Fraction`` otherwise."""
+    """The object matrix num / den: ints when den is 1, ``Fraction``
+    otherwise, every zero entry one shared ``Fraction(0)``."""
     if den == 1:
         return num.astype(object)
-    entries = [Fraction(n, den) for n in num.reshape(-1).tolist()]
-    out = np.empty(len(entries), dtype=object)
-    out[:] = entries
+    flat = num.reshape(-1)
+    nonzero = np.flatnonzero(flat)
+    out = np.full(len(flat), Fraction(0), dtype=object)
+    out[nonzero] = [Fraction(n, den) for n in flat[nonzero].tolist()]
     return out.reshape(num.shape)
 
 
-def _floats(p: LinearProcess) -> np.ndarray:
-    """The binary64 matrix of ``p``; for a rational process each entry is
+def _float_of(x: Operand) -> np.ndarray:
+    """The binary64 array of an operand: a rational one's entries are each
     ``float(Fraction)``, correctly rounded, with no ``Fraction`` built."""
-    if p.arithmetic == FLOAT64:
-        return p.matrix
-    num, den = _ints(p)
+    if not isinstance(x, tuple):
+        return x
+    num, den = x
     if den <= _EXACT_FLOAT and _amax(num) <= _EXACT_FLOAT:
         return num.astype(float) / den
     return np.array([n / den for n in num.reshape(-1).tolist()], dtype=float).reshape(num.shape)
+
+
+def _apply(x: Operand, f: Callable[[np.ndarray], np.ndarray]) -> Operand:
+    """``f`` (a reshape or transpose) applied to an operand's array: a
+    rational operand's numerators, over the same denominator."""
+    return (f(x[0]), x[1]) if isinstance(x, tuple) else f(x)
+
+
+def _operand(p: LinearProcess, shape=None) -> Operand:
+    """A rational process's integer form or a binary64 process's matrix,
+    reshaped (C order) to ``shape`` when one is given."""
+    x = _ints(p) if p.arithmetic == RATIONAL else p.matrix
+    return x if shape is None else _apply(x, lambda a: a.reshape(shape))
+
+
+def _floats(p: LinearProcess) -> np.ndarray:
+    return _float_of(_operand(p))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,10 +325,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def _int64_safe(a: np.ndarray, b: np.ndarray, terms: int = 1) -> bool:
+    """Whether sums of ``terms`` products a_i * b_j fit in int64."""
+    return object not in (a.dtype, b.dtype) and _amax(a) * _amax(b) * terms < _INT64_LIMIT
+
+
 def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype != object and b.dtype != object and (
-        _amax(a) * _amax(b) * a.shape[1] < _INT64_LIMIT
-    ):
+    if _int64_safe(a, b, a.shape[1]):
         return _matmul(a, b)
     return _matmul(a.astype(object), b.astype(object))
 
@@ -314,7 +345,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _int_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype != object and b.dtype != object and _amax(a) * _amax(b) < _INT64_LIMIT:
+    if _int64_safe(a, b):
         return _kron(a, b)
     return _kron(a.astype(object), b.astype(object))
 
@@ -344,13 +375,29 @@ def numerators(p: LinearProcess) -> Ints:
     return _ints(p)
 
 
-def mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+def mode_product(tensor: Operand, matrix: Operand, axis: int) -> Operand:
     """Multiply ``matrix`` into one axis of ``tensor``: that axis's length
-    becomes matrix.shape[0], and the result is binary64 if either operand is."""
-    if (matrix.dtype == object) != (tensor.dtype == object):
-        matrix, tensor = matrix.astype(float), tensor.astype(float)
-    moved = np.tensordot(matrix, tensor, axes=([1], [axis]))
+    becomes matrix.shape[0]. Each operand is a binary64 array or a rational
+    one's ``(numerators, denominator)`` pair. Two rational operands give the
+    pair ``(num, den_tensor * den_matrix)``, contracted in int64 where
+    ``_int64_safe`` proves it exact and on Python ints otherwise; the result
+    is binary64 if either operand is."""
+    if isinstance(tensor, tuple) and isinstance(matrix, tuple):
+        (tn, td), (mn, md) = tensor, matrix
+        if not _int64_safe(tn, mn, mn.shape[1]):
+            tn, mn = tn.astype(object), mn.astype(object)
+        return np.moveaxis(np.tensordot(mn, tn, axes=([1], [axis])), 0, axis), td * md
+    moved = np.tensordot(_float_of(matrix), _float_of(tensor), axes=([1], [axis]))
     return np.moveaxis(moved, 0, axis)
+
+
+def max_gap(a: Operand, b: Operand) -> Number:
+    """Entrywise max |a - b| of two operands of one shape: a ``Fraction``
+    when both are rational, binary64 otherwise."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        diff, den = _lincomb([(1, a), (-1, b)])
+        return Fraction(_amax(diff), den)
+    return abs(_float_of(a) - _float_of(b)).max()
 
 
 def process(matrix, inputs: Signature, outputs: Signature, exact=None) -> LinearProcess:
@@ -518,10 +565,7 @@ def max_abs_diff(f: LinearProcess, g: LinearProcess) -> Number:
         raise TypeMismatch("processes of different shape are not comparable")
     if f.shape[0] * f.shape[1] == 0:
         return 0
-    if f.arithmetic == g.arithmetic == RATIONAL:
-        diff, den = _lincomb([(1, _ints(f)), (-1, _ints(g))])
-        return Fraction(_amax(diff), den)
-    return abs(_floats(f) - _floats(g)).max()
+    return max_gap(_operand(f), _operand(g))
 
 
 def processes_equal(f: LinearProcess, g: LinearProcess, tol: Number = 0) -> bool:

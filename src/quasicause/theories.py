@@ -38,10 +38,14 @@ import numpy as np
 
 from .errors import UnknownType, WrongKind
 from .procs import (
+    _INT64_LIMIT,
     FLOAT64,
+    RATIONAL,
     LinearProcess,
+    _amax,
     effect,
     effective_tol,
+    numerators,
     state,
 )
 from .wires import CLASSICAL, EXTENSION, QUANTUM, Signature, SystemType
@@ -189,7 +193,8 @@ def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optiona
     The tolerance is ``procs.effective_tol`` of the process's arithmetic with
     no quantum wire (0 for rationals: the check is exact) and of binary64
     with one (the Choi spectrum is computed in floats). Every comparison
-    fails closed, so a NaN entry is never valid.
+    fails closed, so a NaN entry is never valid. With no quantum wire a
+    rational process is read as its numerators over their denominator.
     """
     n_out = len(p.outputs)
     wires = tuple(p.outputs) + tuple(p.inputs)
@@ -205,8 +210,19 @@ def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optiona
 
     cout, cin, qout, qin = axes(False, False), axes(False, True), axes(True, False), axes(True, True)
     quantum = bool(qout or qin)
-    matrix = p.matrix.astype(float) if quantum else p.matrix
     eps = effective_tol(FLOAT64 if quantum else p.arithmetic, tol)
+    if not quantum and p.arithmetic == RATIONAL:
+        num, den = numerators(p)
+        low = Fraction(int(num.min()), den)
+        if not low >= -eps:
+            return f"is not completely positive (lowest Choi eigenvalue {low})"
+        if _amax(num) * len(num) + den >= _INT64_LIMIT:
+            num = num.astype(object)
+        gap = Fraction(_amax(num.sum(axis=0) - den), den)
+        if not gap <= eps:
+            return f"is not discard-preserving (gap {gap})"
+        return None
+    matrix = p.matrix.astype(float) if quantum else p.matrix
     blocks = (
         matrix.reshape(tuple(w.vdim for w in wires))
         .transpose(cout + cin + qout + qin)
@@ -282,12 +298,17 @@ class Theory:
             raise WrongKind(f"{self.name} has no quantum wires")
         return instrument_problem(p, tol) is None
 
+    @lru_cache(maxsize=None)
     def discard(self, t: SystemType) -> LinearProcess:
+        """``discard_row``, built once per (theory, type) and shared; a
+        refused type raises on every call."""
         self._require(t)
         return discard_row(t)
 
+    @lru_cache(maxsize=None)
     def reference_state(self, t: SystemType) -> LinearProcess:
-        """Uniform distribution / maximally mixed state."""
+        """Uniform distribution / maximally mixed state. Built once per
+        (theory, type) and shared; a refused type raises on every call."""
         self._require(t)
         if t.kind == CLASSICAL:
             return state([Fraction(1, t.vdim)] * t.vdim, t)

@@ -57,6 +57,7 @@ from quasicause.serialize import _expect, decode_number
 from quasicause.theories import (
     QUANT,
     Theory,
+    choi_of_transfer,
     coords_to_density,
     discard_effect,
     hermitian_basis,
@@ -636,6 +637,65 @@ def fraction_scale(c, matrix):
 def fraction_add(fm, gm):
     fm, gm = _promote(fm, gm)
     return fm + gm
+
+
+def fraction_mode_product(tensor, matrix, axis):
+    """``matrix`` multiplied into one axis of ``tensor`` by ``np.tensordot``
+    on the entries themselves: ``Fraction`` objects, or binary64 if either
+    operand is."""
+    tensor, matrix = _promote(tensor, matrix)
+    moved = np.tensordot(matrix, tensor, axes=([1], [axis]))
+    return np.moveaxis(moved, 0, axis)
+
+
+# -- the instrument test on the matrix entries -----------------------------------
+# Every block's Choi spectrum and discard gap from the entries themselves
+# (``Fraction`` objects for a rational process with no quantum wire): the
+# oracle of ``theories.instrument_problem``, which reads numerators there.
+
+def instrument_problem_oracle(p, tol=None):
+    """Why ``p`` is not a valid instrument, or None; same messages as the
+    library's test."""
+    n_out = len(p.outputs)
+    wires = tuple(p.outputs) + tuple(p.inputs)
+
+    def axes(quantum, inputs):
+        return [
+            i for i, w in enumerate(wires)
+            if (w.kind == QUANTUM) == quantum and (i >= n_out) == inputs
+        ]
+
+    def dim(group):
+        return math.prod(wires[i].vdim for i in group)
+
+    cout, cin, qout, qin = axes(False, False), axes(False, True), axes(True, False), axes(True, True)
+    quantum = bool(qout or qin)
+    matrix = p.matrix.astype(float) if quantum else p.matrix
+    eps = effective_tol("float64" if quantum else p.arithmetic, tol)
+    blocks = (
+        matrix.reshape(tuple(w.vdim for w in wires))
+        .transpose(cout + cin + qout + qin)
+        .reshape(dim(cout), dim(cin), dim(qout), dim(qin))
+    )
+
+    if not quantum:
+        low = blocks.min()  # a 1x1 block is its own Choi eigenvalue
+    elif np.isfinite(blocks).all():
+        in_dims, out_dims = ([wires[i].hilbert_dim for i in group] for group in (qin, qout))
+        low = np.linalg.eigvalsh(choi_of_transfer(blocks, in_dims, out_dims)).min()
+    else:
+        low = np.nan
+    if not low >= -eps:
+        return f"is not completely positive (lowest Choi eigenvalue {low})"
+
+    u_out, u_in = (
+        discard_effect(Signature(tuple(wires[i] for i in group))).matrix[0].astype(matrix.dtype)
+        for group in (qout, qin)
+    )
+    gap = abs(np.tensordot(u_out, blocks.sum(axis=0), axes=(0, 1)) - u_in).max()
+    if not gap <= eps:
+        return f"is not discard-preserving (gap {gap})"
+    return None
 
 
 # -- the assemblage's own validator --------------------------------------------

@@ -78,6 +78,19 @@ def test_register_pr_box(stoch_theory):
     assert max_abs_diff(rebuilt, entry.channel.body) == 0
 
 
+def test_register_binary_exact_m8_end_to_end():
+    """The benchmark's exact generated common cause at m = 8, 4^8 body
+    entries over one denominator, registers on integer numerators: its NS
+    check, min-norm solve and both recontractions are exact, the residual is
+    0 and xi sums to exactly 1."""
+    gt = generated_theory(STOCH, 8, exact=True)
+    (entry,) = gt.registered.values()
+    xi = entry.realization.xi
+    assert entry.residual == 0
+    assert xi.arithmetic == RATIONAL and xi.matrix.shape == (4 ** 8, 1)
+    assert sum(xi.matrix.flat) == 1
+
+
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_register_binary_float_past_the_dense_cap(m):
     """The benchmark's generated common cause at m = 5, 6, 7, whose diagonal

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -311,6 +311,7 @@ def _assert_min_negativity_matches_oracle(chan):
     push=st.floats(0, 1),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+@example(m=3, pr_weight=0.75, push=0.99999, seed=0)  # a degenerate LP vertex
 def test_min_negativity_matches_full_row_oracle(m, pr_weight, push, seed):
     """The LP on each wing's independent rows against the LP on every row
     of the product frame plus a sum-to-one row: equal negativity. Inputs are
@@ -328,6 +329,43 @@ def test_min_negativity_matches_full_row_oracle(m, pr_weight, push, seed):
     # (1 + t) inner - t away, with a negative weight on the second local box
     body = np.clip((1 + t) * inner - t * away, 0, None)
     _assert_min_negativity_matches_oracle(_binary_channel(body / body.sum(axis=0)))
+
+
+def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
+    """On an exact m = 3 channel the NS check, the min-norm decomposition
+    and verify_realization contract integer numerators: with Fraction's
+    multiplication and addition patched to record each call, none is made
+    (frames are built, and the realization packaged, before patching)."""
+    rng = np.random.default_rng(5)
+    body = sum(
+        w * reduce(np.kron, [random_stochastic_rational(rng, 2, 2, grain=12) for _ in range(3)])
+        for w in (F(1, 3), F(2, 3))
+    )
+    decompose_quasimixture(_binary_channel(body))  # builds the frames' operands
+    calls = []
+
+    def spy(name):
+        original = getattr(Fraction, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    def patched():
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Fraction, name, spy(name))
+
+    patched()
+    assert F(1, 2) * F(1, 3) + 1 == F(7, 6) and calls == ["__mul__", "__add__"]
+    calls.clear()
+    chan = _binary_channel(body)
+    report = check_nonsignalling(chan)
+    qm = decompose_quasimixture(chan, ns_report=report)
+    monkeypatch.undo()
+    real = build_realization(chan, qm)
+    patched()
+    residual = verify_realization(chan, real)
+    monkeypatch.undo()
+    assert calls == []
+    assert report.max_residual == qm.residual == residual == 0
+    assert qm.coefficient_sum == 1
 
 
 def test_min_negativity_matches_full_row_oracle_on_bb84():

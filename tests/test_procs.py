@@ -37,7 +37,7 @@ from quasicause.errors import (
     TooLarge,
     TypeMismatch,
 )
-from quasicause.procs import DENSE_CAP, add, numerators, scale
+from quasicause.procs import DENSE_CAP, _fit, add, mode_product, numerators, scale
 from quasicause.wires import extension, ravel_index, unravel_index
 
 from tests.helpers import (
@@ -46,6 +46,7 @@ from tests.helpers import (
     fraction_compose_seq,
     fraction_convex_mix,
     fraction_max_abs_diff,
+    fraction_mode_product,
     fraction_scale,
 )
 
@@ -499,6 +500,45 @@ def test_integer_kernels_match_the_fraction_oracle(
     assert_same_number(max_abs_diff(fg, fg), fraction_max_abs_diff(fg.matrix, fg.matrix))
     uv = compose_seq(u, v)
     assert_same_number(uv.as_scalar(), fraction_compose_seq(u.matrix, v.matrix)[0, 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    rows=st.integers(1, 3),
+    magnitude=st.sampled_from(sorted(NUMERATORS)),
+    denominators=st.tuples(*[st.sampled_from(sorted(DENOMINATORS))] * 2),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_integer_mode_product_matches_the_fraction_oracle(
+    shape, rows, magnitude, denominators, data, seed
+):
+    """mode_product on (numerators, denominator) pairs equals the Fraction
+    mode product on every axis, over den 1 and large denominators; it runs
+    in int64 exactly when max|a| max|b| k < 2^63 (numerators near 2^62 take
+    Python ints), and beside a binary64 operand it is that product's
+    binary64 result, bit for bit."""
+    rng = np.random.default_rng(seed)
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    dens = [DENOMINATORS[d](rng) for d in denominators]
+    nums = [
+        np.array([NUMERATORS[magnitude](rng) for _ in range(math.prod(dims))], dtype=object).reshape(dims)
+        for dims in (shape, (rows, shape[axis]))
+    ]
+    (_, td), (_, ad) = pairs = [(_fit(n), d) for n, d in zip(nums, dens)]
+    views = [np.vectorize(lambda n, d=d: F(n, d), otypes=[object])(n) for n, d in zip(nums, dens)]
+
+    num, den = mode_product(*pairs, axis)
+    want = fraction_mode_product(*views, axis)
+    assert den == td * ad and num.shape == want.shape
+    assert [F(int(n), den) for n in num.flat] == list(want.flat)
+    bound = math.prod(max(abs(x) for x in n.flat) for n in nums) * shape[axis]
+    assert (num.dtype == np.int64) == (bound < 2 ** 63)
+
+    floats = rng.normal(size=shape)
+    got = mode_product(floats, pairs[1], axis)
+    assert got.tobytes() == fraction_mode_product(floats, views[1], axis).tobytes()
 
 
 def test_processes_compare_by_identity_and_hash_without_a_view():

@@ -44,6 +44,7 @@ QUBIT = quantum(2)
 
 from tests.helpers import (
     hybrid_valid_oracle,
+    instrument_problem_oracle,
     random_cptp_transfer,
     random_stochastic_float,
     random_stochastic_rational,
@@ -207,6 +208,28 @@ def test_frames_of_a_refused_type_raise_on_every_call(kind):
             getattr(STOCH, f"{kind}_frame")(QUBIT)
 
 
+@pytest.mark.parametrize(
+    "theory, t",
+    [(STOCH, BIT), (QUANT, BIT), (QUANT, QUBIT)],
+    ids=["stoch-bit", "quant-bit", "quant-qubit"],
+)
+def test_reference_states_and_discards_are_built_once(theory, t):
+    for kind, fresh in (
+        ("reference_state", type(theory).reference_state.__wrapped__(theory, t)),
+        ("discard", type(theory).discard.__wrapped__(theory, t)),
+    ):
+        first = getattr(theory, kind)(t)
+        assert _entries([first]) == _entries([fresh])
+        assert getattr(theory, kind)(t) is first
+
+
+@pytest.mark.parametrize("kind", ["reference_state", "discard"])
+def test_reference_states_and_discards_of_a_refused_type_raise_on_every_call(kind):
+    for _ in range(2):
+        with pytest.raises(UnknownType):
+            getattr(STOCH, kind)(QUBIT)
+
+
 def test_frame_states_are_valid():
     for theory, t in ((STOCH, classical(3)), (QUANT, QUBIT)):
         for s in theory.state_frame(t):
@@ -353,6 +376,30 @@ def test_instrument_kernel_is_exact_on_rational_classical(ins, outs, forgery, se
     assert (instrument_problem(p) is None) == stochastic
     assert stoch_valid(p) == STOCH.valid(p) == stochastic
     assert stochastic == (forgery is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ins=st.lists(st.sampled_from([BIT, TRIT]), max_size=2),
+    outs=st.lists(st.sampled_from([BIT, TRIT]), max_size=2),
+    grain=st.sampled_from([60, 2 ** 40, 2 ** 62]),
+    negatives=st.integers(0, 2),
+    off=st.integers(-2, 2),
+    tol=st.sampled_from([None, F(1, 100), 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rational_instrument_test_matches_the_entry_oracle(ins, outs, grain, negatives, off, tol, seed):
+    """On rational classical processes, with negative entries and a column
+    off by off/n, the test on numerators gives the entry oracle's verdict
+    and its message, character for character."""
+    rng = np.random.default_rng(seed)
+    n_out, n_in = sig(*outs).dim, sig(*ins).dim
+    m = random_stochastic_rational(rng, n_out, n_in, grain)
+    for _ in range(negatives):
+        m[int(rng.integers(n_out)), int(rng.integers(n_in))] = -F(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+    m[int(rng.integers(n_out)), int(rng.integers(n_in))] += F(off, n_out)
+    p = process(m, sig(*ins), sig(*outs))
+    assert instrument_problem(p, tol) == instrument_problem_oracle(p, tol)
 
 
 @pytest.mark.parametrize("ins, outs", [
