@@ -22,10 +22,8 @@ The generated candidates come from one kernel per leg of a registered
 channel: the leg functionals e · eta_leg · (s ⊗ ·), over the leg's probe
 states s and effects e, as the rows of one matrix on the ancilla. An
 ancilla's effect candidates are its own leg's rows; its state candidates are
-xi's coefficient tensor mode-multiplied by every other leg's matrix. Every
-contraction is a ``procs.mode_product``, on integer numerators when all its
-operands are rational. No candidate diagram is evaluated; each candidate
-keeps the term that names it.
+xi's coefficient tensor mode-multiplied by every other leg's matrix. No
+candidate diagram is evaluated; each candidate keeps the term that names it.
 
 The theory object is single-writer during register calls and read-shared
 afterwards. Queries are not pure reads: spans, leg kernels and the S and E
@@ -337,9 +335,8 @@ def _stack(t: SystemType, kind: str, procs: Sequence[LinearProcess]) -> LinearPr
 
 
 def _operands(*procs: LinearProcess) -> List[Operand]:
-    """``procs`` as ``mode_product`` operands in one arithmetic: their
-    integer forms when every process is rational, binary64 matrices
-    otherwise."""
+    """``procs`` as ``mode_product`` operands in one arithmetic: integer forms
+    when every process is rational, binary64 matrices otherwise."""
     if all(p.arithmetic == RATIONAL for p in procs):
         return [numerators(p) for p in procs]
     return [p.to_float().matrix for p in procs]

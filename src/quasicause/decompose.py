@@ -19,18 +19,14 @@ a quasi-state on one fresh branded ancilla per wing, ancilla i of carrier
 |F_i|, and one controlled frame ``eta_i`` per wing applies member j when its
 ancilla reads j. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the
 channel; recontraction is the Tucker product of ``xi`` with the member
-matrices, one ``procs.mode_product`` per wing. In rational mode every
-contraction runs on integer numerators over one denominator: ``Fraction``s
-appear only in ``QuasiMixture.coefficients`` and the realization built
-from it, and in an exact residual, max |numerator gap| / denominator.
+matrices, one ``procs.mode_product`` per wing (on numerators when exact).
 
 A wing's frame depends only on the theory and the wing's (input, output)
 types, never on the channel: ``local_channel_frame`` builds it once per
 (theory, in, out) and every later call, for any channel, shares that one
 object. Frames are immutable, and what is derived from one (its member
-matrix, ``retained``, duals, LP rows and the validity of its controlled
-frame, and the integer forms of its matrix and exact dual) is computed once
-per frame and kept as read-only arrays.
+matrix and its integer form, ``retained``, duals, LP rows and the validity
+of its controlled frame) is computed once per frame and kept read-only.
 
 Only the min-negativity mode needs an LP solver. scipy loads on the first
 min-negativity solve, inside ``_min_negativity_coefficients``, and nowhere
@@ -149,8 +145,7 @@ class WingFrame:
         return _to_ints(self._matrix), _to_ints(self._exact_dual)
 
     def operands(self, as_float: bool = False) -> Tuple[Operand, Operand]:
-        """``matrix()`` and ``dual()`` as ``mode_product`` operands: an exact
-        frame's integer forms (num, den), or the binary64 arrays."""
+        """``matrix()`` and ``dual()`` as ``mode_product`` operands (integer forms if exact)."""
         return (self._float_matrix, self._float_dual) if as_float else self._ints
 
     @cached_property
@@ -332,8 +327,7 @@ def default_frames(channel: MultipartiteChannel) -> Tuple[WingFrame, ...]:
 
 
 def _wing_major_tensor(channel: MultipartiteChannel) -> Operand:
-    """The body as a ``mode_product`` operand (numerators over their
-    denominator when rational) with axis i over wing i's (out, in) pairs."""
+    """``channel.wing_operand`` with axis i over wing i's (out, in) pairs."""
     shape = tuple(o.vdim * i.vdim for i, o in channel.wings)
     return _apply(channel.wing_operand, lambda t: np.transpose(t, interleave(channel.m)).reshape(shape))
 
@@ -410,8 +404,7 @@ def decompose_quasimixture(
 
 def _min_norm_coefficients(channel, frames, exact_mode) -> Operand:
     """Unique affine solution over the retained (independent) sub-frames,
-    scattered back into the full frame-shaped tensor: numerators over one
-    denominator in exact mode."""
+    scattered back into the full frame-shaped tensor (an operand)."""
     tensor = _wing_major_tensor(channel)
     for axis, frame in enumerate(frames):
         tensor = mode_product(tensor, frame.operands(as_float=not exact_mode)[1], axis)
@@ -437,6 +430,7 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
     scipy is imported here, on the first min-negativity solve, and nowhere
     else in the package: a process that solves no LP never loads it.
     """
+    from scipy.linalg import qr
     from scipy.optimize import linprog
 
     a, a_eq = _lp_matrices(frames)
@@ -449,26 +443,25 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
     coeffs = res.x[:n] - res.x[n:]
     # polish: least-squares refit on the LP support tightens the equality
     # constraints to machine precision without changing the support. At a
-    # degenerate vertex (support of rank below the row count) b may miss the
-    # support's span, so the refit on a square basis holding the support is
-    # tried too, and the better fit kept
+    # degenerate vertex (support rank below the row count) it can miss b; then
+    # the support is completed to a square basis, by pivoted QRs of the
+    # support and of the other columns projected off its span, and refit
+    def refit(cols):
+        x = np.zeros(n)
+        x[cols], _, rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
+        return x, rank
+
     def misfit(x):
         return np.abs(a @ x - b).max()
-
-    def refit(cols):
-        sol, _, rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
-        x = np.zeros(n)
-        x[cols] = sol
-        return x, rank
 
     support = np.flatnonzero(np.abs(coeffs) > 1e-10)
     if support.size:
         polished, rank = refit(support)
-        if rank < len(b):  # add the columns that raise the rank, leftmost-first
-            basis: List[int] = []
-            for j in [*support, *np.setdiff1d(np.arange(n), support)]:
-                if len(basis) < len(b) and np.linalg.matrix_rank(a[:, basis + [j]]) > len(basis):
-                    basis.append(j)
+        if rank < len(b) and misfit(polished) > effective_tol(FLOAT64):
+            q, _, kept = qr(a[:, support], mode="economic", pivoting=True)
+            q, rest = q[:, :rank], np.setdiff1d(np.arange(n), support)
+            _, added = qr(a[:, rest] - q @ (q.T @ a[:, rest]), mode="r", pivoting=True)
+            basis = np.concatenate([support[kept[:rank]], rest[added[:len(b) - rank]]])
             polished = min(polished, refit(basis)[0], key=misfit)
         if misfit(polished) <= misfit(coeffs) + 1e-12:
             coeffs = polished

@@ -62,8 +62,7 @@ class MultipartiteChannel:
     @property
     def wing_operand(self) -> Operand:
         """The body with one axis per wire, (out_1..out_m, in_1..in_m), as a
-        ``procs.mode_product`` operand: a rational body's cached numerators
-        (``procs.numerators``) over their denominator, or the binary64 matrix."""
+        ``procs.mode_product`` operand: cached numerators, or binary64."""
         return _operand(self.body, self.body.outputs.dims + self.body.inputs.dims)
 
 

@@ -9,19 +9,17 @@ made; they are never read off a matrix.
 
 A rational process is computed on as an integer numerator array over one
 positive common denominator, kept canonical (the gcd of every numerator and
-the denominator is 1). Composition, Kronecker products, mode products,
-sums, scalings, mixtures and comparisons are numpy integer kernels on those
+the denominator is 1). Composition, Kronecker and mode products, sums,
+scalings, mixtures and comparisons are numpy integer kernels on those
 numerators: int64 where a bound on the operands' magnitudes proves that
 nothing overflows, object arrays of Python ints otherwise, and never a
-per-entry ``gcd``; ``mode_product``'s rational operands are bare
-``(numerators, denominator)`` pairs. ``Fraction`` entries exist only in the
-``.matrix`` view (an object array of ints and ``Fraction``), which a
-composition result builds on its first read; a process made by the public
-constructor computes its integer form once, when it is first composed, and
-keeps it. Promotion to binary64 divides numerators by the denominator,
-which gives ``float(Fraction)`` bit for bit: both values are exact in
-binary64 up to 2^53, so the division is correctly rounded, and larger ones
-are divided as Python ints.
+per-entry ``gcd``. ``Fraction`` entries exist only in the ``.matrix`` view
+(an object array), which a composition result builds on its first read; a
+process made by the public constructor computes its integer form once, when
+it is first composed, and keeps it. Promotion to binary64 divides numerators
+by the denominator, which gives ``float(Fraction)`` bit for bit: both values
+are exact in binary64 up to 2^53, so the division is correctly rounded, and
+larger ones are divided as Python ints.
 
 Wire shuffles and identities are bijections of the basis points: 0/1
 matrices with exactly one 1 in each row and each column. Those built by
@@ -183,7 +181,7 @@ class LinearProcess:
     def to_float(self) -> "LinearProcess":
         if self.arithmetic == FLOAT64:
             return self
-        return _trusted(self.inputs, self.outputs, _floats(self))
+        return _trusted(self.inputs, self.outputs, _float_of(_ints(self)))
 
     def __repr__(self):
         return (
@@ -304,20 +302,14 @@ def _float_of(x: Operand) -> np.ndarray:
 
 
 def _apply(x: Operand, f: Callable[[np.ndarray], np.ndarray]) -> Operand:
-    """``f`` (a reshape or transpose) applied to an operand's array: a
-    rational operand's numerators, over the same denominator."""
+    """``f`` (a reshape or transpose) on an operand's array (a rational one's numerators)."""
     return (f(x[0]), x[1]) if isinstance(x, tuple) else f(x)
 
 
 def _operand(p: LinearProcess, shape=None) -> Operand:
-    """A rational process's integer form or a binary64 process's matrix,
-    reshaped (C order) to ``shape`` when one is given."""
+    """A process's integer form or binary64 matrix, reshaped to ``shape`` if given."""
     x = _ints(p) if p.arithmetic == RATIONAL else p.matrix
     return x if shape is None else _apply(x, lambda a: a.reshape(shape))
-
-
-def _floats(p: LinearProcess) -> np.ndarray:
-    return _float_of(_operand(p))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,15 +317,11 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _int64_safe(a: np.ndarray, b: np.ndarray, terms: int = 1) -> bool:
-    """Whether sums of ``terms`` products a_i * b_j fit in int64."""
-    return object not in (a.dtype, b.dtype) and _amax(a) * _amax(b) * terms < _INT64_LIMIT
-
-
-def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _int64_safe(a, b, a.shape[1]):
-        return _matmul(a, b)
-    return _matmul(a.astype(object), b.astype(object))
+def _widened(a: np.ndarray, b: np.ndarray, terms: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b``, as Python ints unless sums of ``terms`` products a_i b_j fit in int64."""
+    if object not in (a.dtype, b.dtype) and _amax(a) * _amax(b) * terms < _INT64_LIMIT:
+        return a, b
+    return a.astype(object), b.astype(object)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,12 +330,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (ar, ac), (br, bc) = a.shape, b.shape
     _check_cap(ar * br, ac * bc, "Kronecker product")
     return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(ar * br, ac * bc)
-
-
-def _int_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _int64_safe(a, b):
-        return _kron(a, b)
-    return _kron(a.astype(object), b.astype(object))
 
 
 def _lincomb(terms) -> Ints:
@@ -377,23 +359,19 @@ def numerators(p: LinearProcess) -> Ints:
 
 def mode_product(tensor: Operand, matrix: Operand, axis: int) -> Operand:
     """Multiply ``matrix`` into one axis of ``tensor``: that axis's length
-    becomes matrix.shape[0]. Each operand is a binary64 array or a rational
-    one's ``(numerators, denominator)`` pair. Two rational operands give the
-    pair ``(num, den_tensor * den_matrix)``, contracted in int64 where
-    ``_int64_safe`` proves it exact and on Python ints otherwise; the result
-    is binary64 if either operand is."""
+    becomes matrix.shape[0]. Two rational operands give ``(num, den_t * den_m)``,
+    in int64 where ``_widened`` proves it exact, else on Python ints; the
+    result is binary64 if either operand is."""
     if isinstance(tensor, tuple) and isinstance(matrix, tuple):
         (tn, td), (mn, md) = tensor, matrix
-        if not _int64_safe(tn, mn, mn.shape[1]):
-            tn, mn = tn.astype(object), mn.astype(object)
+        tn, mn = _widened(tn, mn, mn.shape[1])
         return np.moveaxis(np.tensordot(mn, tn, axes=([1], [axis])), 0, axis), td * md
     moved = np.tensordot(_float_of(matrix), _float_of(tensor), axes=([1], [axis]))
     return np.moveaxis(moved, 0, axis)
 
 
 def max_gap(a: Operand, b: Operand) -> Number:
-    """Entrywise max |a - b| of two operands of one shape: a ``Fraction``
-    when both are rational, binary64 otherwise."""
+    """Entrywise max |a - b| of two operands: a ``Fraction`` when both are rational."""
     if isinstance(a, tuple) and isinstance(b, tuple):
         diff, den = _lincomb([(1, a), (-1, b)])
         return Fraction(_amax(diff), den)
@@ -484,8 +462,8 @@ def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
         return _trusted(f.inputs, g.outputs, g.matrix[:, f._rows])
     if f.arithmetic == g.arithmetic == RATIONAL:
         (fn, fd), (gn, gd) = _ints(f), _ints(g)
-        return _exact(f.inputs, g.outputs, _int_matmul(gn, fn), fd * gd)
-    return _trusted(f.inputs, g.outputs, _matmul(_floats(g), _floats(f)))
+        return _exact(f.inputs, g.outputs, _matmul(*_widened(gn, fn, fn.shape[0])), fd * gd)
+    return _trusted(f.inputs, g.outputs, _matmul(_float_of(_operand(g)), _float_of(_operand(f))))
 
 
 def _kron_indexed(left: bool, index: LinearProcess, dense: np.ndarray) -> np.ndarray:
@@ -522,8 +500,8 @@ def compose_par(f: LinearProcess, g: LinearProcess) -> LinearProcess:
         return _trusted(inputs, outputs, _kron_indexed(left, index, other.matrix))
     if f.arithmetic == g.arithmetic == RATIONAL:
         (fn, fd), (gn, gd) = _ints(f), _ints(g)
-        return _exact(inputs, outputs, _int_kron(fn, gn), fd * gd)
-    return _trusted(inputs, outputs, _kron(_floats(f), _floats(g)))
+        return _exact(inputs, outputs, _kron(*_widened(fn, gn)), fd * gd)
+    return _trusted(inputs, outputs, _kron(_float_of(_operand(f)), _float_of(_operand(g))))
 
 
 def convex_mix(p: Number, f: LinearProcess, g: LinearProcess) -> LinearProcess:
@@ -535,8 +513,8 @@ def convex_mix(p: Number, f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f.arithmetic == g.arithmetic == RATIONAL and not isinstance(p, float):
         p = _as_rational(p)
         return _exact(f.inputs, f.outputs, *_lincomb([(p, _ints(f)), (1 - p, _ints(g))]))
-    p = float(p)
-    return LinearProcess(f.inputs, f.outputs, p * _floats(f) + (1 - p) * _floats(g))
+    p, fm, gm = float(p), _float_of(_operand(f)), _float_of(_operand(g))
+    return LinearProcess(f.inputs, f.outputs, p * fm + (1 - p) * gm)
 
 
 def permutation(signature: Signature, order: Sequence[int]) -> LinearProcess:
@@ -577,7 +555,7 @@ def scale(c: Number, f: LinearProcess) -> LinearProcess:
     """Scalar multiple of a process (quasi-state and affine bookkeeping)."""
     if f.arithmetic == RATIONAL and not isinstance(c, float):
         return _exact(f.inputs, f.outputs, *_lincomb([(_as_rational(c), _ints(f))]))
-    return LinearProcess(f.inputs, f.outputs, float(c) * _floats(f))
+    return LinearProcess(f.inputs, f.outputs, float(c) * _float_of(_operand(f)))
 
 
 def add(f: LinearProcess, g: LinearProcess) -> LinearProcess:
@@ -585,7 +563,7 @@ def add(f: LinearProcess, g: LinearProcess) -> LinearProcess:
         raise TypeMismatch("sum needs identical signatures")
     if f.arithmetic == g.arithmetic == RATIONAL:
         return _exact(f.inputs, f.outputs, *_lincomb([(1, _ints(f)), (1, _ints(g))]))
-    return _trusted(f.inputs, f.outputs, _floats(f) + _floats(g))
+    return _trusted(f.inputs, f.outputs, _float_of(_operand(f)) + _float_of(_operand(g)))
 
 
 def effective_tol(arithmetic: str, tol=None) -> Number:

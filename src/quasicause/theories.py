@@ -193,8 +193,7 @@ def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optiona
     The tolerance is ``procs.effective_tol`` of the process's arithmetic with
     no quantum wire (0 for rationals: the check is exact) and of binary64
     with one (the Choi spectrum is computed in floats). Every comparison
-    fails closed, so a NaN entry is never valid. With no quantum wire a
-    rational process is read as its numerators over their denominator.
+    fails closed, so a NaN entry is never valid.
     """
     n_out = len(p.outputs)
     wires = tuple(p.outputs) + tuple(p.inputs)
@@ -211,14 +210,13 @@ def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optiona
     cout, cin, qout, qin = axes(False, False), axes(False, True), axes(True, False), axes(True, True)
     quantum = bool(qout or qin)
     eps = effective_tol(FLOAT64 if quantum else p.arithmetic, tol)
-    if not quantum and p.arithmetic == RATIONAL:
+    if not quantum and p.arithmetic == RATIONAL:  # 1x1 blocks, read on the numerators
         num, den = numerators(p)
         low = Fraction(int(num.min()), den)
         if not low >= -eps:
             return f"is not completely positive (lowest Choi eigenvalue {low})"
-        if _amax(num) * len(num) + den >= _INT64_LIMIT:
-            num = num.astype(object)
-        gap = Fraction(_amax(num.sum(axis=0) - den), den)
+        safe = _amax(num) * len(num) + den < _INT64_LIMIT  # the column sums fit in int64
+        gap = Fraction(_amax(num.sum(axis=0, dtype=None if safe else object) - den), den)
         if not gap <= eps:
             return f"is not discard-preserving (gap {gap})"
         return None
@@ -300,15 +298,13 @@ class Theory:
 
     @lru_cache(maxsize=None)
     def discard(self, t: SystemType) -> LinearProcess:
-        """``discard_row``, built once per (theory, type) and shared; a
-        refused type raises on every call."""
+        """``discard_row``, once per (theory, type); a refused type raises on every call."""
         self._require(t)
         return discard_row(t)
 
     @lru_cache(maxsize=None)
     def reference_state(self, t: SystemType) -> LinearProcess:
-        """Uniform distribution / maximally mixed state. Built once per
-        (theory, type) and shared; a refused type raises on every call."""
+        """Uniform distribution / maximally mixed state; cached like ``discard``."""
         self._require(t)
         if t.kind == CLASSICAL:
             return state([Fraction(1, t.vdim)] * t.vdim, t)

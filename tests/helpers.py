@@ -45,6 +45,7 @@ from quasicause.procs import (
     RATIONAL,
     LinearProcess,
     _as_rational,
+    _float_of,
     compose_par,
     compose_seq,
     effective_tol,
@@ -501,7 +502,7 @@ def min_negativity_oracle(channel, frames) -> np.ndarray:
     a = np.array([[1.0]])
     for frame in frames:
         a = np.kron(a, frame.matrix(as_float=True))
-    b = _wing_major_tensor(channel).astype(float).reshape(-1)
+    b = _float_of(_wing_major_tensor(channel)).reshape(-1)
     n = a.shape[1]
     a_eq = np.block([[a, -a], [np.ones((1, n)), -np.ones((1, n))]])
     b_eq = np.concatenate([b, [1.0]])
