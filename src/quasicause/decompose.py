@@ -28,15 +28,17 @@ object. Frames are immutable, and what is derived from one (its member
 matrix and its integer form, ``retained``, duals, LP rows and the validity
 of its controlled frame) is computed once per frame and kept read-only.
 
-Only the min-negativity mode needs an LP solver. scipy loads on the first
-min-negativity solve, inside ``_min_negativity_coefficients``, and nowhere
-else: importing this module, the min-norm mode, realization and
+Only the min-negativity mode needs an LP solver. scipy, ``scipy.sparse``
+included, loads on the first min-negativity solve, inside
+``_min_negativity_coefficients`` and the sparse LP system it builds, and
+nowhere else: importing this module, the min-norm mode, realization and
 verification never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
 from typing import List, Optional, Sequence, Tuple
@@ -52,14 +54,20 @@ from .errors import (
 )
 from .nonsignalling import MultipartiteChannel, NSReport, check_nonsignalling
 from .procs import (
+    _INT64_LIMIT,
     FLOAT64,
     RATIONAL,
+    Ints,
     LinearProcess,
     Operand,
+    _amax,
     _apply,
+    _bare,
+    _canonical,
     _float_of,
     _fractions,
     _freeze,
+    _made,
     _operand,
     _to_ints,
     add,
@@ -192,7 +200,9 @@ class QuasiMixture:
     j_i of each wing's frame. Read-only; ints and ``Fraction``s in rational
     mode, binary64 otherwise. ``build_realization`` makes it ``xi``, and
     ``terms``, (coefficient, index tuple) pairs, are its nonzero entries in
-    C order."""
+    C order. A rational mixture also keeps its integer form (numerators
+    over one denominator), from which ``coefficient_sum`` and the
+    realization's ``xi`` are made with no ``Fraction`` arithmetic."""
 
     coefficients: np.ndarray
     residual: object
@@ -205,9 +215,29 @@ class QuasiMixture:
     def terms(self) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
         return nonzero_entries(self.coefficients)
 
+    @classmethod
+    def rational(cls, num: np.ndarray, den: int, residual, mode: str) -> "QuasiMixture":
+        """The rational mixture of coefficients num / den, keeping their
+        canonical integer form."""
+        qm = cls(_fractions(num, den), residual, mode)
+        num, den = _canonical(num, den)
+        vars(qm)["_ints"] = (_freeze(num), den)
+        return qm
+
+    @cached_property
+    def _ints(self) -> Ints:
+        """The integer form of rational coefficients: set by ``rational``,
+        derived from the ``Fraction``s only for a mixture made by hand."""
+        num, den = _to_ints(self.coefficients)
+        return _freeze(num), den
+
     @property
     def coefficient_sum(self):
-        return sum(c for c, _ in self.terms)
+        if self.coefficients.dtype != object:
+            return sum(c for c, _ in self.terms)
+        num, den = self._ints
+        wide = _amax(num) * num.size >= _INT64_LIMIT
+        return Fraction(int(num.sum(dtype=object if wide else None)), den)
 
     def min_coefficient(self):
         return min(c for c, _ in self.terms)
@@ -399,7 +429,9 @@ def decompose_quasimixture(
         raise ResidualTooLarge(
             f"reconstruction residual {residual} exceeds tolerance {tolerance}"
         )
-    return QuasiMixture(_fractions(*coeffs) if exact_mode else coeffs, residual, mode)
+    if exact_mode:
+        return QuasiMixture.rational(*coeffs, residual, mode)
+    return QuasiMixture(coeffs, residual, mode)
 
 
 def _min_norm_coefficients(channel, frames, exact_mode) -> Operand:
@@ -427,40 +459,65 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
     body that the frames cannot reach, or a float body that is only nearly
     consistent, is caught by the full-body residual check after it.
 
-    scipy is imported here, on the first min-negativity solve, and nowhere
-    else in the package: a process that solves no LP never loads it.
+    HiGHS solves it through ``scipy.optimize.milp`` with no integrality
+    and presolve off: the LP ``linprog`` would hand it, but fed the prebuilt
+    sparse system of ``_lp_matrices`` as it is, with no per-call conversion
+    of a dense matrix and no presolve. The solution is then polished on its
+    support: re-solved by LU when the support is a square nonsingular basis
+    (the usual vertex), by least squares otherwise.
+
+    scipy (``scipy.sparse`` too, in ``_lp_matrices``) is imported here, on
+    the first min-negativity solve, and nowhere else in the package: a
+    process that solves no LP never loads it.
     """
     from scipy.linalg import qr
-    from scipy.optimize import linprog
+    from scipy.optimize import LinearConstraint, milp
 
     a, a_eq = _lp_matrices(frames)
     rows = [frame.lp_rows for frame in frames]
     b = _float_of(_wing_major_tensor(channel))[np.ix_(*rows)].reshape(-1)
     n = a.shape[1]
-    res = linprog(np.ones(2 * n), A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+    # milp passes the matrix's index arrays on to its HiGHS wrapper
+    # uncopied; a writeable copy keeps any wrapper from refusing, or writing
+    # to, the cached read-only system (0.04 ms at m = 4)
+    res = milp(np.ones(2 * n), constraints=LinearConstraint(a_eq.copy(), b, b),
+               options={"presolve": False})
     if not res.success:
         raise ResidualTooLarge(f"negativity LP failed: {res.message}")
     coeffs = res.x[:n] - res.x[n:]
-    # polish: least-squares refit on the LP support tightens the equality
-    # constraints to machine precision without changing the support. At a
-    # degenerate vertex (support rank below the row count) it can miss b; then
-    # the support is completed to a square basis, by pivoted QRs of the
-    # support and of the other columns projected off its span, and refit
-    def refit(cols):
-        x = np.zeros(n)
-        x[cols], _, rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
-        return x, rank
+    tol = effective_tol(FLOAT64)
 
     def misfit(x):
         return np.abs(a @ x - b).max()
 
+    # polish: a refit on the LP support tightens the equality constraints to
+    # machine precision without changing the support. A square support is
+    # re-solved by LU, kept if it meets the rows within tol; any other by
+    # least squares, and at a degenerate vertex (support rank below the row
+    # count) that can miss b; then the support is completed to a square
+    # basis, by pivoted QRs of the support and of the other columns projected
+    # off its span, and refit. Only the columns read are made dense
+    def refit(cols):
+        x, sub = np.zeros(n), a[:, cols].toarray()
+        if len(cols) == len(b):
+            try:
+                x[cols] = np.linalg.solve(sub, b)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if misfit(x) <= tol:
+                    return x, len(b)
+        x[cols], _, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
+        return x, rank
+
     support = np.flatnonzero(np.abs(coeffs) > 1e-10)
     if support.size:
         polished, rank = refit(support)
-        if rank < len(b) and misfit(polished) > effective_tol(FLOAT64):
-            q, _, kept = qr(a[:, support], mode="economic", pivoting=True)
+        if rank < len(b) and misfit(polished) > tol:
+            q, _, kept = qr(a[:, support].toarray(), mode="economic", pivoting=True)
             q, rest = q[:, :rank], np.setdiff1d(np.arange(n), support)
-            _, added = qr(a[:, rest] - q @ (q.T @ a[:, rest]), mode="r", pivoting=True)
+            others = a[:, rest].toarray()
+            _, added = qr(others - q @ (q.T @ others), mode="r", pivoting=True)
             basis = np.concatenate([support[kept[:rank]], rest[added[:len(b) - rank]]])
             polished = min(polished, refit(basis)[0], key=misfit)
         if misfit(polished) <= misfit(coeffs) + 1e-12:
@@ -469,14 +526,23 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _lp_matrices(frames: Tuple[WingFrame, ...]) -> Tuple[np.ndarray, np.ndarray]:
+def _lp_matrices(frames: Tuple[WingFrame, ...]) -> tuple:
     """The LP's product of each frame's independent rows, ``a``, and its
     equality matrix [a, -a]: c = x[:n] - x[n:] with x >= 0, so sum(x) is
-    sum |c| at the optimum. Kept for the last few frame tuples."""
-    a = np.array([[1.0]])
+    sum |c| at the optimum. Both are CSC matrices built by
+    ``scipy.sparse.kron`` of the frames' rows, so no dense product is ever
+    made, with read-only ``data``, ``indices`` and ``indptr``. Kept for the
+    last few frame tuples."""
+    from scipy.sparse import csc_array, hstack, kron
+
+    a = csc_array(np.ones((1, 1)))
     for frame in frames:
-        a = np.kron(a, frame.matrix(as_float=True)[list(frame.lp_rows)])
-    return _freeze(a), _freeze(np.hstack([a, -a]))
+        a = kron(a, csc_array(frame.matrix(as_float=True)[list(frame.lp_rows)]), format="csc")
+    a_eq = hstack([a, -a], format="csc")
+    for matrix in (a, a_eq):
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
+            _freeze(arr)
+    return a, a_eq
 
 
 def _pruned(coeffs: np.ndarray) -> np.ndarray:
@@ -557,13 +623,18 @@ def build_realization(
         problem = frame.eta_problem(as_float=not exact_mode)
         if problem:
             raise ResidualTooLarge(f"eta for wing {i + 1} {problem}")
-        mat = frame.matrix(as_float=not exact_mode).reshape(w_out.vdim, -1)
-        etas.append(LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat))
+        member_matrix = frame.operands(as_float=not exact_mode)[0]
+        etas.append(_made(sig(w_in, ancillas[i]), sig(w_out), member_matrix))
 
     total = qm.coefficient_sum
     if not (total == 1 if exact_mode else abs(total - 1) <= effective_tol(FLOAT64)):
         raise ResidualTooLarge(f"coefficients sum to {total}, not 1")
-    xi = LinearProcess(EMPTY, Signature(ancillas), core.reshape(-1, 1))
+    if exact_mode:  # both forms are at hand, so neither is derived again
+        num, den = qm._ints
+        xi = _bare(EMPTY, Signature(ancillas), RATIONAL,
+                   matrix=core.reshape(-1, 1), _ints=(num.reshape(-1, 1), den))
+    else:
+        xi = LinearProcess(EMPTY, Signature(ancillas), core.reshape(-1, 1))
     return CommonCauseRealization(channel_id, ancillas, xi, tuple(etas), brands)
 
 

@@ -43,6 +43,7 @@ from .procs import (
     RATIONAL,
     LinearProcess,
     _amax,
+    _freeze,
     effect,
     effective_tol,
     numerators,
@@ -180,6 +181,14 @@ def discard_effect(signature: Signature) -> LinearProcess:
     return out
 
 
+@lru_cache(maxsize=None)
+def _discard_vector(signature: Signature) -> np.ndarray:
+    """``discard_effect(signature)``'s row in binary64, read-only, built once
+    per signature. ``instrument_problem`` asks only for its quantum wire
+    groups (most often the empty one), so few signatures are kept."""
+    return _freeze(discard_effect(signature).matrix[0].astype(float))
+
+
 def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optional[str]:
     """Why ``p`` is not a valid instrument, or None when it is one.
 
@@ -238,8 +247,7 @@ def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optiona
         return f"is not completely positive (lowest Choi eigenvalue {low})"
 
     u_out, u_in = (
-        discard_effect(Signature(tuple(wires[i] for i in group))).matrix[0].astype(matrix.dtype)
-        for group in (qout, qin)
+        _discard_vector(Signature(tuple(wires[i] for i in group))) for group in (qout, qin)
     )
     gap = abs(np.tensordot(u_out, blocks.sum(axis=0), axes=(0, 1)) - u_in).max()
     if not gap <= eps:

@@ -11,6 +11,7 @@ from itertools import product
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import qr as scipy_qr
 from scipy.optimize import linprog
 
 from quasicause.assemblages import Assemblage
@@ -517,6 +518,44 @@ def min_negativity_oracle(channel, frames) -> np.ndarray:
         if np.abs(a @ polished - b).max() <= np.abs(a @ coeffs - b).max() + 1e-12:
             coeffs = polished
     return coeffs
+
+
+def dense_lp_oracle(channel, frames) -> np.ndarray:
+    """The min-negativity LP on each wing's independent rows, solved the
+    dense way: ``linprog`` on the dense [a, -a] with presolve, then a
+    least-squares refit on the support, completed to a square basis by
+    pivoted QRs when that refit misses the rows at a degenerate vertex."""
+    a = np.array([[1.0]])
+    for frame in frames:
+        a = np.kron(a, frame.matrix(as_float=True)[list(frame.lp_rows)])
+    rows = [frame.lp_rows for frame in frames]
+    b = _float_of(_wing_major_tensor(channel))[np.ix_(*rows)].reshape(-1)
+    n = a.shape[1]
+    res = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    coeffs = res.x[:n] - res.x[n:]
+
+    def refit(cols):
+        x = np.zeros(n)
+        x[cols], _, rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
+        return x, rank
+
+    def misfit(x):
+        return np.abs(a @ x - b).max()
+
+    support = np.flatnonzero(np.abs(coeffs) > 1e-10)
+    if support.size:
+        polished, rank = refit(support)
+        if rank < len(b) and misfit(polished) > effective_tol("float64"):
+            q, _, kept = scipy_qr(a[:, support], mode="economic", pivoting=True)
+            q, rest = q[:, :rank], np.setdiff1d(np.arange(n), support)
+            _, added = scipy_qr(a[:, rest] - q @ (q.T @ a[:, rest]), mode="r", pivoting=True)
+            basis = np.concatenate([support[kept[:rank]], rest[added[:len(b) - rank]]])
+            polished = min(polished, refit(basis)[0], key=misfit)
+        if misfit(polished) <= misfit(coeffs) + 1e-12:
+            coeffs = polished
+    return coeffs.reshape(tuple(len(f) for f in frames))
 
 
 def fresh_frame_data(frame: WingFrame) -> Dict[str, object]:

@@ -1,6 +1,7 @@
 """Quasi-mixture decomposition, realization packaging, and verification."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -10,7 +11,7 @@ import pytest
 import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, milp
 
 from perfbench import gen
 from quasicause import (
@@ -24,6 +25,7 @@ from quasicause import (
     identity,
     permutation,
     process,
+    procs,
     quantum,
     sig,
     state,
@@ -50,10 +52,11 @@ from quasicause.nonsignalling import (
     MultipartiteChannel,
     check_nonsignalling,
 )
-from quasicause.procs import LinearProcess, compose_seq, effective_tol, max_abs_diff
+from quasicause.procs import FLOAT64, LinearProcess, compose_seq, effective_tol, max_abs_diff
 from quasicause.theories import discard_effect, hybrid_valid
 from tests.helpers import (
     assemble_common_cause,
+    dense_lp_oracle,
     diagonal_realization,
     fraction_compose_seq,
     fresh_frame_data,
@@ -142,8 +145,12 @@ def test_shared_frame_matches_a_fresh_build(theory, w_in, w_out):
     assert frame.retained == want["retained"]
     assert frame.lp_rows == want["lp_rows"]
     assert np.array_equal(frame.dual(as_float=True), want["float_dual"])
-    kept = [frame.matrix(), frame.matrix(as_float=True), frame.dual(as_float=True),
-            *decompose._lp_matrices((frame, frame))]
+    a, a_eq = decompose._lp_matrices((frame, frame))
+    rows = want["float_matrix"][list(want["lp_rows"])]
+    assert np.array_equal(a.toarray(), np.kron(rows, rows))
+    assert np.array_equal(a_eq.toarray(), np.hstack([a.toarray(), -a.toarray()]))
+    kept = [frame.matrix(), frame.matrix(as_float=True), frame.dual(as_float=True)]
+    kept += [getattr(lp, part) for lp in (a, a_eq) for part in ("data", "indices", "indptr")]
     if frame.exact:
         assert frame.dual().dtype == object
         assert np.array_equal(frame.dual(), want["exact_dual"])
@@ -314,13 +321,17 @@ def _assert_min_negativity_matches_oracle(chan):
 @example(m=3, pr_weight=0.75, push=0.99999, seed=0)  # a degenerate LP vertex
 def test_min_negativity_matches_full_row_oracle(m, pr_weight, push, seed):
     """The LP on each wing's independent rows against the LP on every row
-    of the product frame plus a sum-to-one row: equal negativity. Inputs are
-    the PR box (tensored with a local map at m = 3) mixed with a local box,
+    of the product frame plus a sum-to-one row: equal negativity."""
+    _assert_min_negativity_matches_oracle(_pushed_pr_channel(m, pr_weight, push, seed))
+
+
+def _pushed_pr_channel(m, pr_weight, push, seed):
+    """The PR box (tensored with m - 2 local maps) mixed with a local box,
     then pushed away from a second local box with a negative weight as far
     as the entries stay non-negative times ``push``."""
     rng = np.random.default_rng(seed)
     pr = pr_box().body.matrix.astype(float)
-    if m == 3:
+    for _ in range(m - 2):
         pr = np.kron(pr, random_stochastic_float(rng, 2, 2))
     inner = pr_weight * pr + (1 - pr_weight) * _local_box(rng, m)
     away = _local_box(rng, m)
@@ -328,44 +339,75 @@ def test_min_negativity_matches_full_row_oracle(m, pr_weight, push, seed):
     t = push * (inner[rising] / (away - inner)[rising]).min(initial=1.0)
     # (1 + t) inner - t away, with a negative weight on the second local box
     body = np.clip((1 + t) * inner - t * away, 0, None)
-    _assert_min_negativity_matches_oracle(_binary_channel(body / body.sum(axis=0)))
+    return _binary_channel(body / body.sum(axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 4),
+    pr_weight=st.floats(0, 1),
+    push=st.floats(0, 1),
+    seed=st.integers(0, 2 ** 32 - 1),
+    common_cause=st.booleans(),
+)
+@example(m=3, pr_weight=0.75, push=0.99999, seed=0, common_cause=False)  # a degenerate LP vertex
+def test_sparse_lp_matches_the_dense_linprog_oracle(m, pr_weight, push, seed, common_cause):
+    """HiGHS on the prebuilt sparse system, polished by LU on a square
+    support, against ``linprog`` on the dense one, polished by least squares:
+    the same support, coefficients and negativity within 1e-12. Inputs are
+    pushed PR-box mixtures (negativity > 0) or the benchmark's generated
+    common causes (negativity 0)."""
+    if common_cause:
+        chan = _binary_channel(gen.common_cause(np.random.default_rng(seed), m, exact=False).matrix)
+    else:
+        chan = _pushed_pr_channel(m, pr_weight, push, seed)
+    frames = default_frames(chan)
+    got = decompose._min_negativity_coefficients(chan, frames)
+    want = dense_lp_oracle(chan, frames)
+    assert np.array_equal(np.abs(got) > 1e-10, np.abs(want) > 1e-10)
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(np.maximum(-got, 0).sum() - np.maximum(-want, 0).sum()) <= 1e-12
+    qm = decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
+    assert qm.residual <= effective_tol(FLOAT64)
 
 
 def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
-    """On an exact m = 3 channel the NS check, the min-norm decomposition
-    and verify_realization contract integer numerators: with Fraction's
+    """On an exact m = 3 channel the channel's construction, the NS check,
+    the min-norm decomposition, its coefficient sum, build_realization and
+    verify_realization work on integer numerators: with Fraction's
     multiplication and addition patched to record each call, none is made
-    (frames are built, and the realization packaged, before patching)."""
+    (the frames' data are built before patching). Past the construction,
+    which derives the body's integer form, no Fraction matrix is converted
+    to integers either."""
     rng = np.random.default_rng(5)
     body = sum(
         w * reduce(np.kron, [random_stochastic_rational(rng, 2, 2, grain=12) for _ in range(3)])
         for w in (F(1, 3), F(2, 3))
     )
-    decompose_quasimixture(_binary_channel(body))  # builds the frames' operands
+    warm = _binary_channel(body)
+    build_realization(warm, decompose_quasimixture(warm))  # builds the frames' data
     calls = []
 
-    def spy(name):
-        original = getattr(Fraction, name)
+    def spy(owner, name):
+        original = getattr(owner, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    def patched():
-        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
-            monkeypatch.setattr(Fraction, name, spy(name))
-
-    patched()
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, spy(Fraction, name))
     assert F(1, 2) * F(1, 3) + 1 == F(7, 6) and calls == ["__mul__", "__add__"]
     calls.clear()
     chan = _binary_channel(body)
+    for module in (procs, decompose):
+        monkeypatch.setattr(module, "_to_ints", spy(module, "_to_ints"))
     report = check_nonsignalling(chan)
     qm = decompose_quasimixture(chan, ns_report=report)
-    monkeypatch.undo()
+    total = qm.coefficient_sum
     real = build_realization(chan, qm)
-    patched()
     residual = verify_realization(chan, real)
     monkeypatch.undo()
     assert calls == []
     assert report.max_residual == qm.residual == residual == 0
-    assert qm.coefficient_sum == 1
+    assert total == 1
 
 
 def test_min_negativity_matches_full_row_oracle_on_bb84():
@@ -385,18 +427,33 @@ def test_min_negativity_lp_has_one_row_per_unit_of_rank(build, monkeypatch):
     chan = build()
     shapes = []
 
-    def spy(cost, A_eq, **kwargs):
-        shapes.append(A_eq.shape)
-        return linprog(cost, A_eq=A_eq, **kwargs)
+    def spy(cost, constraints, **kwargs):
+        shapes.append(constraints.A.shape)
+        return milp(cost, constraints=constraints, **kwargs)
 
-    # decompose imports linprog when it solves, so the spy goes on scipy
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    # decompose imports milp when it solves, so the spy goes on scipy
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
     decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
     frames = default_frames(chan)
     ranks = [np.linalg.matrix_rank(f.matrix(as_float=True)) for f in frames]
     assert shapes == [(math.prod(ranks), 2 * math.prod(map(len, frames)))]
     if chan.m == 4:
         assert shapes == [(81, 512)]
+
+
+def test_min_negativity_builds_no_dense_lp_system():
+    """One binary m = 5 min-negativity decomposition, its LP system built
+    afresh, peaks under 4 MiB of traced allocations; the dense 3^5 x 2 * 4^5
+    equality matrix alone would take 3.8 MiB."""
+    chan = _binary_channel(gen.common_cause(np.random.default_rng(7), 5, exact=False).matrix)
+    decompose._lp_matrices.cache_clear()
+    tracemalloc.start()
+    try:
+        decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("mode", [MIN_NORM, MIN_NEGATIVITY])

@@ -223,6 +223,28 @@ def test_reference_states_and_discards_are_built_once(theory, t):
         assert getattr(theory, kind)(t) is first
 
 
+def test_instrument_problem_builds_each_discard_once(monkeypatch):
+    """The discard rows that instrument_problem reads, one per quantum wire
+    group, are built once per signature, equal a fresh build's row in
+    binary64 and are read-only."""
+    theories._discard_vector.cache_clear()
+    fresh = theories.discard_effect
+    built = []
+    monkeypatch.setattr(theories, "discard_effect", lambda s: built.append(s) or fresh(s))
+    qubit_channel = process(np.eye(4), sig(QUBIT), sig(QUBIT), exact=False)
+    bits = process(random_stochastic_float(np.random.default_rng(3), 2, 2), sig(BIT), sig(BIT))
+    for _ in range(3):
+        assert instrument_problem(qubit_channel) is None
+        assert instrument_problem(bits) is None
+    assert sorted(s.dim for s in built) == [1, 4]
+    for s in built:
+        row = theories._discard_vector(s)
+        assert row is theories._discard_vector(s)
+        assert not row.flags.writeable
+        assert row.dtype == np.float64
+        assert np.array_equal(row, fresh(s).matrix[0].astype(float))
+
+
 @pytest.mark.parametrize("kind", ["reference_state", "discard"])
 def test_reference_states_and_discards_of_a_refused_type_raise_on_every_call(kind):
     for _ in range(2):
