@@ -1,4 +1,4 @@
-"""Canonical small channels used by the demo command and throughout tests."""
+"""Canonical small channels used throughout the tests and benchmarks."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from .nonsignalling import MultipartiteChannel
 from .procs import LinearProcess, compose_par, number
 from .theories import STOCH, Theory
-from .wires import Signature, classical, sig
+from .wires import classical, sig
 
 F = Fraction
 

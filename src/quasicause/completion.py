@@ -44,7 +44,6 @@ import numpy as np
 
 from .decompose import (
     CommonCauseRealization,
-    _arithmetic,
     _independent_columns,
     build_realization,
     decompose_quasimixture,
@@ -122,8 +121,6 @@ class GeneratedTheory:
         self.tester_depth = tester_depth
         self.registered: Dict[str, RegisteredChannel] = {}
         self.bindings: Dict[str, LinearProcess] = {}
-        self.extension_types: Dict[str, SystemType] = {}
-        self._ext_owner: Dict[str, Tuple[str, int]] = {}
         self._span_cache: Dict[tuple, object] = {}
 
     # -- binding helpers ---------------------------------------------------
@@ -177,7 +174,7 @@ def register(
     qm = decompose_quasimixture(channel, frames=frames, tol=tol, ns_report=report)
     realization = build_realization(channel, qm, frames, channel_id=channel_id)
     residual = verify_realization(channel, realization, tol)
-    tolerance = effective_tol(_arithmetic(realization), tol)
+    tolerance = effective_tol(realization.arithmetic, tol)
     if residual > tolerance:
         raise ResidualTooLarge(
             f"realization of {channel_id} misses by {residual}"
@@ -189,9 +186,7 @@ def register(
     gt.bind(f"xi:{channel_id}", realization.xi)
     for i, eta in enumerate(realization.etas, start=1):
         gt.bind(f"eta{i}:{channel_id}", eta)
-    for i, anc in enumerate(realization.ancilla_types, start=1):
-        gt.extension_types[anc.id] = anc
-        gt._ext_owner[anc.id] = (channel_id, i)
+    for anc in realization.ancilla_types:
         gt.bind(f"id:{anc.id}", identity(sig(anc)))
     for w_in, w_out in channel.wings:
         gt._bind_base_type(w_in)
@@ -284,10 +279,11 @@ def discard_ext_deviation(
 # -- generated spans -------------------------------------------------------
 
 def _owner(gt: GeneratedTheory, t: SystemType) -> Tuple[str, int]:
-    owner = gt._ext_owner.get(t.id)
-    if owner is None:
+    """The brand (channel id, wing) of ``t``, checked to be a registered ancilla."""
+    entry = gt.registered.get(t.brand[0]) if t.brand else None
+    if entry is None or t not in entry.realization.ancilla_types:
         raise UnknownType(f"{t.id} is not a registered extension type")
-    return owner
+    return t.brand
 
 
 def _probes(
@@ -680,41 +676,32 @@ def kernel_perturbation(
     extension discards (each is an all-ones row, so any zero-sum vector is
     invisible at depth 1)."""
     xi = gt.bindings[f"xi:{channel_id}"]
-    vec = np.array(xi.matrix, dtype=xi.matrix.dtype)
-    if vec.shape[0] < 2:
+    if xi.shape[0] < 2:
         raise ValueError("carrier too small to perturb")
-    eps = magnitude if xi.arithmetic == RATIONAL else float(magnitude)
-    vec[0, 0] = vec[0, 0] + eps
-    vec[1, 0] = vec[1, 0] - eps
+    return _shifted(xi, magnitude, -magnitude)
+
+
+def _shifted(xi: LinearProcess, *shifts) -> LinearProcess:
+    """``xi`` with shifts[p] added to its entry p, in xi's arithmetic."""
+    vec = np.array(xi.matrix, dtype=xi.matrix.dtype)
+    for p, shift in enumerate(shifts):
+        vec[p, 0] = vec[p, 0] + (shift if xi.arithmetic == RATIONAL else float(shift))
     return LinearProcess(xi.inputs, xi.outputs, vec)
 
 
 def _kernel_mixture_checks(gt, channel_id, rng, extra):
-    xi_name = f"xi:{channel_id}"
-    pert = kernel_perturbation(gt, channel_id)
-    extra["xi-pert"] = pert
-    checks = 0
+    """Ten mixtures of xi with itself against the same mixtures with the
+    kernel perturbation in place of one xi: (pairs checked, distinguished)."""
+    xi = Leaf(f"xi:{channel_id}")
+    extra["xi-pert"] = kernel_perturbation(gt, channel_id)
     failures = 0
-    for _ in range(10):
-        w = float(rng.random())
-        res = op_equiv(
-            gt,
-            Mix(w, Leaf(xi_name), Leaf(xi_name)),
-            Mix(w, Leaf("xi-pert"), Leaf(xi_name)),
-            extra,
-            depth=1,
-        )
-        checks += 1
+    for w in (float(rng.random()) for _ in range(10)):
+        res = op_equiv(gt, Mix(w, xi, xi), Mix(w, Leaf("xi-pert"), xi), extra, depth=1)
         failures += res.distinguished
-    return checks, failures
+    return 10, failures
 
 
 def _planted_inequivalent(gt, channel_id, extra) -> EquivResult:
     """Shift xi's total weight; the product of extension discards sees it."""
-    xi = gt.bindings[f"xi:{channel_id}"]
-    vec = np.array(xi.matrix, dtype=xi.matrix.dtype)
-    bump = Fraction(3, 10) if xi.arithmetic == RATIONAL else 0.3
-    vec[0, 0] = vec[0, 0] + bump
-    extra["xi-shifted"] = LinearProcess(xi.inputs, xi.outputs, vec)
-    return op_equiv(gt, Leaf(f"xi:{channel_id}"), Leaf("xi-shifted"),
-                    extra, depth=1)
+    extra["xi-shifted"] = _shifted(gt.bindings[f"xi:{channel_id}"], Fraction(3, 10))
+    return op_equiv(gt, Leaf(f"xi:{channel_id}"), Leaf("xi-shifted"), extra, depth=1)

@@ -15,11 +15,14 @@ any normalized probe state to both sides forces sum c = 1 for *any* solution.
 The mixture is its coefficient tensor, one axis per wing: entry
 (j_1, ..., j_m) is the coefficient of the product of member j_i of each
 wing's frame. The realization is that tensor in product form: it is ``xi``,
-a quasi-state on one fresh branded ancilla per wing, ancilla i of carrier
-|F_i|, and one controlled frame ``eta_i`` per wing applies member j when its
-ancilla reads j. Recomposing ``(x)_i eta_i`` over ``xi`` reproduces the
-channel; recontraction is the Tucker product of ``xi`` with the member
-matrices, one ``procs.mode_product`` per wing (on numerators when exact).
+a quasi-state on one fresh branded ancilla per wing, ancilla i the type
+``wires.extension(channel id, i, |F_i|)``, whose brand (channel id, i) is
+all the ownership there is, and one controlled frame ``eta_i`` per wing
+applies member j when its ancilla reads j. A realization keeps only ``xi``
+and the etas: its ancillas are xi's output wires. Recomposing ``(x)_i
+eta_i`` over ``xi`` reproduces the channel; recontraction is the Tucker
+product of ``xi`` with the member matrices, one ``procs.mode_product`` per
+wing (on numerators when exact).
 
 A wing's frame depends only on the theory and the wing's (input, output)
 types, never on the channel: ``local_channel_frame`` builds it once per
@@ -38,7 +41,6 @@ verification never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
 from typing import List, Optional, Sequence, Tuple
@@ -54,13 +56,11 @@ from .errors import (
 )
 from .nonsignalling import MultipartiteChannel, NSReport, check_nonsignalling
 from .procs import (
-    _INT64_LIMIT,
     FLOAT64,
     RATIONAL,
     Ints,
     LinearProcess,
     Operand,
-    _amax,
     _apply,
     _bare,
     _canonical,
@@ -69,6 +69,7 @@ from .procs import (
     _freeze,
     _made,
     _operand,
+    _sum,
     _to_ints,
     add,
     compose_seq,
@@ -201,8 +202,9 @@ class QuasiMixture:
     mode, binary64 otherwise. ``build_realization`` makes it ``xi``, and
     ``terms``, (coefficient, index tuple) pairs, are its nonzero entries in
     C order. A rational mixture also keeps its integer form (numerators
-    over one denominator), from which ``coefficient_sum`` and the
-    realization's ``xi`` are made with no ``Fraction`` arithmetic."""
+    over one denominator), on which ``terms``, ``coefficient_sum``,
+    ``min_coefficient``, ``negativity`` and the realization's ``xi`` are
+    found with no ``Fraction`` arithmetic."""
 
     coefficients: np.ndarray
     residual: object
@@ -213,7 +215,8 @@ class QuasiMixture:
 
     @cached_property
     def terms(self) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
-        return nonzero_entries(self.coefficients)
+        exact_mode = self.coefficients.dtype == object
+        return nonzero_entries(self.coefficients, self._ints[0] if exact_mode else None)
 
     @classmethod
     def rational(cls, num: np.ndarray, den: int, residual, mode: str) -> "QuasiMixture":
@@ -235,51 +238,48 @@ class QuasiMixture:
     def coefficient_sum(self):
         if self.coefficients.dtype != object:
             return sum(c for c, _ in self.terms)
-        num, den = self._ints
-        wide = _amax(num) * num.size >= _INT64_LIMIT
-        return Fraction(int(num.sum(dtype=object if wide else None)), den)
+        return _sum(self._ints)
 
     def min_coefficient(self):
-        return min(c for c, _ in self.terms)
+        if self.coefficients.dtype != object:
+            return min(c for c, _ in self.terms)
+        num = self._ints[0].reshape(-1)  # the least nonzero numerator's entry
+        return self.coefficients.flat[np.flatnonzero(num)[np.argmin(num[num != 0])]]
 
 
-def nonzero_entries(tensor: np.ndarray) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
+def nonzero_entries(tensor: np.ndarray, support=None) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
     """Each nonzero entry of ``tensor`` with its index tuple, in C order; an
-    object entry as it is, a binary64 one as a Python float."""
-    nonzero = np.nonzero(tensor)
+    object entry as it is, a binary64 one as a Python float. ``support`` (a
+    rational tensor's numerators), of its shape and zeros, is searched instead."""
+    nonzero = np.nonzero(tensor if support is None else support)
     return tuple(zip(tensor[nonzero].tolist(), zip(*(axis.tolist() for axis in nonzero))))
-
-
-@dataclass(frozen=True)
-class TypeBrand:
-    """Bookkeeping for one fresh ancilla type: who owns it and its carrier."""
-
-    ext_type: SystemType
-    channel_id: str
-    wing: int
-    carrier: int
 
 
 @dataclass(frozen=True)
 class CommonCauseRealization:
     """The shared quasi-state ``xi`` and the controlled frames ``eta_i``.
 
-    ``xi`` is the mixture's coefficient tensor as a state on
-    ``ancilla_types``, one ancilla per wing of carrier |F_i|. ``eta_i`` maps
-    (in_i, ancilla_i) to out_i; its column x * |F_i| + j is column x of
-    member j."""
+    ``xi`` is the mixture's coefficient tensor as a state on one ancilla per
+    wing, of carrier |F_i|. ``eta_i`` maps (in_i, ancilla_i) to out_i; its
+    column x * |F_i| + j is column x of member j. The ancillas are xi's
+    output wires, and the channel id is the first part of their brand."""
 
-    channel_id: str
-    ancilla_types: Tuple[SystemType, ...]
     xi: LinearProcess
     etas: Tuple[LinearProcess, ...]
-    brands: Tuple[TypeBrand, ...]
 
+    @property
+    def ancilla_types(self) -> Tuple[SystemType, ...]:
+        return self.xi.outputs.wires
 
-def _arithmetic(realization: CommonCauseRealization) -> str:
-    """RATIONAL when xi and every eta are exact."""
-    parts = (realization.xi,) + tuple(realization.etas)
-    return RATIONAL if all(p.arithmetic == RATIONAL for p in parts) else FLOAT64
+    @property
+    def channel_id(self) -> str:
+        return self.ancilla_types[0].brand[0]
+
+    @property
+    def arithmetic(self) -> str:
+        """RATIONAL when xi and every eta are exact."""
+        parts = (self.xi,) + tuple(self.etas)
+        return RATIONAL if all(p.arithmetic == RATIONAL for p in parts) else FLOAT64
 
 
 def deterministic_frame(in_type: SystemType, out_type: SystemType) -> Tuple[LinearProcess, ...]:
@@ -584,6 +584,9 @@ def reconstruction_residual(
 
 def negativity(qm: QuasiMixture):
     """Total negative mass; zero iff the mixture is a proper convex mixture."""
+    if qm.coefficients.dtype == object:
+        num, den = qm._ints
+        return _sum((np.maximum(-num, 0), den))
     return sum(max(-c, 0) for c, _ in qm.terms)
 
 
@@ -610,12 +613,7 @@ def build_realization(
         channel_id = f"ch{next(_fresh)}"
     exact_mode = core.dtype == object
 
-    ancillas = tuple(
-        extension(channel_id, i + 1, len(frame)) for i, frame in enumerate(frames)
-    )
-    brands = tuple(
-        TypeBrand(a, channel_id, i + 1, a.vdim) for i, a in enumerate(ancillas)
-    )
+    ancillas = tuple(extension(channel_id, i, len(f)) for i, f in enumerate(frames, start=1))
 
     etas = []
     for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
@@ -635,7 +633,7 @@ def build_realization(
                    matrix=core.reshape(-1, 1), _ints=(num.reshape(-1, 1), den))
     else:
         xi = LinearProcess(EMPTY, Signature(ancillas), core.reshape(-1, 1))
-    return CommonCauseRealization(channel_id, ancillas, xi, tuple(etas), brands)
+    return CommonCauseRealization(xi, tuple(etas))
 
 
 def verify_realization(
@@ -646,27 +644,23 @@ def verify_realization(
     """Recontract the realization network and return the max-abs residual.
 
     This contraction path is independent of build_realization: it works from
-    ``xi`` and the eta matrices alone. Each eta_i, read as an
-    (out_i * in_i, carrier_i) matrix, is wing i's factor, and ``xi``,
-    reshaped to one axis per ancilla, is the core.
+    ``xi`` and the eta matrices alone. ``xi`` must be a state with one
+    ancilla per wing and eta_i must map (in_i, ancilla i) to out_i. Each
+    eta_i, read as an (out_i * in_i, carrier_i) matrix, is wing i's factor,
+    and ``xi``, reshaped to one axis per ancilla, is the core.
     """
-    m = channel.m
-    ancillas = tuple(realization.ancilla_types)
-    if len(realization.etas) != m or len(ancillas) != m:
+    xi, etas = realization.xi, realization.etas
+    ancillas = xi.outputs.wires
+    if xi.inputs.wires or len(ancillas) != channel.m:
+        raise SignatureMismatch("xi is not a state on one ancilla per wing")
+    if len(etas) != channel.m:
         raise SignatureMismatch("realization wing count differs from channel")
-    for i, eta in enumerate(realization.etas):
-        w_in, w_out = channel.wings[i]
-        if eta.inputs.wires != (w_in, ancillas[i]):
-            raise SignatureMismatch(f"eta {i + 1} input signature mismatch")
-        if eta.outputs.wires != (w_out,):
-            raise SignatureMismatch(f"eta {i + 1} output signature mismatch")
-    xi = realization.xi
-    if xi.inputs.wires or xi.outputs.wires != ancillas:
-        raise SignatureMismatch("xi is not a state on the ancillas")
+    for i, (eta, (w_in, w_out), anc) in enumerate(zip(etas, channel.wings, ancillas), start=1):
+        if eta.inputs.wires != (w_in, anc) or eta.outputs.wires != (w_out,):
+            raise SignatureMismatch(f"eta {i} does not map (in {i}, ancilla {i}) to out {i}")
 
     factors = [
         _operand(eta, (eta.outputs.dim * w_in.vdim, anc.vdim))
-        for eta, (w_in, _), anc in zip(realization.etas, channel.wings, ancillas)
+        for eta, (w_in, _), anc in zip(etas, channel.wings, ancillas)
     ]
-    core = _operand(xi, tuple(a.vdim for a in ancillas))
-    return _recontraction_residual(channel, core, factors)
+    return _recontraction_residual(channel, _operand(xi, xi.outputs.dims), factors)

@@ -27,7 +27,7 @@ Wing labels are 1-based throughout this module's public surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import OutOfRange, TypeMismatch
@@ -86,15 +86,14 @@ class SubsetCheck:
 class NSReport:
     checks: Tuple[SubsetCheck, ...]
     tolerance: object
-    verdict: bool = field(init=False)
-
-    def __post_init__(self):
-        worst = max((c.residual for c in self.checks), default=0)
-        object.__setattr__(self, "verdict", bool(worst <= self.tolerance))
 
     @property
     def max_residual(self):
         return max((c.residual for c in self.checks), default=0)
+
+    @property
+    def verdict(self) -> bool:
+        return bool(self.max_residual <= self.tolerance)
 
 
 def discard_outputs(

@@ -253,6 +253,14 @@ def _amax(num: np.ndarray) -> int:
     return int(np.abs(num).max()) if num.size else 0
 
 
+def _sum(x: Ints) -> Fraction:
+    """The sum of the entries of num / den, taken on the numerators: in
+    int64 when no partial sum can overflow, as Python ints otherwise."""
+    num, den = x
+    wide = _amax(num) * num.size >= _INT64_LIMIT
+    return Fraction(int(num.sum(dtype=object if wide else None)), den)
+
+
 def _fit(num: np.ndarray) -> np.ndarray:
     """int64 when every value is below 2^63 in magnitude, Python ints otherwise."""
     if num.dtype == object and _amax(num) < _INT64_LIMIT:

@@ -5,7 +5,9 @@ Channels serialize wing types plus a row-major matrix; rationals travel as
 inline everything third-party verification needs, and nothing it does not
 check: the shared state ``xi`` as its nonzero entries, each with one index
 per wing, and the controlled frames ``eta_i``, whose carriers the brands
-give. `verify` never re-runs a solver or frame construction: it rebuilds the
+give: brand i is written from xi's ancilla i (its id, brand and carrier) and
+read back as that ancilla, ``wires.extension(channelId, i, carrier)``.
+`verify` never re-runs a solver or frame construction: it rebuilds the
 realization from the file and recontracts against the channel. Certificates
 are format version 2; channel and assemblage files are version 1.
 """
@@ -24,14 +26,12 @@ import numpy as np
 from .decompose import (
     CommonCauseRealization,
     QuasiMixture,
-    TypeBrand,
-    _arithmetic,
     nonzero_entries,
     verify_realization,
 )
 from .errors import SchemaError
 from .nonsignalling import MultipartiteChannel, NSReport
-from .procs import DENSE_CAP, RATIONAL, LinearProcess, effective_tol
+from .procs import DENSE_CAP, RATIONAL, LinearProcess, _operand, _sum, effective_tol
 from .theories import BASIS_CONVENTION, QUANT, STOCH, instrument_problem
 from .wires import (
     CLASSICAL,
@@ -209,11 +209,11 @@ def certificate_to_json(
     realization_residual,
     tolerance,
 ) -> Dict:
-    core = realization.xi.matrix.reshape(tuple(a.vdim for a in realization.ancilla_types))
+    xi = realization.xi
     return {
         "version": CERTIFICATE_VERSION,
         "channelDigest": digest,
-        "arithmetic": _arithmetic(realization),
+        "arithmetic": realization.arithmetic,
         "basisConvention": BASIS_CONVENTION,
         "solverMode": qm.mode,
         "tolerance": encode_number(tolerance),
@@ -222,17 +222,12 @@ def certificate_to_json(
             "channelId": realization.channel_id,
             "xi": [
                 {"indices": list(idx), "c": encode_number(c)}
-                for c, idx in nonzero_entries(core)
+                for c, idx in nonzero_entries(xi.matrix.reshape(xi.outputs.dims))
             ],
             "etas": [encode_matrix(e.matrix) for e in realization.etas],
             "brands": [
-                {
-                    "type": b.ext_type.id,
-                    "channel": b.channel_id,
-                    "wing": b.wing,
-                    "carrier": b.carrier,
-                }
-                for b in realization.brands
+                {"type": a.id, "channel": a.brand[0], "wing": a.brand[1], "carrier": a.vdim}
+                for a in realization.ancilla_types
             ],
         },
         "residuals": {
@@ -280,16 +275,13 @@ def realization_from_certificate(
     if len(brands_json) != m:
         raise SchemaError("one brand per wing required")
     ancillas = []
-    brands = []
     for wing, b in enumerate(brands_json, start=1):
         carrier = _expect(b, dict, "brand").get("carrier")
         if type(carrier) is not int or carrier < 1:
             raise SchemaError(f"bad carrier {carrier!r} on brand {wing}")
         if (b.get("wing"), b.get("channel", channel_id)) != (wing, channel_id):
             raise SchemaError(f"brand {wing} must name wing {wing} of {channel_id!r}")
-        anc = extension(channel_id, wing, carrier)
-        ancillas.append(anc)
-        brands.append(TypeBrand(anc, channel_id, wing, carrier))
+        ancillas.append(extension(channel_id, wing, carrier))
     carriers = tuple(a.vdim for a in ancillas)
     if math.prod(carriers) > DENSE_CAP:
         raise SchemaError(f"xi on carriers {carriers} exceeds {DENSE_CAP} entries")
@@ -312,9 +304,7 @@ def realization_from_certificate(
         except SchemaError as err:
             raise SchemaError(f"eta {i + 1}: {err}") from err
         etas.append(LinearProcess(sig(w_in, ancillas[i]), sig(w_out), mat))
-    return CommonCauseRealization(
-        channel_id, tuple(ancillas), xi, tuple(etas), tuple(brands)
-    )
+    return CommonCauseRealization(xi, tuple(etas))
 
 
 def verify_certificate(
@@ -354,7 +344,8 @@ def verify_certificate(
         problem = instrument_problem(eta)
         if problem:
             failed.append(f"eta {i} {problem}")
-    total = realization.xi.matrix.sum()
+    xi = _operand(realization.xi)  # the numerators verify_realization cached, if rational
+    total = _sum(xi) if exact else xi.sum()
     sums_to_one = total == 1 if exact else abs(total - 1) <= tol
     if not sums_to_one:
         failed.append(f"coefficients sum to {total}, not 1")

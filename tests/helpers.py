@@ -23,7 +23,6 @@ from quasicause.completion import (
 )
 from quasicause.decompose import (
     PRUNE,
-    TypeBrand,
     WingFrame,
     _wing_major_tensor,
     default_frames,
@@ -397,10 +396,8 @@ def assemble_common_cause(
 
 @dataclass(frozen=True)
 class DiagonalRealization:
-    channel_id: str
     ancilla_types: Tuple[SystemType, ...]
     etas: Tuple[LinearProcess, ...]
-    brands: Tuple[TypeBrand, ...]
     frame: Tuple[WingFrame, ...]
     coefficients: Tuple[object, ...]
     term_indices: Tuple[Tuple[int, ...], ...]
@@ -457,9 +454,6 @@ def diagonal_realization(channel, qm, frames=None, channel_id="diag") -> Diagona
     ancillas = tuple(
         extension(channel_id, i + 1, k_terms) for i in range(channel.m)
     )
-    brands = tuple(
-        TypeBrand(a, channel_id, i + 1, k_terms) for i, a in enumerate(ancillas)
-    )
 
     etas = []
     for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
@@ -477,10 +471,8 @@ def diagonal_realization(channel, qm, frames=None, channel_id="diag") -> Diagona
     if not (total == 1 if exact_mode else abs(total - 1) <= 1e-9):
         raise ResidualTooLarge(f"coefficients sum to {total}, not 1")
     return DiagonalRealization(
-        channel_id=channel_id,
         ancilla_types=ancillas,
         etas=tuple(etas),
-        brands=brands,
         frame=frames,
         coefficients=tuple(c for c, _ in qm.terms),
         term_indices=tuple(idx for _, idx in qm.terms),
@@ -905,7 +897,7 @@ def state_candidates_oracle(gt, t, depth):
     if t.kind != EXTENSION:
         names = [f"st:{t.id}:{l}" for l in range(len(gt.base.state_frame(t)))]
         return [(Leaf(n), gt.bindings[n]) for n in names]
-    channel_id, wing = gt._ext_owner[t.id]
+    channel_id, wing = t.brand
     per_leg = [
         [Leaf(f"id:{t.id}")] if leg == wing else _oracle_leg_terms(gt, channel_id, leg, depth)
         for leg in range(1, gt.registered[channel_id].channel.m + 1)
@@ -922,7 +914,7 @@ def effect_candidates_oracle(gt, t, depth):
     if t.kind != EXTENSION:
         names = [f"ef:{t.id}:{j}" for j in range(len(gt.base.effect_frame(t)))]
         return [(Leaf(n), gt.bindings[n]) for n in names]
-    channel_id, wing = gt._ext_owner[t.id]
+    channel_id, wing = t.brand
     return [(term, gt.eval(term)) for term in _oracle_leg_terms(gt, channel_id, wing, depth)]
 
 
@@ -930,7 +922,7 @@ def probe_discard_oracle(gt, ext_type):
     """Each base frame state of the wing's input beside the ancilla, into
     eta, then the output discard: the reference state's effect and the
     largest gap to it over the frame states."""
-    channel_id, wing = gt._ext_owner[ext_type.id]
+    channel_id, wing = ext_type.brand
     entry = gt.registered[channel_id]
     eta = entry.realization.etas[wing - 1]
     w_in, _ = entry.channel.wings[wing - 1]

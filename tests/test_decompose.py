@@ -1,5 +1,6 @@
 """Quasi-mixture decomposition, realization packaging, and verification."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -53,6 +54,12 @@ from quasicause.nonsignalling import (
     check_nonsignalling,
 )
 from quasicause.procs import FLOAT64, LinearProcess, compose_seq, effective_tol, max_abs_diff
+from quasicause.serialize import (
+    certificate_to_json,
+    channel_digest,
+    channel_to_json,
+    verify_certificate,
+)
 from quasicause.theories import discard_effect, hybrid_valid
 from tests.helpers import (
     assemble_common_cause,
@@ -373,12 +380,14 @@ def test_sparse_lp_matches_the_dense_linprog_oracle(m, pr_weight, push, seed, co
 
 def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
     """On an exact m = 3 channel the channel's construction, the NS check,
-    the min-norm decomposition, its coefficient sum, build_realization and
-    verify_realization work on integer numerators: with Fraction's
-    multiplication and addition patched to record each call, none is made
-    (the frames' data are built before patching). Past the construction,
-    which derives the body's integer form, no Fraction matrix is converted
-    to integers either."""
+    the min-norm decomposition, its coefficient sum, negativity and least
+    coefficient, build_realization, verify_realization, the certificate's
+    encoding and verify_certificate work on integer numerators: with
+    Fraction's multiplication and addition patched to record each call, none
+    is made (the frames' data are built before patching). Past the
+    construction, which derives the body's integer form, and before the
+    certificate is decoded, which derives xi's and the etas', no Fraction
+    matrix is converted to integers either."""
     rng = np.random.default_rng(5)
     body = sum(
         w * reduce(np.kron, [random_stochastic_rational(rng, 2, 2, grain=12) for _ in range(3)])
@@ -397,17 +406,25 @@ def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
     assert F(1, 2) * F(1, 3) + 1 == F(7, 6) and calls == ["__mul__", "__add__"]
     calls.clear()
     chan = _binary_channel(body)
-    for module in (procs, decompose):
-        monkeypatch.setattr(module, "_to_ints", spy(module, "_to_ints"))
-    report = check_nonsignalling(chan)
-    qm = decompose_quasimixture(chan, ns_report=report)
-    total = qm.coefficient_sum
-    real = build_realization(chan, qm)
-    residual = verify_realization(chan, real)
+    with monkeypatch.context() as patched:
+        for module in (procs, decompose):
+            patched.setattr(module, "_to_ints", spy(module, "_to_ints"))
+        report = check_nonsignalling(chan)
+        qm = decompose_quasimixture(chan, ns_report=report)
+        total = qm.coefficient_sum
+        least, negative = qm.min_coefficient(), negativity(qm)
+        real = build_realization(chan, qm)
+        residual = verify_realization(chan, real)
+        obj = channel_to_json(chan)
+        cert = certificate_to_json(chan, channel_digest(obj), report, qm, real, residual, 0)
+    verified = verify_certificate(json.loads(json.dumps(cert)), obj)
     monkeypatch.undo()
     assert calls == []
     assert report.max_residual == qm.residual == residual == 0
     assert total == 1
+    assert verified[0] and verified[1] == 0
+    assert least == min(c for c, _ in qm.terms)
+    assert negative == sum(max(-c, 0) for c, _ in qm.terms)
 
 
 def test_min_negativity_matches_full_row_oracle_on_bb84():
@@ -527,7 +544,7 @@ def test_realization_ancillas_are_branded():
         assert anc.brand == (real.channel_id, i)
         assert anc.vdim == len(frame)
     # brands never collide with base ids
-    assert all(b.ext_type.id not in ("I", "C2", "Q2") for b in real.brands)
+    assert all(a.id not in ("I", "C2", "Q2") for a in real.ancilla_types)
 
 
 def test_tampered_xi_fails_verification():
@@ -548,6 +565,21 @@ def test_verify_signature_mismatch():
     other = product_channel(STOCH, [ident, ident])
     with pytest.raises(SignatureMismatch):
         verify_realization(other, real)
+
+
+def test_verify_rejects_etas_on_the_wrong_ancillas():
+    """The ancillas are xi's output wires, so eta i must read xi's ancilla i:
+    swapped etas, or an xi on another channel's brands, do not verify."""
+    chan = pr_box()
+    real = build_realization(chan, decompose_quasimixture(chan))
+    swapped = replace(real, etas=real.etas[::-1])
+    assert swapped.etas[0].inputs[1] == real.ancilla_types[1]
+    foreign = tuple(extension("other", i, a.vdim) for i, a in enumerate(real.ancilla_types, 1))
+    rebranded = replace(real, xi=LinearProcess(EMPTY, sig(*foreign), real.xi.matrix))
+    assert rebranded.channel_id == "other"
+    for wrong in (swapped, rebranded):
+        with pytest.raises(SignatureMismatch, match="eta 1"):
+            verify_realization(chan, wrong)
 
 
 def test_verify_rejects_coefficients_off_the_carrier():
@@ -671,7 +703,7 @@ def test_recontraction_matches_dense_oracle(m, carriers, dims, qubits, exact, se
         rng, math.prod(carriers), 1
     )
     xi = LinearProcess(EMPTY, sig(*ancillas), weights)
-    real = CommonCauseRealization("rand", ancillas, xi, etas, ())
+    real = CommonCauseRealization(xi, etas)
     oracle = assemble_common_cause(xi, etas, theory)
     residual = verify_realization(oracle, real)
     if exact:

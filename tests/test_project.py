@@ -1,6 +1,8 @@
-"""Project-level checks: what pyproject.toml declares exists, and which
-dependencies the package loads on which paths."""
+"""Project-level checks: what pyproject.toml declares exists, which
+dependencies the package loads on which paths, and that no module imports a
+name it never uses."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -89,3 +91,42 @@ def test_only_the_min_negativity_lp_loads_scipy():
         [sys.executable, "-c", LP_FREE_PATHS], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def _annotation_names(tree: ast.AST):
+    """Names inside string annotations ("LinearProcess" and the like)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            notes = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                for inner in ast.walk(ast.parse(note.value, mode="eval")):
+                    if isinstance(inner, ast.Name):
+                        yield inner.id
+
+
+def test_package_modules_use_every_name_they_import():
+    """Each module of the package, ``__init__`` aside (its imports are the
+    re-exports), reads every name it imports."""
+    unused = []
+    for path in sorted((PYPROJECT.parent / "src" / "quasicause").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read.update(_annotation_names(tree))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unused == [], f"imported but never used: {unused}"
