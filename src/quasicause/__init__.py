@@ -32,8 +32,8 @@ from .procs import (
     swap,
 )
 from .diagrams import Leaf, Mix, Par, Seq, Term, eval_diagram, infer_signature
+from .check import BASIS_CONVENTION
 from .theories import (
-    BASIS_CONVENTION,
     QUANT,
     STOCH,
     Theory,

@@ -21,8 +21,9 @@ all the ownership there is, and one controlled frame ``eta_i`` per wing
 applies member j when its ancilla reads j. A realization keeps only ``xi``
 and the etas: its ancillas are xi's output wires. Recomposing ``(x)_i
 eta_i`` over ``xi`` reproduces the channel; recontraction is the Tucker
-product of ``xi`` with the member matrices, one ``procs.mode_product`` per
-wing (on numerators when exact).
+product of ``xi`` with the member matrices, ``check.tucker`` (on numerators
+when exact), the kernel that certificate verification trusts; the min-norm
+solve is the same kernel on the frames' duals.
 
 A wing's frame depends only on the theory and the wing's (input, output)
 types, never on the channel: ``local_channel_frame`` builds it once per
@@ -48,6 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exact
+from .check import Ints, Operand, _canonical, _float_of, _sum, recontraction_residual, tucker, wing_major
 from .errors import (
     FrameDeficient,
     NotNonSignalling,
@@ -58,29 +60,21 @@ from .nonsignalling import MultipartiteChannel, NSReport, check_nonsignalling
 from .procs import (
     FLOAT64,
     RATIONAL,
-    Ints,
     LinearProcess,
-    Operand,
-    _apply,
     _bare,
-    _canonical,
-    _float_of,
     _fractions,
     _freeze,
     _made,
     _operand,
-    _sum,
     _to_ints,
     add,
     compose_seq,
     effective_tol,
     max_abs_diff,
-    max_gap,
-    mode_product,
     scale,
 )
 from .theories import Theory, instrument_problem
-from .wires import CLASSICAL, EMPTY, Signature, SystemType, classical, extension, interleave, sig
+from .wires import CLASSICAL, EMPTY, Signature, SystemType, classical, extension, sig
 
 PRUNE = 1e-12
 
@@ -184,11 +178,13 @@ def _controlled_frame_problem(frame: WingFrame, as_float: bool) -> Optional[str]
 def _independent_columns(matrix: np.ndarray, exact_mode: bool) -> Tuple[int, ...]:
     """Leftmost-first maximal linearly independent column subset: the pivots
     of one exact elimination (``exact._eliminate``) in rational mode, a
-    greedy rank test at 1e-9 in binary64."""
+    greedy rank test at 1e-9 in binary64, which stops at full row rank."""
     if exact_mode:
         return exact.independent_columns(matrix)
     kept: List[int] = []
     for j in range(matrix.shape[1]):
+        if len(kept) == matrix.shape[0]:  # full row rank: no later column is independent
+            break
         if np.linalg.matrix_rank(matrix[:, kept + [j]], tol=1e-9) == len(kept) + 1:
             kept.append(j)
     return tuple(kept)
@@ -357,23 +353,17 @@ def default_frames(channel: MultipartiteChannel) -> Tuple[WingFrame, ...]:
 
 
 def _wing_major_tensor(channel: MultipartiteChannel) -> Operand:
-    """``channel.wing_operand`` with axis i over wing i's (out, in) pairs."""
-    shape = tuple(o.vdim * i.vdim for i, o in channel.wings)
-    return _apply(channel.wing_operand, lambda t: np.transpose(t, interleave(channel.m)).reshape(shape))
+    """The body with axis i over wing i's (out, in) pairs."""
+    body = channel.body
+    return wing_major(_operand(body), body.outputs.dims, body.inputs.dims)
 
 
 def _recontraction_residual(channel, core: Operand, factors: Sequence[Operand]) -> object:
-    """Max-abs difference between the body and the Tucker product of ``core``
+    """Max-abs difference between the body and ``check.tucker`` of ``core``
     with ``factors``: the core has one axis per wing, and factors[i], of shape
     (out_i * in_i, core.shape[i]), holds wing i's member matrices as columns.
     Rational when every operand is, binary64 otherwise."""
-    target = _wing_major_tensor(channel)
-    if not all(isinstance(x, tuple) for x in (core, target, *factors)):
-        core, target = _float_of(core), _float_of(target)
-        factors = [_float_of(f) for f in factors]
-    for axis, factor in enumerate(factors):
-        core = mode_product(core, factor, axis)
-    return max_gap(core, target)
+    return recontraction_residual(core, factors, _wing_major_tensor(channel))
 
 
 def decompose_quasimixture(
@@ -437,9 +427,7 @@ def decompose_quasimixture(
 def _min_norm_coefficients(channel, frames, exact_mode) -> Operand:
     """Unique affine solution over the retained (independent) sub-frames,
     scattered back into the full frame-shaped tensor (an operand)."""
-    tensor = _wing_major_tensor(channel)
-    for axis, frame in enumerate(frames):
-        tensor = mode_product(tensor, frame.operands(as_float=not exact_mode)[1], axis)
+    tensor = tucker(_wing_major_tensor(channel), [f.operands(as_float=not exact_mode)[1] for f in frames])
     num = tensor[0] if exact_mode else tensor
     full = np.zeros(tuple(len(f) for f in frames), dtype=num.dtype)
     full[np.ix_(*(f.retained for f in frames))] = num

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules. The base class and
+``SchemaError`` are the trusted checker's own (``check`` imports nothing
+from the package)."""
 
+from . import check
 
-class QuasicauseError(Exception):
-    """Base class for all library errors."""
+QuasicauseError = check.QuasicauseError
+SchemaError = check.SchemaError
 
 
 class TypeMismatch(QuasicauseError):
@@ -51,10 +54,6 @@ class SignatureMismatch(QuasicauseError):
 
 class InvalidAssemblage(QuasicauseError):
     """An assemblage violates positivity, normalization or no-signalling."""
-
-
-class SchemaError(QuasicauseError):
-    """A serialized file does not match its schema."""
 
 
 class TooLarge(QuasicauseError):

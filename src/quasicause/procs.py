@@ -19,7 +19,10 @@ process made by the public constructor computes its integer form once, when
 it is first composed, and keeps it. Promotion to binary64 divides numerators
 by the denominator, which gives ``float(Fraction)`` bit for bit: both values
 are exact in binary64 up to 2^53, so the division is correctly rounded, and
-larger ones are divided as Python ints.
+larger ones are divided as Python ints. The integer kernels that a
+certificate's verdict rests on (the overflow bounds, canonical forms,
+promotion and ``max_gap``) are the trusted checker's, ``check``, and this
+module imports them.
 
 Wire shuffles and identities are bijections of the basis points: 0/1
 matrices with exactly one 1 in each row and each column. Those built by
@@ -58,6 +61,22 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
+from .check import (
+    _INT64_LIMIT,
+    DENSE_CAP,
+    FLOAT64,
+    FLOAT_TOL,
+    RATIONAL,
+    Ints,
+    Operand,
+    _amax,
+    _apply,
+    _canonical,
+    _float_of,
+    _to_ints,
+    _widened,
+    max_gap,
+)
 from .errors import InvalidProbability, TooLarge, TypeMismatch, WrongKind
 from .wires import (
     EMPTY,
@@ -66,25 +85,7 @@ from .wires import (
     check_permutation,
 )
 
-RATIONAL = "rational"
-FLOAT64 = "float64"
-
 Number = Union[int, Fraction, float]
-
-# Most entries a dense matrix may have: 2^26, 512 MB of binary64 or more of
-# Python objects. A realization's xi holds prod |F_i| entries, 4^8 = 65,536
-# for eight binary wings, and its recomposition diagram holds D_in^2 * prod
-# |F_i| at its widest: 2^24 at six binary wings, and seven are refused.
-DENSE_CAP = 2 ** 26
-
-# int64 kernels run only when every value they form is below this.
-_INT64_LIMIT = 2 ** 63
-
-# binary64 holds every integer up to this exactly.
-_EXACT_FLOAT = 2 ** 53
-
-Ints = Tuple[np.ndarray, int]  # numerators (int64 or Python ints), denominator
-Operand = Union[np.ndarray, Ints]  # a binary64 array, or a rational one's Ints
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -248,44 +249,6 @@ def _made(inputs: Signature, outputs: Signature, x: Operand) -> LinearProcess:
 
 # -- integer numerators --------------------------------------------------------
 
-def _amax(num: np.ndarray) -> int:
-    """Largest magnitude in ``num`` (0 when empty), as a Python int."""
-    return int(np.abs(num).max()) if num.size else 0
-
-
-def _sum(x: Ints) -> Fraction:
-    """The sum of the entries of num / den, taken on the numerators: in
-    int64 when no partial sum can overflow, as Python ints otherwise."""
-    num, den = x
-    wide = _amax(num) * num.size >= _INT64_LIMIT
-    return Fraction(int(num.sum(dtype=object if wide else None)), den)
-
-
-def _fit(num: np.ndarray) -> np.ndarray:
-    """int64 when every value is below 2^63 in magnitude, Python ints otherwise."""
-    if num.dtype == object and _amax(num) < _INT64_LIMIT:
-        return num.astype(np.int64)
-    return num
-
-
-def _canonical(num: np.ndarray, den: int) -> Ints:
-    """Divide out the gcd of every numerator and the denominator."""
-    if den != 1:
-        g = math.gcd(den, int(np.gcd.reduce(num.reshape(-1))))
-        if g != 1:
-            num, den = num // g, den // g
-    return _fit(num), den
-
-
-def _to_ints(matrix: np.ndarray) -> Ints:
-    """The integer form of an object matrix of ints and ``Fraction``: over the
-    lcm of the entries' reduced denominators it is already canonical."""
-    flat = matrix.reshape(-1).tolist()
-    den = math.lcm(*{x.denominator for x in flat})
-    num = np.array([x.numerator * (den // x.denominator) for x in flat], dtype=object)
-    return _fit(num.reshape(matrix.shape)), den
-
-
 def _fractions(num: np.ndarray, den: int) -> np.ndarray:
     """The object matrix num / den: ints when den is 1, ``Fraction``
     otherwise, every zero entry one shared ``Fraction(0)``."""
@@ -298,22 +261,6 @@ def _fractions(num: np.ndarray, den: int) -> np.ndarray:
     return out.reshape(num.shape)
 
 
-def _float_of(x: Operand) -> np.ndarray:
-    """The binary64 array of an operand: a rational one's entries are each
-    ``float(Fraction)``, correctly rounded, with no ``Fraction`` built."""
-    if not isinstance(x, tuple):
-        return x
-    num, den = x
-    if den <= _EXACT_FLOAT and _amax(num) <= _EXACT_FLOAT:
-        return num.astype(float) / den
-    return np.array([n / den for n in num.reshape(-1).tolist()], dtype=float).reshape(num.shape)
-
-
-def _apply(x: Operand, f: Callable[[np.ndarray], np.ndarray]) -> Operand:
-    """``f`` (a reshape or transpose) on an operand's array (a rational one's numerators)."""
-    return (f(x[0]), x[1]) if isinstance(x, tuple) else f(x)
-
-
 def _operand(p: LinearProcess, shape=None) -> Operand:
     """A process's integer form or binary64 matrix, reshaped to ``shape`` if given."""
     x = _ints(p) if p.arithmetic == RATIONAL else p.matrix
@@ -323,13 +270,6 @@ def _operand(p: LinearProcess, shape=None) -> Operand:
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_cap(len(a), b.shape[1], "matrix product")
     return a @ b
-
-
-def _widened(a: np.ndarray, b: np.ndarray, terms: int = 1) -> Tuple[np.ndarray, np.ndarray]:
-    """``a`` and ``b``, as Python ints unless sums of ``terms`` products a_i b_j fit in int64."""
-    if object not in (a.dtype, b.dtype) and _amax(a) * _amax(b) * terms < _INT64_LIMIT:
-        return a, b
-    return a.astype(object), b.astype(object)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,14 +316,6 @@ def mode_product(tensor: Operand, matrix: Operand, axis: int) -> Operand:
         return np.moveaxis(np.tensordot(mn, tn, axes=([1], [axis])), 0, axis), td * md
     moved = np.tensordot(_float_of(matrix), _float_of(tensor), axes=([1], [axis]))
     return np.moveaxis(moved, 0, axis)
-
-
-def max_gap(a: Operand, b: Operand) -> Number:
-    """Entrywise max |a - b| of two operands: a ``Fraction`` when both are rational."""
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        diff, den = _lincomb([(1, a), (-1, b)])
-        return Fraction(_amax(diff), den)
-    return abs(_float_of(a) - _float_of(b)).max()
 
 
 def process(matrix, inputs: Signature, outputs: Signature, exact=None) -> LinearProcess:
@@ -575,7 +507,12 @@ def add(f: LinearProcess, g: LinearProcess) -> LinearProcess:
 
 
 def effective_tol(arithmetic: str, tol=None) -> Number:
-    """Default comparison tolerance: exact for rationals, 1e-9 for floats."""
+    """The comparison tolerance, the one statement of the rule: ``tol`` when
+    given, else 0 for rationals, so exact checks are exact, and
+    ``check.FLOAT_TOL`` (1e-9) for binary64. A check with a quantum wire runs
+    in binary64 at 1e-9 whatever the process's arithmetic, because its Choi
+    spectrum is computed in floats; ``check.verify`` applies this rule to a
+    certificate's arithmetic, which its declared tolerance can only tighten."""
     if tol is not None:
         return tol
-    return 0 if arithmetic == RATIONAL else 1e-9
+    return 0 if arithmetic == RATIONAL else FLOAT_TOL

@@ -4,7 +4,10 @@ Everything here is deliberately simple and separate from the library code
 paths it is used to check.
 """
 
+import hashlib
+import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -15,6 +18,7 @@ from scipy.linalg import qr as scipy_qr
 from scipy.optimize import linprog
 
 from quasicause.assemblages import Assemblage
+from quasicause.check import _amax, choi_of_transfer, vec_basis_matrix
 from quasicause.completion import (
     EquivResult,
     TesterWitness,
@@ -46,24 +50,26 @@ from quasicause.procs import (
     LinearProcess,
     _as_rational,
     _float_of,
+    _lincomb,
+    _operand,
     compose_par,
     compose_seq,
     effective_tol,
     identity,
     max_abs_diff,
+    mode_product,
     number,
     permutation,
 )
 from quasicause.serialize import _expect, decode_number
 from quasicause.theories import (
     QUANT,
+    STOCH,
     Theory,
-    choi_of_transfer,
     coords_to_density,
     discard_effect,
     hermitian_basis,
     instrument_problem,
-    vec_basis_matrix,
 )
 from quasicause.wires import (
     EMPTY,
@@ -617,9 +623,93 @@ def xi_core_oracle(real, carriers, exact):
     return core.reshape(-1, 1)
 
 
-def decode_matrix_oracle(flat, shape):
-    """A binary64 matrix decoded entry by entry."""
-    return np.array([decode_number(x, False) for x in flat], dtype=float).reshape(shape)
+def decode_matrix_oracle(flat, shape, exact=False):
+    """A matrix decoded entry by entry: binary64, or ``Fraction`` (an object
+    array) if ``exact``."""
+    return np.array([decode_number(x, exact) for x in flat], dtype=object if exact else float).reshape(shape)
+
+
+# -- the verifier before the raw-array checker ------------------------------------
+# Library processes rebuilt from per-entry decoding, the recontraction as a
+# chain of ``procs.mode_product`` calls, the etas through the instrument
+# oracle and xi summed entry by entry: the oracle of ``check.tucker`` and of
+# ``serialize.verify_certificate`` on well-formed files.
+
+def tucker_oracle(core, factors):
+    """``factors[i]`` multiplied into axis i of ``core``, one ``procs.mode_product`` per axis."""
+    for axis, factor in enumerate(factors):
+        core = mode_product(core, factor, axis)
+    return core
+
+
+def _gap_oracle(a, b):
+    """max |a - b| of two operands, a ``Fraction`` when both are rational."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        diff, den = _lincomb([(1, a), (-1, b)])
+        return Fraction(_amax(diff), den)
+    return abs(_float_of(a) - _float_of(b)).max()
+
+
+def verify_certificate_oracle(cert, channel_obj, tol=None):
+    """``(ok, residual, detail)`` as ``verify_certificate`` gave them before
+    the checker decided on raw arrays."""
+    if cert.get("version") != 2:
+        return False, None, f"unsupported certificate version {cert.get('version')!r}"
+    canonical = json.dumps(channel_obj, sort_keys=True, separators=(",", ":")).encode()
+    if cert.get("channelDigest") != "sha256:" + hashlib.sha256(canonical).hexdigest():
+        return False, None, "channel digest mismatch"
+    wings = tuple(
+        tuple((quantum if w[k]["kind"] == "quantum" else classical)(w[k]["dim"]) for k in ("in", "out"))
+        for w in channel_obj["wings"]
+    )
+    ins, outs = (Signature(tuple(w[k] for w in wings)) for k in (0, 1))
+    exact_body = channel_obj["arithmetic"] == RATIONAL
+    body = decode_matrix_oracle(channel_obj["matrix"], (outs.dim, ins.dim), exact_body)
+    theory = QUANT if any(t.kind == QUANTUM for pair in wings for t in pair) else STOCH
+    channel = MultipartiteChannel(wings, LinearProcess(ins, outs, body), theory)
+    exact = cert.get("arithmetic") == RATIONAL
+    real = cert["realization"]
+    carriers = tuple(b["carrier"] for b in real["brands"])
+    ancillas = tuple(extension(real["channelId"], i, k) for i, k in enumerate(carriers, start=1))
+    xi = LinearProcess(EMPTY, Signature(ancillas), xi_core_oracle(real, carriers, exact))
+    etas = [
+        LinearProcess(sig(w_in, a), sig(w_out),
+                      decode_matrix_oracle(flat, (w_out.vdim, w_in.vdim * a.vdim), exact))
+        for flat, (w_in, w_out), a in zip(real["etas"], wings, ancillas)
+    ]
+    order, shape = interleave(channel.m), tuple(o.vdim * i.vdim for i, o in wings)
+    target = channel.wing_operand
+    if isinstance(target, tuple):
+        target = (np.transpose(target[0], order).reshape(shape), target[1])
+    else:
+        target = np.transpose(target, order).reshape(shape)
+    core = _operand(xi, carriers)
+    factors = [
+        _operand(e, (w_out.vdim * w_in.vdim, a.vdim)) for e, (w_in, w_out), a in zip(etas, wings, ancillas)
+    ]
+    if not all(isinstance(x, tuple) for x in (core, target, *factors)):
+        core, target, factors = _float_of(core), _float_of(target), [_float_of(f) for f in factors]
+    residual = _gap_oracle(tucker_oracle(core, factors), target)
+    if tol is None:
+        tol = effective_tol(cert.get("arithmetic"))
+    if cert.get("tolerance") is not None:
+        tol = min(tol, decode_number(cert["tolerance"], exact))
+    failed = [f"eta {i} {problem}" for i, problem in
+              enumerate(map(instrument_problem_oracle, etas), start=1) if problem]
+    total = sum(xi.matrix.flat) if exact else xi.matrix.sum()
+    if not (total == 1 if exact else abs(total - 1) <= tol):
+        failed.append(f"coefficients sum to {total}, not 1")
+    if not residual <= tol:
+        failed.append(f"recontraction residual {residual} exceeds tolerance {tol}")
+    if failed:
+        return False, residual, "; ".join(failed)
+    return True, residual, f"recontraction residual {residual} within tolerance {tol}"
+
+
+def masked_residual(detail: str) -> str:
+    """``detail`` with the residual's digits replaced, for binary64 residuals
+    that may differ in their last bits."""
+    return re.sub(r"recontraction residual \S+", "recontraction residual R", detail)
 
 
 # -- the dense Fraction process algebra ---------------------------------------

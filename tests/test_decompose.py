@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -19,6 +20,7 @@ from quasicause import (
     EMPTY,
     QUANT,
     STOCH,
+    check,
     classical,
     compose_par,
     decompose,
@@ -62,6 +64,7 @@ from quasicause.serialize import (
 )
 from quasicause.theories import discard_effect, hybrid_valid
 from tests.helpers import (
+    _greedy_columns,
     assemble_common_cause,
     dense_lp_oracle,
     diagonal_realization,
@@ -378,16 +381,42 @@ def test_sparse_lp_matches_the_dense_linprog_oracle(m, pr_weight, push, seed, co
     assert qm.residual <= effective_tol(FLOAT64)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    extra=st.integers(1, 8),
+    rank=st.integers(1, 5),
+    planted=st.integers(0, 4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_independent_columns_match_the_greedy_oracle_on_wide_matrices(rows, extra, rank, planted, seed):
+    """The binary64 column selection keeps the columns of one rank test per
+    column on wide matrices of any rank with planted dependencies (zero
+    columns and copies or sums of earlier columns), and once it holds as
+    many columns as there are rows it tests no more."""
+    rng = np.random.default_rng(seed)
+    cols = rows + extra
+    matrix = rng.standard_normal((rows, min(rank, rows))) @ rng.standard_normal((min(rank, rows), cols))
+    for j in rng.choice(cols, size=min(planted, cols), replace=False):
+        matrix[:, j] = matrix[:, rng.integers(0, j, size=2)].sum(axis=1) if j else 0
+    want = _greedy_columns(matrix, False)
+    with mock.patch.object(np.linalg, "matrix_rank", wraps=np.linalg.matrix_rank) as rank_test:
+        got = decompose._independent_columns(matrix, exact_mode=False)
+    assert got == want
+    assert rank_test.call_count == (got[-1] + 1 if len(got) == rows else cols)
+
+
 def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
     """On an exact m = 3 channel the channel's construction, the NS check,
     the min-norm decomposition, its coefficient sum, negativity and least
     coefficient, build_realization, verify_realization, the certificate's
     encoding and verify_certificate work on integer numerators: with
-    Fraction's multiplication and addition patched to record each call, none
-    is made (the frames' data are built before patching). Past the
-    construction, which derives the body's integer form, and before the
-    certificate is decoded, which derives xi's and the etas', no Fraction
-    matrix is converted to integers either."""
+    Fraction's multiplication, addition and truth test patched to record
+    each call, none is made (the frames' data are built before patching);
+    the truth test is what a nonzero scan of a Fraction array calls. Past the
+    construction, which derives the body's integer form, no Fraction matrix
+    is converted to integers either, the decoding of both files by
+    verify_certificate included."""
     rng = np.random.default_rng(5)
     body = sum(
         w * reduce(np.kron, [random_stochastic_rational(rng, 2, 2, grain=12) for _ in range(3)])
@@ -401,13 +430,13 @@ def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
         original = getattr(owner, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__bool__"):
         monkeypatch.setattr(Fraction, name, spy(Fraction, name))
     assert F(1, 2) * F(1, 3) + 1 == F(7, 6) and calls == ["__mul__", "__add__"]
     calls.clear()
     chan = _binary_channel(body)
     with monkeypatch.context() as patched:
-        for module in (procs, decompose):
+        for module in (procs, decompose, check):
             patched.setattr(module, "_to_ints", spy(module, "_to_ints"))
         report = check_nonsignalling(chan)
         qm = decompose_quasimixture(chan, ns_report=report)
@@ -417,7 +446,7 @@ def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
         residual = verify_realization(chan, real)
         obj = channel_to_json(chan)
         cert = certificate_to_json(chan, channel_digest(obj), report, qm, real, residual, 0)
-    verified = verify_certificate(json.loads(json.dumps(cert)), obj)
+        verified = verify_certificate(json.loads(json.dumps(cert)), obj)
     monkeypatch.undo()
     assert calls == []
     assert report.max_residual == qm.residual == residual == 0

@@ -37,7 +37,8 @@ from quasicause.errors import (
     TooLarge,
     TypeMismatch,
 )
-from quasicause.procs import DENSE_CAP, _fit, add, mode_product, numerators, scale
+from quasicause.check import _fit
+from quasicause.procs import DENSE_CAP, add, mode_product, numerators, scale
 from quasicause.wires import extension, ravel_index, unravel_index
 
 from tests.helpers import (

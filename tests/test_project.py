@@ -130,3 +130,21 @@ def test_package_modules_use_every_name_they_import():
         read.update(_annotation_names(tree))
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def test_checker_imports_only_the_standard_library_and_numpy():
+    """``check``, the trusted base of every verdict, imports standard-library
+    modules and numpy only, anywhere in the module: nothing relative, nothing
+    else installed, and no import by call."""
+    tree = ast.parse((PYPROJECT.parent / "src" / "quasicause" / "check.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert name not in {"__import__", "import_module"}, f"check.py:{node.lineno} imports by call"
+    others = sorted(imported - set(sys.stdlib_module_names) - {"numpy"})
+    assert others == [], f"check imports {others}"

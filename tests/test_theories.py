@@ -22,10 +22,10 @@ from quasicause import (
     sig,
     state,
 )
-from quasicause import theories
+from quasicause import check, theories
+from quasicause.check import choi_of_transfer, vec_basis_matrix
 from quasicause.errors import UnknownType, WrongKind
 from quasicause.theories import (
-    choi_of_transfer,
     discard_effect,
     embed_stochastic,
     hermitian_basis,
@@ -34,7 +34,6 @@ from quasicause.theories import (
     quant_valid,
     stoch_valid,
     transfer_from_kraus,
-    vec_basis_matrix,
 )
 
 F = Fraction
@@ -223,26 +222,24 @@ def test_reference_states_and_discards_are_built_once(theory, t):
         assert getattr(theory, kind)(t) is first
 
 
-def test_instrument_problem_builds_each_discard_once(monkeypatch):
+def test_instrument_problem_builds_each_discard_once():
     """The discard rows that instrument_problem reads, one per quantum wire
-    group, are built once per signature, equal a fresh build's row in
-    binary64 and are read-only."""
-    theories._discard_vector.cache_clear()
-    fresh = theories.discard_effect
-    built = []
-    monkeypatch.setattr(theories, "discard_effect", lambda s: built.append(s) or fresh(s))
+    group, are built once per group, equal the library's discard effect in
+    binary64 bit for bit and are read-only. A classical process needs none."""
+    check._discard_row.cache_clear()
     qubit_channel = process(np.eye(4), sig(QUBIT), sig(QUBIT), exact=False)
     bits = process(random_stochastic_float(np.random.default_rng(3), 2, 2), sig(BIT), sig(BIT))
     for _ in range(3):
         assert instrument_problem(qubit_channel) is None
         assert instrument_problem(bits) is None
-    assert sorted(s.dim for s in built) == [1, 4]
-    for s in built:
-        row = theories._discard_vector(s)
-        assert row is theories._discard_vector(s)
+    assert check._discard_row.cache_info().misses == 1
+    for s in (sig(), sig(QUBIT), sig(QUBIT, quantum(3))):
+        wires = tuple((w.vdim, w.hilbert_dim) for w in s)
+        row = check._discard_row(wires)
+        assert row is check._discard_row(wires)
         assert not row.flags.writeable
         assert row.dtype == np.float64
-        assert np.array_equal(row, fresh(s).matrix[0].astype(float))
+        assert np.array_equal(row, discard_effect(s).matrix[0].astype(float))
 
 
 @pytest.mark.parametrize("kind", ["reference_state", "discard"])
