@@ -101,21 +101,28 @@ def max_gap(a: Operand, b: Operand):
     return Fraction(_amax(an * ka - bn * kb), den)
 
 
+def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on integer numerators, exactly: on BLAS in binary64, cast back to int64, where every
+    partial sum is an integer below 2^53 (max|a| max|b| k), so held exactly in any order; else in
+    int64 below 2^63, else on Python ints."""
+    bound = _amax(a) * _amax(b) * a.shape[1] if object not in (a.dtype, b.dtype) else _INT64_LIMIT
+    if bound < _EXACT_FLOAT:
+        return (a.astype(float) @ b.astype(float)).astype(np.int64)
+    return a @ b if bound < _INT64_LIMIT else a.astype(object) @ b.astype(object)
+
 def tucker(core: Operand, factors: Sequence[Operand]) -> Operand:
     """The Tucker product of ``core``, one axis per factor, with factors[i] of shape (p_i,
     core.shape[i]). Each step ``t = t.reshape(n_i, -1).T @ F_i.T`` contracts the leading axis and
     makes it the last, so after every factor the axes are back in order. Rational operands give
-    ``(num, den_core * prod den_i)``, in int64 where ``_widened`` proves a step exact; if any
-    operand is binary64, all are."""
+    ``(num, den_core * prod den_i)``, each step exact by ``_int_matmul``; if any operand is
+    binary64, all are."""
     exact = isinstance(core, tuple) and all(isinstance(f, tuple) for f in factors)
     if not exact:
         core, factors = (_float_of(core), 1), [(_float_of(f), 1) for f in factors]
     t, den = core
     for f, d in factors:
-        if exact:
-            t, f = _widened(t, f, f.shape[1])
-            den *= d
-        t = t.reshape(f.shape[1], -1).T @ f.T
+        t = t.reshape(f.shape[1], -1).T
+        t, den = (_int_matmul(t, f.T), den * d) if exact else (t @ f.T, den)
     t = t.reshape(tuple(f.shape[0] for f, _ in factors))
     return (t, den) if exact else t
 

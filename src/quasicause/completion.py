@@ -63,10 +63,11 @@ from .procs import (
     FLOAT64,
     RATIONAL,
     LinearProcess,
-    Operand,
     _apply,
+    _binary64,
     _made,
     _operand,
+    _operands,
     add,
     compose_par,
     compose_seq,
@@ -323,19 +324,11 @@ def _stack(t: SystemType, kind: str, procs: Sequence[LinearProcess]) -> LinearPr
     effects as the rows of t -> classical(n); binary64 unless all are
     rational."""
     exact_mode = all(p.arithmetic == RATIONAL for p in procs)
-    mats = [p.matrix if exact_mode else p.to_float().matrix for p in procs]
+    mats = [p.matrix if exact_mode else _binary64(p) for p in procs]
     label = sig(classical(len(procs)))
     if kind == "state":
         return LinearProcess(label, sig(t), np.concatenate(mats, axis=1))
     return LinearProcess(sig(t), label, np.concatenate(mats, axis=0))
-
-
-def _operands(*procs: LinearProcess) -> List[Operand]:
-    """``procs`` as ``mode_product`` operands in one arithmetic: integer forms
-    when every process is rational, binary64 matrices otherwise."""
-    if all(p.arithmetic == RATIONAL for p in procs):
-        return [numerators(p) for p in procs]
-    return [p.to_float().matrix for p in procs]
 
 
 def _block(p: LinearProcess, inputs: Signature, outputs: Signature, rows=slice(None), cols=slice(None)):

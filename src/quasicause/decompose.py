@@ -49,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exact
-from .check import Ints, Operand, _canonical, _float_of, _sum, recontraction_residual, tucker, wing_major
+from .check import Ints, Operand, _canonical, _sum, recontraction_residual, tucker, wing_major
 from .errors import (
     FrameDeficient,
     NotNonSignalling,
@@ -352,10 +352,10 @@ def default_frames(channel: MultipartiteChannel) -> Tuple[WingFrame, ...]:
     )
 
 
-def _wing_major_tensor(channel: MultipartiteChannel) -> Operand:
-    """The body with axis i over wing i's (out, in) pairs."""
+def _wing_major_tensor(channel: MultipartiteChannel, binary64: bool = False) -> Operand:
+    """The body with axis i over wing i's (out, in) pairs (in binary64 if ``binary64``)."""
     body = channel.body
-    return wing_major(_operand(body), body.outputs.dims, body.inputs.dims)
+    return wing_major(_operand(body, binary64=binary64), body.outputs.dims, body.inputs.dims)
 
 
 def _recontraction_residual(channel, core: Operand, factors: Sequence[Operand]) -> object:
@@ -463,7 +463,7 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
 
     a, a_eq = _lp_matrices(frames)
     rows = [frame.lp_rows for frame in frames]
-    b = _float_of(_wing_major_tensor(channel))[np.ix_(*rows)].reshape(-1)
+    b = _wing_major_tensor(channel, binary64=True)[np.ix_(*rows)].reshape(-1)
     n = a.shape[1]
     # milp passes the matrix's index arrays on to its HiGHS wrapper
     # uncopied; a writeable copy keeps any wrapper from refusing, or writing

@@ -19,8 +19,10 @@ classical wire with n outcomes and sqrt(d) for a qudit.
 
 Each wing is three mode products on the body's wing tensor (one axis per
 wire) with a single-wire discard and reference state; no operator on the
-whole wire space is built. A rational body is contracted on its integer
-numerators, so the check does no ``Fraction`` arithmetic.
+whole wire space is built. Those are the theory's cached processes, read in
+the body's arithmetic from the forms they keep: a rational body is
+contracted on integer numerators, so the check does no ``Fraction``
+arithmetic, and a binary64 one converts nothing.
 
 Wing labels are 1-based throughout this module's public surface.
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import OutOfRange, TypeMismatch
-from .procs import LinearProcess, Operand, _made, _operand, effective_tol, max_gap, mode_product
+from .procs import FLOAT64, LinearProcess, Operand, _made, _operand, effective_tol, max_gap, mode_product
 from .theories import Theory
 from .wires import Signature, SystemType
 
@@ -96,9 +98,7 @@ class NSReport:
         return bool(self.max_residual <= self.tolerance)
 
 
-def discard_outputs(
-    channel: MultipartiteChannel, subset: Sequence[int]
-) -> LinearProcess:
+def discard_outputs(channel: MultipartiteChannel, subset: Sequence[int]) -> LinearProcess:
     """Contract the output wires of the K wings with the theory discards.
 
     Remaining outputs keep their original relative order.
@@ -106,15 +106,13 @@ def discard_outputs(
     subset = tuple(sorted(set(subset)))
     if not subset or not 1 <= subset[0] <= subset[-1] <= channel.m:
         raise OutOfRange(f"wings to discard {subset} must be nonempty in 1..{channel.m}")
-    tensor, outs = channel.wing_operand, channel.body.outputs
+    tensor, outs, as_float = channel.wing_operand, channel.body.outputs, channel.body.arithmetic == FLOAT64
     for k in subset:
-        tensor = mode_product(tensor, _operand(channel.theory.discard(outs[k - 1])), k - 1)
+        tensor = mode_product(tensor, _operand(channel.theory.discard(outs[k - 1]), None, as_float), k - 1)
     return _made(channel.body.inputs, _rest(outs, subset), tensor)
 
 
-def check_nonsignalling(
-    channel: MultipartiteChannel, tol: Optional[object] = None
-) -> NSReport:
+def check_nonsignalling(channel: MultipartiteChannel, tol: Optional[object] = None) -> NSReport:
     """Decide the non-signalling property from the m single-wing conditions.
 
     For wing k, ``discarded`` is the wing tensor with output axis k contracted
@@ -129,14 +127,14 @@ def check_nonsignalling(
     """
     tolerance = effective_tol(channel.body.arithmetic, tol)
     m, ins, outs, theory = channel.m, channel.body.inputs, channel.body.outputs, channel.theory
-    body = channel.wing_operand
+    body, as_float = channel.wing_operand, channel.body.arithmetic == FLOAT64
     checks: List[SubsetCheck] = []
     for k in range(1, m + 1) if m > 1 else ():
         axis, w_in = m + k - 1, ins[k - 1]
-        discarded = mode_product(body, _operand(theory.discard(outs[k - 1])), k - 1)
+        discarded = mode_product(body, _operand(theory.discard(outs[k - 1]), None, as_float), k - 1)
         # the state as a row and the discard as a column: their transposes
-        candidate = mode_product(discarded, _operand(theory.reference_state(w_in), (1, -1)), axis)
-        rebuilt = mode_product(candidate, _operand(theory.discard(w_in), (-1, 1)), axis)
+        candidate = mode_product(discarded, _operand(theory.reference_state(w_in), (1, -1), as_float), axis)
+        rebuilt = mode_product(candidate, _operand(theory.discard(w_in), (-1, 1), as_float), axis)
         marginal = _made(_rest(ins, (k,)), _rest(outs, (k,)), candidate)
         checks.append(SubsetCheck((k,), max_gap(discarded, rebuilt), marginal))
     return NSReport(tuple(checks), tolerance)

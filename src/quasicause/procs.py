@@ -14,15 +14,16 @@ scalings, mixtures and comparisons are numpy integer kernels on those
 numerators: int64 where a bound on the operands' magnitudes proves that
 nothing overflows, object arrays of Python ints otherwise, and never a
 per-entry ``gcd``. ``Fraction`` entries exist only in the ``.matrix`` view
-(an object array), which a composition result builds on its first read; a
-process made by the public constructor computes its integer form once, when
-it is first composed, and keeps it. Promotion to binary64 divides numerators
-by the denominator, which gives ``float(Fraction)`` bit for bit: both values
-are exact in binary64 up to 2^53, so the division is correctly rounded, and
-larger ones are divided as Python ints. The integer kernels that a
-certificate's verdict rests on (the overflow bounds, canonical forms,
-promotion and ``max_gap``) are the trusted checker's, ``check``, and this
-module imports them.
+(an object array), which a composition result builds on its first read.
+A rational process keeps two derived, read-only forms, each built once, on
+first use: its integer form, and its binary64 matrix, which every operation
+beside a binary64 operand reads instead of promoting again. Promotion
+divides numerators by the denominator, which gives ``float(Fraction)`` bit
+for bit: both values are exact in binary64 up to 2^53, so the division is
+correctly rounded, and larger ones are divided as Python ints. The integer
+kernels that a certificate's verdict rests on (the overflow bounds,
+canonical forms, promotion and ``max_gap``) are the trusted checker's,
+``check``, and this module imports them.
 
 Wire shuffles and identities are bijections of the basis points: 0/1
 matrices with exactly one 1 in each row and each column. Those built by
@@ -56,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Callable, Sequence, Tuple, Union
 
@@ -96,9 +98,7 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
 def as_matrix(rows, exact: bool) -> np.ndarray:
     """Build a 2-D matrix in the requested backend from nested sequences."""
     if exact:
-        matrix = np.array(
-            [[_as_rational(x) for x in row] for row in rows], dtype=object
-        )
+        matrix = np.array([[_as_rational(x) for x in row] for row in rows], dtype=object)
     else:
         matrix = np.array(rows, dtype=float)
     if matrix.ndim != 2:
@@ -118,7 +118,9 @@ def _as_rational(x) -> Union[int, Fraction]:
 
 @dataclass(frozen=True, eq=False)
 class LinearProcess:
-    """A real matrix of shape (output dim) x (input dim) between signatures."""
+    """A real matrix of shape (output dim) x (input dim) between signatures;
+    a rational one also keeps its integer form and binary64 matrix, each
+    built once, read-only."""
 
     inputs: Signature
     outputs: Signature
@@ -127,7 +129,8 @@ class LinearProcess:
     # Set only by the private constructors below, never a field: the row of
     # each column's single 1 (indexed maps). Those constructors also set
     # ``_build``, which makes a deferred binary64 matrix or rational integer
-    # form, and ``_ints``, the integer form of a rational process.
+    # form, and ``_ints``, the integer form of a rational process; ``_binary64``
+    # sets ``_floats``, its binary64 matrix.
     _rows = None
 
     def __post_init__(self):
@@ -142,9 +145,7 @@ class LinearProcess:
         if matrix.dtype == object:
             for x in matrix.flat:
                 if not isinstance(x, (int, Fraction)):
-                    raise TypeError(
-                        f"rational-mode matrix holds non-rational entry {x!r}"
-                    )
+                    raise TypeError(f"rational-mode matrix holds non-rational entry {x!r}")
         elif matrix.dtype != np.float64:
             object.__setattr__(self, "matrix", matrix.astype(float))
         _freeze(self.matrix)
@@ -180,15 +181,10 @@ class LinearProcess:
         return self.matrix[0, 0]
 
     def to_float(self) -> "LinearProcess":
-        if self.arithmetic == FLOAT64:
-            return self
-        return _trusted(self.inputs, self.outputs, _float_of(_ints(self)))
+        return self if self.arithmetic == FLOAT64 else _trusted(self.inputs, self.outputs, _binary64(self))
 
     def __repr__(self):
-        return (
-            f"LinearProcess({self.inputs!r} -> {self.outputs!r}, "
-            f"{self.arithmetic})"
-        )
+        return f"LinearProcess({self.inputs!r} -> {self.outputs!r}, {self.arithmetic})"
 
 
 def _bare(inputs: Signature, outputs: Signature, arithmetic: str, **private) -> LinearProcess:
@@ -261,10 +257,29 @@ def _fractions(num: np.ndarray, den: int) -> np.ndarray:
     return out.reshape(num.shape)
 
 
-def _operand(p: LinearProcess, shape=None) -> Operand:
-    """A process's integer form or binary64 matrix, reshaped to ``shape`` if given."""
-    x = _ints(p) if p.arithmetic == RATIONAL else p.matrix
+def _binary64(p: LinearProcess) -> np.ndarray:
+    """A process's binary64 matrix: a rational one's is promoted from its
+    integer form on first use and kept, read-only, beside it."""
+    if p.arithmetic == FLOAT64:
+        return p.matrix
+    d = vars(p)
+    if "_floats" not in d:
+        d["_floats"] = _freeze(_float_of(_ints(p)))
+    return d["_floats"]
+
+
+def _operand(p: LinearProcess, shape=None, binary64: bool = False) -> Operand:
+    """A process's integer form, or its binary64 matrix when it is binary64
+    or ``binary64`` is set; reshaped to ``shape`` if given."""
+    x = _binary64(p) if binary64 or p.arithmetic == FLOAT64 else _ints(p)
     return x if shape is None else _apply(x, lambda a: a.reshape(shape))
+
+
+def _operands(*ps: LinearProcess) -> list:
+    """Processes as operands in one arithmetic: integer forms when every one
+    is rational, binary64 matrices otherwise."""
+    binary64 = any(p.arithmetic == FLOAT64 for p in ps)
+    return [_operand(p, binary64=binary64) for p in ps]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,13 +324,27 @@ def mode_product(tensor: Operand, matrix: Operand, axis: int) -> Operand:
     """Multiply ``matrix`` into one axis of ``tensor``: that axis's length
     becomes matrix.shape[0]. Two rational operands give ``(num, den_t * den_m)``,
     in int64 where ``_widened`` proves it exact, else on Python ints; the
-    result is binary64 if either operand is."""
+    result is binary64 if either operand is. These are ``np.tensordot``'s
+    own steps, then ``np.moveaxis``'s, without their per-call wrappers (axis
+    to the front, one 2-D ``np.dot``, axis back), so the result is theirs
+    bit for bit."""
     if isinstance(tensor, tuple) and isinstance(matrix, tuple):
         (tn, td), (mn, md) = tensor, matrix
-        tn, mn = _widened(tn, mn, mn.shape[1])
-        return np.moveaxis(np.tensordot(mn, tn, axes=([1], [axis])), 0, axis), td * md
-    moved = np.tensordot(_float_of(matrix), _float_of(tensor), axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
+        return _mode(*_widened(tn, mn, mn.shape[1]), axis), td * md
+    return _mode(_float_of(tensor), _float_of(matrix), axis)
+
+
+def _mode(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+    (front, back), shape = _axis_moves(tensor.ndim, axis), tensor.shape
+    rest = shape[:axis] + shape[axis + 1:]
+    out = np.dot(matrix, tensor.transpose(front).reshape(shape[axis], math.prod(rest)))
+    return out.reshape(len(matrix), *rest).transpose(back)
+
+
+@lru_cache(maxsize=None)
+def _axis_moves(ndim: int, axis: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The transposes that move ``axis`` to the front and back again."""
+    return (axis, *range(axis), *range(axis + 1, ndim)), (*range(1, axis + 1), 0, *range(axis + 1, ndim))
 
 
 def process(matrix, inputs: Signature, outputs: Signature, exact=None) -> LinearProcess:
@@ -323,16 +352,8 @@ def process(matrix, inputs: Signature, outputs: Signature, exact=None) -> Linear
     if isinstance(matrix, np.ndarray) and exact is None:
         return LinearProcess(inputs, outputs, matrix)
     if exact is None:
-        exact = _looks_exact(matrix)
+        exact = not any(isinstance(x, float) for row in matrix for x in row)
     return LinearProcess(inputs, outputs, as_matrix(matrix, exact))
-
-
-def _looks_exact(rows) -> bool:
-    for row in rows:
-        for x in row:
-            if isinstance(x, float):
-                return False
-    return True
 
 
 def state(vector: Sequence[Number], output: Union[Signature, SystemType], exact=None):
@@ -403,7 +424,7 @@ def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f.arithmetic == g.arithmetic == RATIONAL:
         (fn, fd), (gn, gd) = _ints(f), _ints(g)
         return _exact(f.inputs, g.outputs, _matmul(*_widened(gn, fn, fn.shape[0])), fd * gd)
-    return _trusted(f.inputs, g.outputs, _matmul(_float_of(_operand(g)), _float_of(_operand(f))))
+    return _trusted(f.inputs, g.outputs, _matmul(_binary64(g), _binary64(f)))
 
 
 def _kron_indexed(left: bool, index: LinearProcess, dense: np.ndarray) -> np.ndarray:
@@ -441,7 +462,7 @@ def compose_par(f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f.arithmetic == g.arithmetic == RATIONAL:
         (fn, fd), (gn, gd) = _ints(f), _ints(g)
         return _exact(inputs, outputs, _kron(*_widened(fn, gn)), fd * gd)
-    return _trusted(inputs, outputs, _kron(_float_of(_operand(f)), _float_of(_operand(g))))
+    return _trusted(inputs, outputs, _kron(_binary64(f), _binary64(g)))
 
 
 def convex_mix(p: Number, f: LinearProcess, g: LinearProcess) -> LinearProcess:
@@ -453,8 +474,8 @@ def convex_mix(p: Number, f: LinearProcess, g: LinearProcess) -> LinearProcess:
     if f.arithmetic == g.arithmetic == RATIONAL and not isinstance(p, float):
         p = _as_rational(p)
         return _exact(f.inputs, f.outputs, *_lincomb([(p, _ints(f)), (1 - p, _ints(g))]))
-    p, fm, gm = float(p), _float_of(_operand(f)), _float_of(_operand(g))
-    return LinearProcess(f.inputs, f.outputs, p * fm + (1 - p) * gm)
+    p = float(p)
+    return LinearProcess(f.inputs, f.outputs, p * _binary64(f) + (1 - p) * _binary64(g))
 
 
 def permutation(signature: Signature, order: Sequence[int]) -> LinearProcess:
@@ -483,7 +504,7 @@ def max_abs_diff(f: LinearProcess, g: LinearProcess) -> Number:
         raise TypeMismatch("processes of different shape are not comparable")
     if f.shape[0] * f.shape[1] == 0:
         return 0
-    return max_gap(_operand(f), _operand(g))
+    return max_gap(*_operands(f, g))
 
 
 def processes_equal(f: LinearProcess, g: LinearProcess, tol: Number = 0) -> bool:
@@ -495,7 +516,7 @@ def scale(c: Number, f: LinearProcess) -> LinearProcess:
     """Scalar multiple of a process (quasi-state and affine bookkeeping)."""
     if f.arithmetic == RATIONAL and not isinstance(c, float):
         return _exact(f.inputs, f.outputs, *_lincomb([(_as_rational(c), _ints(f))]))
-    return LinearProcess(f.inputs, f.outputs, float(c) * _float_of(_operand(f)))
+    return LinearProcess(f.inputs, f.outputs, float(c) * _binary64(f))
 
 
 def add(f: LinearProcess, g: LinearProcess) -> LinearProcess:
@@ -503,7 +524,7 @@ def add(f: LinearProcess, g: LinearProcess) -> LinearProcess:
         raise TypeMismatch("sum needs identical signatures")
     if f.arithmetic == g.arithmetic == RATIONAL:
         return _exact(f.inputs, f.outputs, *_lincomb([(1, _ints(f)), (1, _ints(g))]))
-    return _trusted(f.inputs, f.outputs, _float_of(_operand(f)) + _float_of(_operand(g)))
+    return _trusted(f.inputs, f.outputs, _binary64(f) + _binary64(g))
 
 
 def effective_tol(arithmetic: str, tol=None) -> Number:

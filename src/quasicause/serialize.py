@@ -61,6 +61,12 @@ def encode_number(x) -> object:
     return str(Fraction(x))
 
 
+def _ratio(n: int, den: int) -> str:
+    """``encode_number(Fraction(n, den))`` for den > 0, with no ``Fraction``."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def encode_matrix(matrix: np.ndarray) -> List[object]:
     return [encode_number(x) for x in matrix.reshape(-1)]
 
@@ -125,18 +131,15 @@ def ns_report_to_json(report: NSReport) -> Dict:
 
 # -- certificates --------------------------------------------------------------
 
-def certificate_to_json(
-    channel: MultipartiteChannel,
-    digest: str,
-    report: NSReport,
-    qm: QuasiMixture,
-    realization: CommonCauseRealization,
-    realization_residual,
-    tolerance,
-) -> Dict:
+def certificate_to_json(channel: MultipartiteChannel, digest: str, report: NSReport, qm: QuasiMixture,
+                        realization: CommonCauseRealization, realization_residual, tolerance) -> Dict:
     xi = realization.xi
-    dims = xi.outputs.dims  # a rational xi's zeros are found on its numerators
-    support = _operand(xi, dims)[0] if xi.arithmetic == RATIONAL else None
+    dims = xi.outputs.dims
+    if xi.arithmetic == RATIONAL:  # printed from the numerators: no Fraction per entry
+        num, den = _operand(xi, dims)
+        entries = [(_ratio(n, den), idx) for n, idx in nonzero_entries(num)]
+    else:
+        entries = nonzero_entries(xi.matrix.reshape(dims))
     return {
         "version": CERTIFICATE_VERSION,
         "channelDigest": digest,
@@ -147,10 +150,7 @@ def certificate_to_json(
         "nsReport": ns_report_to_json(report),
         "realization": {
             "channelId": realization.channel_id,
-            "xi": [
-                {"indices": list(idx), "c": encode_number(c)}
-                for c, idx in nonzero_entries(xi.matrix.reshape(dims), support)
-            ],
+            "xi": [{"indices": list(idx), "c": c} for c, idx in entries],
             "etas": [encode_matrix(e.matrix) for e in realization.etas],
             "brands": [
                 {"type": a.id, "channel": a.brand[0], "wing": a.brand[1], "carrier": a.vdim}

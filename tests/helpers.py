@@ -50,8 +50,12 @@ from quasicause.procs import (
     LinearProcess,
     _as_rational,
     _float_of,
+    _ints,
+    _kron,
     _lincomb,
+    _matmul,
     _operand,
+    _widened,
     compose_par,
     compose_seq,
     effective_tol,
@@ -767,6 +771,48 @@ def fraction_mode_product(tensor, matrix, axis):
     operand is."""
     tensor, matrix = _promote(tensor, matrix)
     moved = np.tensordot(matrix, tensor, axes=([1], [axis]))
+    return np.moveaxis(moved, 0, axis)
+
+
+# -- the uncached binary64 path -------------------------------------------------
+# The mixed-arithmetic operations as they were before a rational process kept
+# its binary64 form: every call promotes a rational operand's integer form
+# afresh with ``check._float_of``, and a mode product is ``np.tensordot``
+# then ``np.moveaxis``. The oracle of ``procs._binary64`` and of
+# ``procs.mode_product``'s own steps, bit for bit.
+
+def fresh_binary64(p: LinearProcess) -> np.ndarray:
+    """``p``'s binary64 matrix, a rational one's promoted on this call."""
+    return _float_of(_ints(p)) if p.arithmetic == RATIONAL else p.matrix
+
+
+def uncached_compose_seq(f, g):
+    return _matmul(fresh_binary64(g), fresh_binary64(f))
+
+
+def uncached_compose_par(f, g):
+    return _kron(fresh_binary64(f), fresh_binary64(g))
+
+
+def uncached_convex_mix(p, f, g):
+    return float(p) * fresh_binary64(f) + (1 - float(p)) * fresh_binary64(g)
+
+
+def uncached_scale(c, f):
+    return float(c) * fresh_binary64(f)
+
+
+def uncached_add(f, g):
+    return fresh_binary64(f) + fresh_binary64(g)
+
+
+def uncached_mode_product(tensor, matrix, axis):
+    """``procs.mode_product`` through ``np.tensordot``."""
+    if isinstance(tensor, tuple) and isinstance(matrix, tuple):
+        (tn, td), (mn, md) = tensor, matrix
+        tn, mn = _widened(tn, mn, mn.shape[1])
+        return np.moveaxis(np.tensordot(mn, tn, axes=([1], [axis])), 0, axis), td * md
+    moved = np.tensordot(_float_of(matrix), _float_of(tensor), axes=([1], [axis]))
     return np.moveaxis(moved, 0, axis)
 
 

@@ -49,21 +49,40 @@ def _random_operand(rng, shape, kind):
     return rng.integers(-bound, bound + 1, size=shape, dtype=np.int64), int(rng.integers(1, 1000))
 
 
+def _edge_operands(rng, carriers, rows, above):
+    """A core of ones and a first factor of equal entries v whose first step's bound n v lies
+    just below 2^53, or just above it with row 0 summing to an odd integer, which binary64
+    cannot hold; the other factors are small."""
+    n = carriers[0]
+    v = (2 ** 53 // n + 1) if above else (2 ** 53 - 1) // n
+    first = np.full((rows[0], n), v, dtype=np.int64)
+    if above and n * v % 2 == 0:
+        first[0, 0] -= 1  # row 0 sums to n v - 1
+    core = np.ones(carriers, dtype=np.int64), int(rng.integers(1, 1000))
+    rest = [_random_operand(rng, (p, k), "small") for p, k in zip(rows[1:], carriers[1:])]
+    return core, [(first, int(rng.integers(1, 1000))), *rest]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     carriers=st.lists(st.integers(1, 5), min_size=1, max_size=6),
     rows=st.lists(st.integers(1, 5), min_size=6, max_size=6),
-    kind=st.sampled_from(["small", "wide", "float"]),
+    kind=st.sampled_from(["small", "wide", "float", "below 2^53", "above 2^53"]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_tucker_matches_the_mode_product_chain(carriers, rows, kind, seed):
     """``check.tucker`` against one ``procs.mode_product`` per axis: the same
     numerators and denominator for rationals, including chains that widen to
-    Python ints past 2^63, and binary64 within 4 ulps of the operands'
-    scale (the largest sum of absolute products an entry can have)."""
+    Python ints past 2^63 and steps whose bound max|a| max|b| k lies just
+    below 2^53 (contracted in binary64) or just above it (in int64), and
+    binary64 within 4 ulps of the operands' scale (the largest sum of
+    absolute products an entry can have)."""
     rng = np.random.default_rng(seed)
-    core = _random_operand(rng, tuple(carriers), kind)
-    factors = [_random_operand(rng, (p, n), kind) for p, n in zip(rows, carriers)]
+    if kind.endswith("2^53"):
+        core, factors = _edge_operands(rng, carriers, rows, kind.startswith("above"))
+    else:
+        core = _random_operand(rng, tuple(carriers), kind)
+        factors = [_random_operand(rng, (p, n), kind) for p, n in zip(rows, carriers)]
     got, want = check.tucker(core, factors), tucker_oracle(core, factors)
     if kind == "float":
         scale = np.abs(core).max() * math.prod(n * np.abs(f).max() for n, f in zip(carriers, factors))

@@ -1,5 +1,7 @@
 """Generated-theory fragment: registration, spans, equivalence, suites."""
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench import gen
-from quasicause import QUANT, RATIONAL, STOCH, classical, process, quantum, sig, state
+from quasicause import QUANT, RATIONAL, STOCH, check, classical, process, quantum, sig, state
 from quasicause.assemblages import bb84_assemblage, realize_assemblage
 from quasicause.boxes import pr_box, swap_channel
 from quasicause.completion import (
@@ -348,6 +350,33 @@ def test_quotient_suite_passes(stoch_theory):
     assert report.kernel_pairs == 10
     assert report.negative_control.distinguished
     assert report.negative_control.witness is not None
+
+
+def test_quant_suite_promotes_each_rational_process_once(monkeypatch):
+    """Over one QUANT quotient-suite run (PR box registered, BB84 realized, 8
+    samples), no rational process's numerators go through ``check._float_of``
+    twice: every mixed operation reads the binary64 form the process keeps.
+    Numerators are told apart by their buffer and denominator; the spy keeps
+    each array alive, so no buffer is freed and reused within the run."""
+    promoted, held = Counter(), []
+    unspied = check._float_of
+
+    def spy(x):
+        if isinstance(x, tuple):
+            held.append(x[0])
+            promoted[x[0].__array_interface__["data"][0], x[1]] += 1
+        return unspied(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quasicause") and getattr(module, "_float_of", None) is unspied:
+            monkeypatch.setattr(module, "_float_of", spy)
+    gt = new_theory(QUANT)
+    register(gt, pr_box(), "pr")
+    realize_assemblage(gt, bb84_assemblage(), "bb84")
+    assert quotient_suite(gt, 8, np.random.default_rng(0)).passed
+    assert promoted, "the suite promoted no rational process"
+    twice = {key: n for key, n in promoted.items() if n > 1}
+    assert twice == {}, f"{len(twice)} numerator arrays promoted more than once"
 
 
 def random_base_wrap(gt, rng, term, in_wires, out_wires, extra):

@@ -37,8 +37,8 @@ from quasicause.errors import (
     TooLarge,
     TypeMismatch,
 )
-from quasicause.check import _fit
-from quasicause.procs import DENSE_CAP, add, mode_product, numerators, scale
+from quasicause.check import _apply, _fit, _float_of
+from quasicause.procs import DENSE_CAP, _binary64, _ints, add, mode_product, numerators, scale
 from quasicause.wires import extension, ravel_index, unravel_index
 
 from tests.helpers import (
@@ -49,6 +49,12 @@ from tests.helpers import (
     fraction_max_abs_diff,
     fraction_mode_product,
     fraction_scale,
+    uncached_add,
+    uncached_compose_par,
+    uncached_compose_seq,
+    uncached_convex_mix,
+    uncached_mode_product,
+    uncached_scale,
 )
 
 F = Fraction
@@ -578,3 +584,113 @@ def test_rational_weights_on_binary64_processes_match_float_weights():
     ]:
         assert got.matrix.dtype == want.matrix.dtype == np.float64
         assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+# -- the binary64 form a rational process keeps -------------------------------
+
+def test_a_rational_process_keeps_one_read_only_binary64_form():
+    """``_binary64`` of a rational process (public, a composition result, an
+    indexed map) is built once, read-only, and is ``_float_of`` of its integer
+    form bit for bit; a binary64 process's is its own matrix."""
+    a = stoch_proc([[F(1, 3), F(2, 7)], [F(2, 3), F(5, 7)]], 2, 2)
+    for p in (a, compose_seq(a, a), permutation(sig(BIT, TRIT), (1, 0)), compose_par(a, identity(BIT))):
+        cached = _binary64(p)
+        assert p.arithmetic == "rational" and not cached.flags.writeable
+        assert _binary64(p) is cached and p.to_float().matrix is cached
+        want = _float_of(_ints(p))
+        assert cached.dtype == want.dtype and cached.shape == want.shape
+        assert cached.tobytes() == want.tobytes()
+    b = stoch_proc([[0.25, 0.5], [0.75, 0.5]], 2, 2)
+    assert _binary64(b) is b.matrix
+
+
+def _mixed_operand(rng, kind, s, magnitude, den, data):
+    """A process s -> s: rational, binary64, or an identity or wire shuffle."""
+    if kind != "indexed":
+        return kernel_operand(rng, magnitude, den, s, s, kind == "rational")
+    shuffle, _ = shuffles(s, data)
+    return shuffle if shuffle.outputs.wires == s.wires else identity(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wires=st.lists(st.sampled_from(KERNEL_WIRES), min_size=1, max_size=3)
+    .filter(lambda ws: sig(*ws).dim <= 9),
+    kinds=st.tuples(*[st.sampled_from(["rational", "binary64", "indexed"])] * 2),
+    magnitude=st.sampled_from(sorted(NUMERATORS)),
+    denominator=st.sampled_from(sorted(DENOMINATORS)),
+    weight=st.one_of(st.floats(0, 1), st.fractions(0, 1, max_denominator=12)),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_mixed_operations_match_the_uncached_promotion(
+    wires, kinds, magnitude, denominator, weight, data, seed
+):
+    """compose_seq, compose_par, add, scale and convex_mix with a binary64
+    result equal the same kernels on operands promoted afresh on every call
+    (``helpers.fresh_binary64``), bit for bit, on the first call and on
+    repeats that read the kept binary64 forms."""
+    rng = np.random.default_rng(seed)
+    s = sig(*wires)
+    den = DENOMINATORS[denominator](rng)
+    f, g = (_mixed_operand(rng, kind, s, magnitude, den, data) for kind in kinds)
+    ops = [
+        (lambda: compose_seq(f, g), lambda: uncached_compose_seq(f, g)),
+        (lambda: compose_seq(g, f), lambda: uncached_compose_seq(g, f)),
+        (lambda: compose_par(f, g), lambda: uncached_compose_par(f, g)),
+        (lambda: add(f, g), lambda: uncached_add(f, g)),
+        (lambda: scale(weight, f), lambda: uncached_scale(weight, f)),
+        (lambda: scale(float(weight), g), lambda: uncached_scale(weight, g)),
+        (lambda: convex_mix(weight, f, g), lambda: uncached_convex_mix(weight, f, g)),
+    ]
+    checked = 0
+    for op, oracle in ops * 2:  # the repeats read the kept forms
+        got = op()
+        if got.arithmetic == "rational":
+            continue  # no promotion: the Fraction oracles check these
+        want = oracle()
+        assert got.matrix.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.matrix.tobytes() == want.tobytes()
+        checked += 1
+    assert checked >= 2  # the binary64 scalings at least
+
+
+def _mode_operand(rng, shape, kind, magnitude, den):
+    if kind == "binary64":
+        return rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 4))
+    num = np.array([NUMERATORS[magnitude](rng) for _ in range(math.prod(shape))], dtype=object)
+    return _fit(num.reshape(shape)), den
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    rows=st.integers(1, 3),
+    kinds=st.tuples(*[st.sampled_from(["rational", "binary64"])] * 2),
+    magnitude=st.sampled_from(sorted(NUMERATORS)),
+    denominators=st.tuples(*[st.sampled_from(sorted(DENOMINATORS))] * 2),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_mode_product_matches_tensordot_on_every_axis(
+    shape, rows, kinds, magnitude, denominators, data, seed
+):
+    """mode_product on every axis, of a contiguous or transposed tensor,
+    equals ``np.tensordot`` then ``np.moveaxis`` bit for bit: the same
+    binary64 array, or the same numerators (and dtype) and denominator."""
+    rng = np.random.default_rng(seed)
+    tensor = _mode_operand(rng, tuple(shape), kinds[0], magnitude, DENOMINATORS[denominators[0]](rng))
+    order = data.draw(st.permutations(range(len(shape))))
+    tensor = _apply(tensor, lambda a: a.transpose(order))  # strided, like the library's views
+    for axis in range(len(shape)):
+        n = (tensor[0] if isinstance(tensor, tuple) else tensor).shape[axis]
+        matrix = _mode_operand(rng, (rows, n), kinds[1], magnitude, DENOMINATORS[denominators[1]](rng))
+        got, want = mode_product(tensor, matrix, axis), uncached_mode_product(tensor, matrix, axis)
+        if isinstance(want, tuple):
+            assert got[1] == want[1]
+            got, want = got[0], want[0]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if want.dtype == object:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()

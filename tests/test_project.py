@@ -132,6 +132,33 @@ def test_package_modules_use_every_name_they_import():
     assert unused == [], f"imported but never used: {unused}"
 
 
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_processes_reach_binary64_only_through_the_kept_form():
+    """No module of the package calls ``_float_of(_operand(...))`` or
+    ``_float_of(_ints(...))``, except ``procs._binary64`` itself: a process's
+    binary64 matrix comes from that accessor, which promotes a rational
+    process once and keeps the result."""
+    found = []
+    for path in sorted((PYPROJECT.parent / "src" / "quasicause").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("procs.py", "_binary64")
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) == "_float_of" and id(node) not in allowed
+            and any(isinstance(arg, ast.Call) and _callee(arg) in {"_operand", "_ints"} for arg in node.args)
+        ]
+    assert found == [], f"process promoted outside procs._binary64: {found}"
+
+
 def test_checker_imports_only_the_standard_library_and_numpy():
     """``check``, the trusted base of every verdict, imports standard-library
     modules and numpy only, anywhere in the module: nothing relative, nothing
