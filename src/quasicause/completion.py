@@ -26,10 +26,11 @@ xi's coefficient tensor mode-multiplied by every other leg's matrix. No
 candidate diagram is evaluated; each candidate keeps the term that names it.
 
 The theory object is single-writer during register calls and read-shared
-afterwards. Queries are not pure reads: spans, leg kernels and the S and E
-products fill a per-theory cache (each register call clears it), and the
-first ``recomposition_term`` call for a channel binds its wire route. Two
-concurrent queries may both compute one entry; either result is the same.
+afterwards. Queries are not pure reads: base-wire spans and S and E products
+are cached per base theory, shared by its generated theories; the rest of the
+tester work fills a per-theory cache (each register call clears only that);
+and the first ``recomposition_term`` call for a channel binds its wire route.
+Two concurrent queries may both compute one entry; either result is the same.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,7 +114,7 @@ class EquivResult:
 
 
 class GeneratedTheory:
-    """Base theory plus registered-realization generators."""
+    """Base theory plus registered-realization generators, and a cache of tester work reading them."""
 
     def __init__(self, base: Theory, tester_depth: int = 2):
         if tester_depth < 1:
@@ -182,7 +183,7 @@ def register(
         )
 
     gt.registered[channel_id] = RegisteredChannel(channel, realization, residual)
-    gt._span_cache.clear()
+    gt._span_cache.clear()  # the per-theory entries; base-wire ones stay valid
     # xi is the dense coefficient tensor, prod |F_i| entries on the ancillas
     gt.bind(f"xi:{channel_id}", realization.xi)
     for i, eta in enumerate(realization.etas, start=1):
@@ -382,11 +383,7 @@ def _candidates(
     digits (leftmost leg most significant)."""
     if t.kind != EXTENSION:
         gt._bind_base_type(t)
-        prefix, frame = (
-            ("st", gt.base.state_frame(t)) if kind == "state" else ("ef", gt.base.effect_frame(t))
-        )
-        names = [f"{prefix}:{t.id}:{l}" for l in range(len(frame))]
-        return _stack(t, kind, [gt.bindings[n] for n in names]), lambda j: Leaf(names[j])
+        return _frame_candidates(gt.base, kind, t)
     channel_id, wing = _owner(gt, t)
     if kind == "effect":
         terms = _leg_functionals(gt, channel_id, wing, depth)
@@ -435,46 +432,73 @@ def effect_candidates(
     return _listed(gt, "effect", t, depth or gt.tester_depth)
 
 
+def _frame_candidates(theory: Theory, kind: str, t: SystemType):
+    """A base wire's candidates at every depth: its frame, named as bound."""
+    prefix, frame = ("st", theory.state_frame(t)) if kind == "state" else ("ef", theory.effect_frame(t))
+    return _stack(t, kind, frame), lambda j: Leaf(f"{prefix}:{t.id}:{j}")
+
+
+def _kept(kind: str, stack: LinearProcess, term: Callable[[int], Term]):
+    """The leftmost-first maximal-rank subset of a ``_candidates`` stack as
+    (term, process) pairs, and its own stack (None when empty)."""
+    exact_mode = stack.arithmetic == RATIONAL
+    # in rational mode the numerators: candidate j times one positive
+    # denominator, which keeps the leftmost independent ones
+    values = numerators(stack)[0] if exact_mode else stack.matrix
+    picks = list(_independent_columns(values if kind == "state" else values.T, exact_mode))
+    kept = tuple((term(j), _select(stack, kind, [j], EMPTY)) for j in picks)
+    return kept, _select(stack, kind, picks, sig(classical(len(picks)))) if picks else None
+
+
+@lru_cache(maxsize=None)
+def _base_span(theory: Theory, kind: str, t: SystemType):
+    """A base wire's span, shared by every generated theory over ``theory``."""
+    return _kept(kind, *_frame_candidates(theory, kind, t))
+
+
 def _span(gt: GeneratedTheory, kind: str, t: SystemType, depth: int):
-    """Cached leftmost-first maximal-rank subset of the generated states
-    (``kind`` "state") or effects of a wire, with its stack: for n members,
-    the process classical(n) -> t whose column j is state j, or t ->
-    classical(n) whose row j is effect j (None when the span is empty)."""
+    """``_kept`` of a wire's generated states or effects."""
+    if t.kind != EXTENSION:
+        gt._bind_base_type(t)
+        return _base_span(gt.base, kind, t)
     key = (kind, t.id, depth)
     if key not in gt._span_cache:
-        stack, term = _candidates(gt, kind, t, depth)
-        exact_mode = stack.arithmetic == RATIONAL
-        # in rational mode the numerators: candidate j times one positive
-        # denominator, which keeps the leftmost independent ones
-        values = numerators(stack)[0] if exact_mode else stack.matrix
-        picks = list(_independent_columns(values if kind == "state" else values.T, exact_mode))
-        kept = [(term(j), _select(stack, kind, [j], EMPTY)) for j in picks]
-        span = _select(stack, kind, picks, sig(classical(len(picks)))) if picks else None
-        gt._span_cache[key] = kept, span
+        gt._span_cache[key] = _kept(kind, *_candidates(gt, kind, t, depth))
     return gt._span_cache[key]
 
 
 def state_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated states of a wire."""
-    return _span(gt, "state", t, depth or gt.tester_depth)[0]
+    return list(_span(gt, "state", t, depth or gt.tester_depth)[0])
 
 
 def effect_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated effects of a wire."""
-    return _span(gt, "effect", t, depth or gt.tester_depth)[0]
+    return list(_span(gt, "effect", t, depth or gt.tester_depth)[0])
+
+
+def _product(spans):
+    """Each span's members, and the Kronecker product of the stacks (None when one is empty)."""
+    stacks = [stack for _, stack in spans]
+    product = None if any(s is None for s in stacks) else reduce(compose_par, stacks, number(1))
+    return tuple(kept for kept, _ in spans), product
+
+
+@lru_cache(maxsize=256)
+def _base_testers(theory: Theory, kind: str, wires: Tuple[SystemType, ...]):
+    """``_product`` of base wires' spans, shared like ``_base_span``; bounded, as wire tuples are not."""
+    return _product([_base_span(theory, kind, w) for w in wires])
 
 
 def _testers(gt: GeneratedTheory, kind: str, wires: Signature, depth: int):
-    """The span members of each wire and the Kronecker product of their
-    stacks (None when some span is empty), cached per (kind, wires, depth)."""
+    """``_product`` of the wires' spans; per (kind, wires, depth) in ``gt`` if one is an extension."""
+    if all(w.kind != EXTENSION for w in wires):
+        for w in wires:
+            gt._bind_base_type(w)
+        return _base_testers(gt.base, kind, wires.wires)
     key = (kind + "s", tuple(w.id for w in wires), depth)
     if key not in gt._span_cache:
-        spans = [_span(gt, kind, w, depth) for w in wires]
-        stacks = [stack for _, stack in spans]
-        product = (
-            None if any(s is None for s in stacks) else reduce(compose_par, stacks, number(1))
-        )
-        gt._span_cache[key] = [kept for kept, _ in spans], product
+        gt._span_cache[key] = _product([_span(gt, kind, w, depth) for w in wires])
     return gt._span_cache[key]
 
 

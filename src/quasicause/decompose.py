@@ -538,9 +538,8 @@ def _pruned(coeffs: np.ndarray) -> np.ndarray:
     ``PRUNE`` set to zero, and the pruned mass, summed in C order, added to
     the first entry of largest magnitude."""
     small = np.abs(coeffs) <= PRUNE
-    dropped = 0
-    for c in coeffs[small]:  # in C order, one entry at a time
-        dropped += c
+    # cumsum adds in C order, one entry at a time
+    dropped = np.cumsum(coeffs[small])[-1] if small.any() else 0
     pruned = np.where(small, 0.0, coeffs)
     if dropped and not small.all():
         # keep the affine sum at exactly one; the touched coefficient moves

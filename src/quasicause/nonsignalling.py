@@ -109,7 +109,8 @@ def discard_outputs(channel: MultipartiteChannel, subset: Sequence[int]) -> Line
     tensor, outs, as_float = channel.wing_operand, channel.body.outputs, channel.body.arithmetic == FLOAT64
     for k in subset:
         tensor = mode_product(tensor, _operand(channel.theory.discard(outs[k - 1]), None, as_float), k - 1)
-    return _made(channel.body.inputs, _rest(outs, subset), tensor)
+    rest = Signature(tuple(w for i, w in enumerate(outs, 1) if i not in subset))
+    return _made(channel.body.inputs, rest, tensor)
 
 
 def check_nonsignalling(channel: MultipartiteChannel, tol: Optional[object] = None) -> NSReport:
@@ -135,10 +136,6 @@ def check_nonsignalling(channel: MultipartiteChannel, tol: Optional[object] = No
         # the state as a row and the discard as a column: their transposes
         candidate = mode_product(discarded, _operand(theory.reference_state(w_in), (1, -1), as_float), axis)
         rebuilt = mode_product(candidate, _operand(theory.discard(w_in), (-1, 1), as_float), axis)
-        marginal = _made(_rest(ins, (k,)), _rest(outs, (k,)), candidate)
+        marginal = _made(*(Signature(s.wires[:k - 1] + s.wires[k:]) for s in (ins, outs)), candidate)
         checks.append(SubsetCheck((k,), max_gap(discarded, rebuilt), marginal))
     return NSReport(tuple(checks), tolerance)
-
-
-def _rest(wires: Sequence[SystemType], subset: Sequence[int]) -> Signature:
-    return Signature(tuple(w for i, w in enumerate(wires, 1) if i not in subset))

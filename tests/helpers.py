@@ -591,6 +591,19 @@ def _greedy_columns(matrix, exact_mode) -> Tuple[int, ...]:
     return tuple(kept)
 
 
+def pruned_oracle(coeffs):
+    """``decompose._pruned`` with the pruned mass summed by a Python loop,
+    one entry at a time in C order."""
+    small = np.abs(coeffs) <= PRUNE
+    dropped = 0
+    for c in coeffs[small]:
+        dropped += c
+    pruned = np.where(small, 0.0, coeffs)
+    if dropped and not small.all():
+        pruned.flat[np.argmax(np.abs(pruned))] += dropped
+    return pruned
+
+
 def pruned_terms_oracle(coeffs, frame_sizes, exact_mode):
     """Pruning as one loop over every index tuple in C order: zeros dropped
     in rational mode; in binary64, entries of magnitude <= PRUNE dropped and

@@ -1,6 +1,8 @@
 """Generated-theory fragment: registration, spans, equivalence, suites."""
 
+import gc
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from perfbench import gen
 from quasicause import QUANT, RATIONAL, STOCH, check, classical, process, quantum, sig, state
 from quasicause.assemblages import bb84_assemblage, realize_assemblage
 from quasicause.boxes import pr_box, swap_channel
+from quasicause import completion
 from quasicause.completion import (
     GeneratedTheory,
     discard_ext,
@@ -644,3 +647,90 @@ def test_contracted_candidates_stay_exact_past_int64(scale):
     for (_, p), (_, q) in zip(got, want):
         assert p.arithmetic == q.arithmetic == RATIONAL
         assert max_abs_diff(p, q) == 0
+
+
+def base_tester_cache_size():
+    return completion._base_span.cache_info().currsize + completion._base_testers.cache_info().currsize
+
+
+def test_generated_theories_share_the_base_wire_spans():
+    """Two theories over one base read the same span and tester objects for
+    base wires, and a later registration leaves them in place."""
+    gt, other = pr_theory(QUANT), bb84_theory()
+    for kind in ("state", "effect"):
+        for w in (BIT, QUBIT):
+            assert completion._span(gt, kind, w, 2) is completion._span(other, kind, w, 1)
+        pair = sig(BIT, QUBIT)
+        assert completion._testers(gt, kind, pair, 2) is completion._testers(other, kind, pair, 1)
+    before = completion._span(gt, "state", BIT, 2), completion._testers(gt, "effect", sig(BIT, QUBIT), 2)
+    realize_assemblage(gt, bb84_assemblage(), "bb84")
+    assert not gt._span_cache
+    after = completion._span(gt, "state", BIT, 2), completion._testers(gt, "effect", sig(BIT, QUBIT), 2)
+    assert all(a is b for a, b in zip(after, before))
+    # the shared spans name frame members; op_equiv binds those names
+    fresh = pr_theory(QUANT)
+    q = sig(QUBIT)
+    extra = {"f": identity(q), "g": process(np.eye(4)[[0, 1, 3, 2]], q, q)}
+    w = op_equiv(fresh, Leaf("f"), Leaf("g"), extra).witness
+    lhs, rhs = (fresh.eval(Seq(Seq(w.state_term, Leaf(p)), w.effect_term), extra) for p in "fg")
+    assert abs(lhs.as_scalar() - w.lhs_value) <= 1e-12 and abs(rhs.as_scalar() - w.rhs_value) <= 1e-12
+    # the public spans are copies: editing one leaves the shared tuple alone
+    listed = state_span(gt, BIT)
+    listed.clear()
+    assert len(state_span(gt, BIT)) == BIT.vdim
+
+
+def hybrid_pr_bb84():
+    gt = pr_theory(QUANT)
+    realize_assemblage(gt, bb84_assemblage(), "bb84")
+    return gt
+
+
+SHARED_SPAN_CASES = {"quant-pr-bb84": hybrid_pr_bb84, "stoch-pr": lambda: pr_theory(STOCH)}
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", sorted(SHARED_SPAN_CASES))
+def test_shared_spans_agree_with_the_oracles_cold_and_warm(name, depth):
+    """With the shared caches emptied, then again on a second theory over the
+    filled ones: spans equal the greedy subset of their candidates, and
+    op_equiv equals the pairwise oracle on base, ancilla and mixed wires."""
+    completion._base_span.cache_clear()
+    completion._base_testers.cache_clear()
+    for gt in (SHARED_SPAN_CASES[name](), SHARED_SPAN_CASES[name]()):
+        wires = theory_wires(gt)
+        for w in wires:
+            for span, candidates in ((state_span, state_candidates), (effect_span, effect_candidates)):
+                cands = candidates(gt, w, depth)
+                exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
+                want = [term for term, _ in greedy_rank_subset(cands, exact_mode)]
+                assert [term for term, _ in span(gt, w, depth)] == want
+        base = [w for w in wires if w.kind != "extension"]
+        ancs = [w for w in wires if w.kind == "extension"]
+        for seed, (ins, outs) in enumerate([
+            ((), (base[-1],)), ((base[0],), (base[-1],)), (tuple(base[:2]), ()),
+            ((ancs[0], base[0]), (base[-1],)), ((), tuple(ancs[:2])),
+        ]):
+            for shift in (0, F(1, 5)):
+                check_op_equiv_against_oracle(
+                    gt, sig(*ins), sig(*outs), True, seed % 2 == 0, shift, True, depth, seed
+                )
+
+
+def test_dropped_theories_leave_the_shared_caches_as_the_first_left_them():
+    """Fifty audit-style theories, each with its own channel ids, fill the
+    shared caches no further than the first one did, and none outlives its
+    last reference."""
+    def audit(n):
+        gt = new_theory(QUANT)
+        register(gt, pr_box(), f"pr{n}")
+        realize_assemblage(gt, bb84_assemblage(), f"bb84{n}")
+        assert quotient_suite(gt, 8, np.random.default_rng(3)).passed
+        return weakref.ref(gt)
+
+    audit(0)
+    size = base_tester_cache_size()
+    refs = [audit(n) for n in range(1, 50)]
+    gc.collect()
+    assert base_tester_cache_size() == size
+    assert all(ref() is None for ref in refs)

@@ -71,6 +71,7 @@ from tests.helpers import (
     fraction_compose_seq,
     fresh_frame_data,
     min_negativity_oracle,
+    pruned_oracle,
     pruned_terms_oracle,
     random_cptp_transfer,
     random_density_coords,
@@ -236,6 +237,36 @@ def test_pruning_matches_the_loop_oracle(sizes, exact, data):
     got = QuasiMixture(tensor if exact else decompose._pruned(tensor), None, MIN_NORM).terms
     want = pruned_terms_oracle(coeffs, tuple(sizes), exact)
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_pruned_mass_has_the_loop_sums_bits(shape, data):
+    """One-pass pruning against the per-entry loop: the same bits, signed
+    zeros included, with tiny entries that cancel or that are all -0.0, and
+    kept entries small enough that the pruned mass's last bits show."""
+    big = data.draw(st.sampled_from([2e-12, 1e-11, 3.0]))
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, decompose.PRUNE, -decompose.PRUNE]),
+        st.floats(-decompose.PRUNE, decompose.PRUNE),
+        st.floats(-big, big),
+    )
+    n = math.prod(shape)
+    coeffs = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)), dtype=float).reshape(shape)
+    got, want = decompose._pruned(coeffs), pruned_oracle(coeffs)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pruned_mass_is_summed_in_order_not_pairwise():
+    # nine pruned entries whose pairwise sum differs from the loop's in the
+    # last bit, which shows beside a kept entry this small
+    small = [-4.01e-13, -1.55e-13, -9.43e-13, -7.51e-13, 3.41e-13, 2.94e-13, 2.31e-13, -2.33e-13, 9.94e-13]
+    coeffs = np.array(small + [2e-12])
+    assert decompose._pruned(coeffs).tobytes() == pruned_oracle(coeffs).tobytes()
 
 
 def test_product_channel_single_term():
