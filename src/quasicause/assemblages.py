@@ -139,10 +139,7 @@ def unsteerable_assemblage(p_table: np.ndarray, rho: np.ndarray) -> Assemblage:
     """sigma_{a|x} = p(a|x) rho with a fixed trusted state: a product channel."""
     n_out, n_in = p_table.shape
     coords = density_to_coords(rho)
-    table = np.zeros((n_out, n_in, coords.size))
-    for a in range(n_out):
-        for x in range(n_in):
-            table[a, x] = float(p_table[a, x]) * coords
+    table = np.asarray(p_table, dtype=float)[:, :, None] * coords
     d = int(round(math.sqrt(coords.size)))
     return Assemblage((n_in,), (n_out,), d, table)
 
@@ -150,12 +147,6 @@ def unsteerable_assemblage(p_table: np.ndarray, rho: np.ndarray) -> Assemblage:
 def pr_correlated_assemblage(rho: np.ndarray) -> Assemblage:
     """Tripartite fixture: two untrusted wings carrying the extremal binary
     box statistics, trusted states conditionally fixed."""
-    coords = density_to_coords(rho)
-    table = np.zeros((2, 2, 2, 2, 4))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    p = 0.5 if (a ^ b) == (x & y) else 0.0
-                    table[a, b, x, y] = p * coords
-    return Assemblage((2, 2), (2, 2), 2, table)
+    a, b, x, y = np.indices((2, 2, 2, 2))  # the table's axes
+    p = np.where((a ^ b) == (x & y), 0.5, 0.0)
+    return Assemblage((2, 2), (2, 2), 2, p[..., None] * density_to_coords(rho))

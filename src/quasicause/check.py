@@ -190,14 +190,17 @@ def instrument_problem(x: Operand, outs: Sequence[Wire], ins: Sequence[Wire], to
     inputs to the quantum outputs; it is valid when each block is completely positive and, for
     every x, the blocks summed over a preserve the discard. With no quantum wire blocks are 1x1
     (entries >= 0, columns summing to 1), read on the numerators if ``x`` is rational, where the
-    default tolerance is 0; elsewhere it is ``FLOAT_TOL``. NaN is never valid."""
+    default tolerance is 0 and the test is exact; elsewhere it is ``FLOAT_TOL``. NaN is never
+    valid."""
     wires = (*outs, *ins)
     quantum = any(d is not None for _, d in wires)
     exact = isinstance(x, tuple) and not quantum
     eps = tol if tol is not None else 0 if exact else FLOAT_TOL
-    if exact:
+    if exact:  # n / den against eps is n against eps * den, exactly
         num, den = x
-        low = Fraction(int(num.min()), den)
+        if isinstance(eps, float) and math.isfinite(eps):
+            eps = Fraction(eps)
+        low, eps = int(num.min()), eps * den
     elif not quantum:  # a 1x1 block is its own Choi eigenvalue
         low = x.min()
     else:
@@ -210,16 +213,19 @@ def instrument_problem(x: Operand, outs: Sequence[Wire], ins: Sequence[Wire], to
             dims = ([wires[i][1] for i in g] for g in groups[:1:-1])  # qin, qout
             low = np.linalg.eigvalsh(choi_of_transfer(blocks, *dims)).min()
     if not low >= -eps:
+        low = Fraction(low, den) if exact else low
         return f"is not completely positive (lowest Choi eigenvalue {low})"
     if exact:
         safe = _amax(num) * len(num) + den < _INT64_LIMIT  # the column sums fit in int64
-        gap = Fraction(_amax(num.sum(axis=0, dtype=None if safe else object) - den), den)
+        gap = _amax(num.sum(axis=0, dtype=None if safe else object) - den)
     elif not quantum:
         gap = abs(x.sum(axis=0) - 1).max()
     else:
         u_out, u_in = (_discard_row(tuple(wires[i] for i in g)) for g in groups[2:])
         gap = abs(np.tensordot(u_out, blocks.sum(axis=0), axes=(0, 1)) - u_in).max()
-    return None if gap <= eps else f"is not discard-preserving (gap {gap})"
+    if gap <= eps:
+        return None
+    return f"is not discard-preserving (gap {Fraction(gap, den) if exact else gap})"
 
 
 def canonical_bytes(obj) -> bytes:
@@ -340,9 +346,9 @@ def _xi_points(indices: List[list], carriers: Tuple[int, ...]) -> np.ndarray:
     raise AssertionError("the one-pass check refused valid xi indices")
 
 def read_realization(cert, dims: Sequence[Tuple[int, int]]):
-    """A certificate's (channel id, carriers, points, xi, etas) on wings of (input, output) vdims
-    ``dims``, in its arithmetic: xi is the (prod carriers, 1) core holding the file's entries at
-    ``points``, eta i the (out_i, in_i * carrier_i) matrix."""
+    """A certificate's (channel id, carriers, xi, etas) on wings of (input, output) vdims ``dims``,
+    in its arithmetic: xi is the (prod carriers, 1) core holding the file's entries at their
+    indices, eta i the (out_i, in_i * carrier_i) matrix."""
     exact = _expect(cert, dict, "certificate").get("arithmetic") == RATIONAL
     real = cert.get("realization")
     if not isinstance(real, dict):
@@ -376,7 +382,7 @@ def read_realization(cert, dims: Sequence[Tuple[int, int]]):
             etas[i] = decode_matrix(flat, (n_out, n_in * k), exact)
         except SchemaError as err:
             raise SchemaError(f"eta {i + 1}: {err}") from err
-    return channel_id, carriers, points, (core, values[1]) if exact else core, etas
+    return channel_id, carriers, (core, values[1]) if exact else core, etas
 
 
 def verify(cert, channel_obj, tol=None) -> Tuple[bool, object, str]:
@@ -391,7 +397,7 @@ def verify(cert, channel_obj, tol=None) -> Tuple[bool, object, str]:
         return False, None, "channel digest mismatch"
     wings, body = read_channel(channel_obj)
     (ins, outs), exact = zip(*wings), cert.get("arithmetic") == RATIONAL
-    _, carriers, _, xi, etas = read_realization(cert, [(i[0], o[0]) for i, o in wings])
+    _, carriers, xi, etas = read_realization(cert, [(i[0], o[0]) for i, o in wings])
     factors = [_apply(e, lambda a, k=k: a.reshape(-1, k)) for e, k in zip(etas, carriers)]
     target = wing_major(body, [v for v, _ in outs], [v for v, _ in ins])
     residual = recontraction_residual(_apply(xi, lambda a: a.reshape(carriers)), factors, target)

@@ -77,7 +77,6 @@ from .procs import (
     max_abs_diff,
     mode_product,
     number,
-    numerators,
     permutation,
     scale,
 )
@@ -441,11 +440,8 @@ def _frame_candidates(theory: Theory, kind: str, t: SystemType):
 def _kept(kind: str, stack: LinearProcess, term: Callable[[int], Term]):
     """The leftmost-first maximal-rank subset of a ``_candidates`` stack as
     (term, process) pairs, and its own stack (None when empty)."""
-    exact_mode = stack.arithmetic == RATIONAL
-    # in rational mode the numerators: candidate j times one positive
-    # denominator, which keeps the leftmost independent ones
-    values = numerators(stack)[0] if exact_mode else stack.matrix
-    picks = list(_independent_columns(values if kind == "state" else values.T, exact_mode))
+    values = _operand(stack)
+    picks = list(_independent_columns(values if kind == "state" else _apply(values, np.transpose)))
     kept = tuple((term(j), _select(stack, kind, [j], EMPTY)) for j in picks)
     return kept, _select(stack, kind, picks, sig(classical(len(picks)))) if picks else None
 

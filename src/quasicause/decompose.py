@@ -28,9 +28,11 @@ solve is the same kernel on the frames' duals.
 A wing's frame depends only on the theory and the wing's (input, output)
 types, never on the channel: ``local_channel_frame`` builds it once per
 (theory, in, out) and every later call, for any channel, shares that one
-object. Frames are immutable, and what is derived from one (its member
-matrix and its integer form, ``retained``, duals, LP rows and the validity
-of its controlled frame) is computed once per frame and kept read-only.
+object. Frames are immutable. A frame keeps its member matrices in one
+form, integer numerators when every member is rational and binary64
+otherwise, and derives everything else from it once (``WingFrame``). A
+rational mixture is likewise its integer numerators: ``Fraction`` values
+appear only in the ``coefficients`` and ``.matrix`` views, built when read.
 
 Only the min-negativity mode needs an LP solver. scipy, ``scipy.sparse``
 included, loads on the first min-negativity solve, inside
@@ -41,7 +43,9 @@ verification never load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
 from typing import List, Optional, Sequence, Tuple
@@ -49,7 +53,19 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exact
-from .check import Ints, Operand, _canonical, _sum, recontraction_residual, tucker, wing_major
+from .check import (
+    Ints,
+    Operand,
+    _apply,
+    _canonical,
+    _float_of,
+    _int_matmul,
+    _sum,
+    _to_ints,
+    recontraction_residual,
+    tucker,
+    wing_major,
+)
 from .errors import (
     FrameDeficient,
     NotNonSignalling,
@@ -61,12 +77,11 @@ from .procs import (
     FLOAT64,
     RATIONAL,
     LinearProcess,
-    _bare,
+    _binary64,
     _fractions,
     _freeze,
     _made,
     _operand,
-    _to_ints,
     add,
     compose_seq,
     effective_tol,
@@ -90,10 +105,12 @@ class WingFrame:
     subfamily; the solver works over retained members only, which makes the
     affine solution unique, while coefficients keep full-family indexing.
 
-    Everything derived from the members (their stacked matrix, ``retained``,
-    the LP's independent rows, the min-norm duals and the check of the
-    controlled frame) is computed on first use and kept on the instance, as
-    read-only arrays.
+    A frame keeps one form of its members: their matrices as the columns of
+    one operand, ``Ints`` when every member is rational and binary64
+    otherwise. Everything else (``retained``, the LP's independent rows,
+    the exact and binary64 min-norm duals and the check of the controlled
+    frame in each arithmetic) is derived from it on first use and kept on the
+    instance, as read-only arrays.
     """
 
     in_type: SystemType
@@ -108,146 +125,152 @@ class WingFrame:
         return all(m.arithmetic == RATIONAL for m in self.members)
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
-        return _freeze(np.stack([m.matrix.reshape(-1) for m in self.members], axis=1))
-
-    @cached_property
-    def _float_matrix(self) -> np.ndarray:
-        return _freeze(self._matrix.astype(float))
-
-    def matrix(self, as_float: bool = False) -> np.ndarray:
-        """One column per member, the member's matrix in C order."""
-        return self._float_matrix if as_float else self._matrix
+    def _columns(self) -> Operand:
+        """One column per member, the member's matrix in C order: numerators
+        over the lcm of the members' denominators if exact, else binary64."""
+        if not self.exact:
+            return _freeze(np.stack([_binary64(m).reshape(-1) for m in self.members], axis=1))
+        forms = [_operand(m) for m in self.members]
+        den = math.lcm(*(d for _, d in forms))
+        num = np.stack([n.reshape(-1).astype(object) * (den // d) for n, d in forms], axis=1)
+        return _apply(_canonical(num, den), _freeze)
 
     @cached_property
     def retained(self) -> Tuple[int, ...]:
-        return _independent_columns(self.matrix(as_float=not self.exact), self.exact)
+        return _independent_columns(self._columns)
 
     @cached_property
     def lp_rows(self) -> Tuple[int, ...]:
         """Leftmost-first independent rows of the binary64 member matrix."""
-        return _independent_columns(self._float_matrix.T, exact_mode=False)
+        return _independent_columns(self.operands(binary64=True)[0].T)
 
     @cached_property
-    def _exact_dual(self) -> np.ndarray:
-        f = self._matrix[:, list(self.retained)]
-        # retained columns are independent, so the pseudo-inverse is (F^T F)^-1 F^T
-        return _freeze(exact.solve(f.T @ f, f.T))
+    def _exact_operands(self) -> Tuple[Ints, Ints]:
+        num, den = self._columns
+        f = num[:, list(self.retained)]
+        # retained columns are independent, so the pseudo-inverse of f / den
+        # is den (f^T f)^-1 f^T
+        dual, dual_den = exact.solve(_int_matmul(f.T, f), f.T)
+        return self._columns, _apply(_canonical(dual.astype(object) * den, dual_den), _freeze)
 
     @cached_property
-    def _float_dual(self) -> np.ndarray:
-        return _freeze(np.linalg.pinv(self._float_matrix[:, list(self.retained)]))
+    def _binary64_operands(self) -> Tuple[np.ndarray, np.ndarray]:
+        f = _freeze(_float_of(self._columns))
+        return f, _freeze(np.linalg.pinv(f[:, list(self.retained)]))
 
-    def dual(self, as_float: bool = False) -> np.ndarray:
-        """Minimum-norm left inverse of the retained members: exact (for an
-        exact frame) or the binary64 pseudo-inverse."""
-        return self._float_dual if as_float else self._exact_dual
-
-    @cached_property
-    def _ints(self) -> Tuple[Operand, Operand]:
-        return _to_ints(self._matrix), _to_ints(self._exact_dual)
-
-    def operands(self, as_float: bool = False) -> Tuple[Operand, Operand]:
-        """``matrix()`` and ``dual()`` as ``mode_product`` operands (integer forms if exact)."""
-        return (self._float_matrix, self._float_dual) if as_float else self._ints
+    def operands(self, binary64: bool = False) -> Tuple[Operand, Operand]:
+        """The member matrix (one column per member) and the minimum-norm
+        left inverse of its retained columns, as ``mode_product`` operands:
+        ``Ints`` and the exact dual for an exact frame, else (or if
+        ``binary64``) binary64 and the pseudo-inverse."""
+        return self._binary64_operands if binary64 or not self.exact else self._exact_operands
 
     @cached_property
     def _eta_problem(self) -> Optional[str]:
-        return _controlled_frame_problem(self, as_float=False)
+        return _controlled_frame_problem(self, binary64=False)
 
     @cached_property
     def _float_eta_problem(self) -> Optional[str]:
-        return _controlled_frame_problem(self, as_float=True)
+        return _controlled_frame_problem(self, binary64=True)
 
-    def eta_problem(self, as_float: bool = False) -> Optional[str]:
+    def eta_problem(self, binary64: bool = False) -> Optional[str]:
         """Why the controlled frame (member j applied when the control reads
         j) is not a valid instrument in that arithmetic, or None."""
-        return self._float_eta_problem if as_float else self._eta_problem
+        return self._float_eta_problem if binary64 else self._eta_problem
 
 
-def _controlled_frame_problem(frame: WingFrame, as_float: bool) -> Optional[str]:
+def _controlled_frame_problem(frame: WingFrame, binary64: bool) -> Optional[str]:
     """``instrument_problem`` of the eta-shaped matrix, whose column
     x * |F| + j is column x of member j, on a classical control of |F|
     points: the test a branded ancilla of that carrier gets, since extension
     carriers count as classical there."""
     control = classical(len(frame))
-    mat = frame.matrix(as_float).reshape(frame.out_type.vdim, -1)
-    return instrument_problem(LinearProcess(sig(frame.in_type, control), sig(frame.out_type), mat))
+    eta = _made(sig(frame.in_type, control), sig(frame.out_type), frame.operands(binary64)[0])
+    return instrument_problem(eta)
 
 
-def _independent_columns(matrix: np.ndarray, exact_mode: bool) -> Tuple[int, ...]:
+def _independent_columns(x: Operand) -> Tuple[int, ...]:
     """Leftmost-first maximal linearly independent column subset: the pivots
-    of one exact elimination (``exact._eliminate``) in rational mode, a
-    greedy rank test at 1e-9 in binary64, which stops at full row rank."""
-    if exact_mode:
-        return exact.independent_columns(matrix)
+    of one exact elimination (``exact._eliminate``) of a rational operand's
+    numerators, which pivot like the matrix, and a greedy rank test at 1e-9
+    in binary64, which stops at full row rank."""
+    if isinstance(x, tuple):
+        return exact.independent_columns(x[0])
     kept: List[int] = []
-    for j in range(matrix.shape[1]):
-        if len(kept) == matrix.shape[0]:  # full row rank: no later column is independent
+    for j in range(x.shape[1]):
+        if len(kept) == x.shape[0]:  # full row rank: no later column is independent
             break
-        if np.linalg.matrix_rank(matrix[:, kept + [j]], tol=1e-9) == len(kept) + 1:
+        if np.linalg.matrix_rank(x[:, kept + [j]], tol=1e-9) == len(kept) + 1:
             kept.append(j)
     return tuple(kept)
 
 
 @dataclass(frozen=True, eq=False)
 class QuasiMixture:
-    """The affine mixture as its coefficient tensor: entry (j_1, ..., j_m)
-    of ``coefficients``, axis i of length |F_i|, weighs the product of member
-    j_i of each wing's frame. Read-only; ints and ``Fraction``s in rational
-    mode, binary64 otherwise. ``build_realization`` makes it ``xi``, and
-    ``terms``, (coefficient, index tuple) pairs, are its nonzero entries in
-    C order. A rational mixture also keeps its integer form (numerators
-    over one denominator), on which ``terms``, ``coefficient_sum``,
-    ``min_coefficient``, ``negativity`` and the realization's ``xi`` are
-    found with no ``Fraction`` arithmetic."""
+    """The affine mixture as its coefficient tensor: entry (j_1, ..., j_m),
+    axis i of length |F_i|, weighs the product of member j_i of each wing's
+    frame. ``tensor`` is an operand, read-only: canonical ``Ints`` in
+    rational mode, binary64 otherwise. An object array of ints and
+    ``Fraction``s is converted to ``Ints`` once, when the mixture is made.
+    ``build_realization`` makes the tensor ``xi``.
 
-    coefficients: np.ndarray
+    ``coefficients`` is the tensor as values, a read-only view built on first
+    read (ints when the denominator is 1, ``Fraction``s otherwise, in
+    rational mode); ``terms``, (coefficient, index tuple) pairs, are its
+    nonzero entries in C order. ``terms``, ``coefficient_sum``,
+    ``min_coefficient`` and ``negativity`` read the numerators, and build no
+    ``Fraction`` but the values they return."""
+
+    tensor: Operand
     residual: object
     mode: str
 
     def __post_init__(self):
-        _freeze(self.coefficients)
+        x = self.tensor
+        if isinstance(x, tuple):
+            x = _canonical(*x)
+        elif x.dtype == object:
+            try:
+                x = _to_ints(x)
+            except AttributeError as err:
+                raise TypeError("rational coefficients hold a non-rational entry") from err
+        else:
+            x = np.asarray(x, dtype=float)
+        object.__setattr__(self, "tensor", _apply(x, _freeze))
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.tensor, tuple)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        return _freeze(_fractions(*self.tensor)) if self.exact else self.tensor
 
     @cached_property
     def terms(self) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
-        exact_mode = self.coefficients.dtype == object
-        return nonzero_entries(self.coefficients, self._ints[0] if exact_mode else None)
-
-    @classmethod
-    def rational(cls, num: np.ndarray, den: int, residual, mode: str) -> "QuasiMixture":
-        """The rational mixture of coefficients num / den, keeping their
-        canonical integer form."""
-        qm = cls(_fractions(num, den), residual, mode)
-        num, den = _canonical(num, den)
-        vars(qm)["_ints"] = (_freeze(num), den)
-        return qm
-
-    @cached_property
-    def _ints(self) -> Ints:
-        """The integer form of rational coefficients: set by ``rational``,
-        derived from the ``Fraction``s only for a mixture made by hand."""
-        num, den = _to_ints(self.coefficients)
-        return _freeze(num), den
+        if not self.exact:
+            return nonzero_entries(self.tensor)
+        num, den = self.tensor
+        return tuple((n if den == 1 else Fraction(n, den), idx) for n, idx in nonzero_entries(num))
 
     @property
     def coefficient_sum(self):
-        if self.coefficients.dtype != object:
+        if not self.exact:
             return sum(c for c, _ in self.terms)
-        return _sum(self._ints)
+        return _sum(self.tensor)
 
     def min_coefficient(self):
-        if self.coefficients.dtype != object:
+        if not self.exact:
             return min(c for c, _ in self.terms)
-        num = self._ints[0].reshape(-1)  # the least nonzero numerator's entry
-        return self.coefficients.flat[np.flatnonzero(num)[np.argmin(num[num != 0])]]
+        num, den = self.tensor
+        least = int(num[num != 0].min())
+        return least if den == 1 else Fraction(least, den)
 
 
-def nonzero_entries(tensor: np.ndarray, support=None) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
-    """Each nonzero entry of ``tensor`` with its index tuple, in C order; an
-    object entry as it is, a binary64 one as a Python float. ``support`` (a
-    rational tensor's numerators), of its shape and zeros, is searched instead."""
-    nonzero = np.nonzero(tensor if support is None else support)
+def nonzero_entries(tensor: np.ndarray) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
+    """Each nonzero entry of ``tensor`` with its index tuple, in C order, as
+    a Python scalar."""
+    nonzero = np.nonzero(tensor)
     return tuple(zip(tensor[nonzero].tolist(), zip(*(axis.tolist() for axis in nonzero))))
 
 
@@ -332,12 +355,12 @@ def local_channel_frame(
 
 def _validate_frame(frame: WingFrame):
     want = frame.out_type.vdim * frame.in_type.vdim - frame.in_type.vdim
-    f = frame.matrix(as_float=not frame.exact)
-    diffs = f[:, 1:] - f[:, [0]]
-    if frame.exact:
-        got = exact.rank(diffs)
+    f = frame.operands()[0]
+    if frame.exact:  # the numerators, over one positive denominator
+        num = f[0].astype(object)
+        got = exact.rank(num[:, 1:] - num[:, [0]])
     else:
-        got = int(np.linalg.matrix_rank(diffs, tol=1e-9))
+        got = int(np.linalg.matrix_rank(f[:, 1:] - f[:, [0]], tol=1e-9))
     if got != want:
         raise FrameDeficient(
             f"frame for {frame.in_type.id}->{frame.out_type.id} spans affine "
@@ -413,21 +436,19 @@ def decompose_quasimixture(
 
     if not exact_mode:
         coeffs = _pruned(coeffs)
-    factors = [f.operands(as_float=not exact_mode)[0] for f in frames]
+    factors = [f.operands(not exact_mode)[0] for f in frames]
     residual = _recontraction_residual(channel, coeffs, factors)
     if residual > tolerance:
         raise ResidualTooLarge(
             f"reconstruction residual {residual} exceeds tolerance {tolerance}"
         )
-    if exact_mode:
-        return QuasiMixture.rational(*coeffs, residual, mode)
     return QuasiMixture(coeffs, residual, mode)
 
 
 def _min_norm_coefficients(channel, frames, exact_mode) -> Operand:
     """Unique affine solution over the retained (independent) sub-frames,
     scattered back into the full frame-shaped tensor (an operand)."""
-    tensor = tucker(_wing_major_tensor(channel), [f.operands(as_float=not exact_mode)[1] for f in frames])
+    tensor = tucker(_wing_major_tensor(channel), [f.operands(not exact_mode)[1] for f in frames])
     num = tensor[0] if exact_mode else tensor
     full = np.zeros(tuple(len(f) for f in frames), dtype=num.dtype)
     full[np.ix_(*(f.retained for f in frames))] = num
@@ -525,7 +546,7 @@ def _lp_matrices(frames: Tuple[WingFrame, ...]) -> tuple:
 
     a = csc_array(np.ones((1, 1)))
     for frame in frames:
-        a = kron(a, csc_array(frame.matrix(as_float=True)[list(frame.lp_rows)]), format="csc")
+        a = kron(a, csc_array(frame.operands(binary64=True)[0][list(frame.lp_rows)]), format="csc")
     a_eq = hstack([a, -a], format="csc")
     for matrix in (a, a_eq):
         for arr in (matrix.data, matrix.indices, matrix.indptr):
@@ -565,14 +586,14 @@ def reconstruction_residual(
         if len(idx) != len(sizes) or not all(0 <= j < n for j, n in zip(idx, sizes)):
             raise SignatureMismatch(f"term index {idx} is outside frames of sizes {sizes}")
         core[idx] += c
-    factors = [f.operands(as_float=not exact_mode)[0] for f in frames]
+    factors = [f.operands(not exact_mode)[0] for f in frames]
     return _recontraction_residual(channel, _to_ints(core) if exact_mode else core, factors)
 
 
 def negativity(qm: QuasiMixture):
     """Total negative mass; zero iff the mixture is a proper convex mixture."""
-    if qm.coefficients.dtype == object:
-        num, den = qm._ints
+    if qm.exact:
+        num, den = qm.tensor
         return _sum((np.maximum(-num, 0), den))
     return sum(max(-c, 0) for c, _ in qm.terms)
 
@@ -593,33 +614,27 @@ def build_realization(
     if frames is None:
         frames = default_frames(channel)
     frames = tuple(frames)
-    core, sizes = qm.coefficients, tuple(map(len, frames))
-    if core.shape != sizes:
-        raise SignatureMismatch(f"coefficients of shape {core.shape} on frames of sizes {sizes}")
+    exact_mode, sizes = qm.exact, tuple(map(len, frames))
+    shape = (qm.tensor[0] if exact_mode else qm.tensor).shape
+    if shape != sizes:
+        raise SignatureMismatch(f"coefficients of shape {shape} on frames of sizes {sizes}")
     if channel_id is None:
         channel_id = f"ch{next(_fresh)}"
-    exact_mode = core.dtype == object
 
     ancillas = tuple(extension(channel_id, i, len(f)) for i, f in enumerate(frames, start=1))
 
     etas = []
     for i, ((w_in, w_out), frame) in enumerate(zip(channel.wings, frames)):
         # column x * |F_i| + j holds column x of member j
-        problem = frame.eta_problem(as_float=not exact_mode)
+        problem = frame.eta_problem(binary64=not exact_mode)
         if problem:
             raise ResidualTooLarge(f"eta for wing {i + 1} {problem}")
-        member_matrix = frame.operands(as_float=not exact_mode)[0]
-        etas.append(_made(sig(w_in, ancillas[i]), sig(w_out), member_matrix))
+        etas.append(_made(sig(w_in, ancillas[i]), sig(w_out), frame.operands(not exact_mode)[0]))
 
     total = qm.coefficient_sum
     if not (total == 1 if exact_mode else abs(total - 1) <= effective_tol(FLOAT64)):
         raise ResidualTooLarge(f"coefficients sum to {total}, not 1")
-    if exact_mode:  # both forms are at hand, so neither is derived again
-        num, den = qm._ints
-        xi = _bare(EMPTY, Signature(ancillas), RATIONAL,
-                   matrix=core.reshape(-1, 1), _ints=(num.reshape(-1, 1), den))
-    else:
-        xi = LinearProcess(EMPTY, Signature(ancillas), core.reshape(-1, 1))
+    xi = _made(EMPTY, Signature(ancillas), qm.tensor)
     return CommonCauseRealization(xi, tuple(etas))
 
 

@@ -1,46 +1,30 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on integer matrices.
 
-Everything here takes numpy arrays of ints and ``Fraction`` (object arrays,
-or integer numerator arrays) and never leaves exact arithmetic. Each row is
-first scaled by the lcm of its denominators, which changes neither the pivot
-columns nor the solutions, and one fraction-free (Bareiss) Gauss-Jordan
-elimination then runs on Python ints: every division in it is exact, so no
-``Fraction`` is built until a solution is read off.
+Everything here takes numpy arrays of integers (int64, or object arrays of
+Python ints): a rational matrix enters as its numerators over one positive
+denominator, which changes neither the pivot columns nor the rank. One
+fraction-free (Bareiss) Gauss-Jordan elimination runs on Python ints, where
+every division is exact, and ``solve`` reads its solution off as canonical
+``Ints`` (numerators over one denominator), so no ``Fraction`` is built.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
-
-def _integer_rows(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` with each row scaled by the lcm of its entries'
-    denominators, as an object array of Python ints."""
-    if matrix.dtype != object:
-        return matrix.astype(object)
-    rows = []
-    for row in matrix.tolist():
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    out = np.empty(matrix.shape, dtype=object)
-    if out.size:
-        out[...] = rows
-    return out
+from .check import Ints, _canonical
 
 
 def _eliminate(matrix: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...], int]:
     """Fraction-free Gauss-Jordan elimination: (M, pivots, d) where M is d
-    times the reduced row echelon form of ``matrix`` (row-scaled to ints),
-    d > 0 the last pivot's minor (1 when there is no pivot), and ``pivots``
-    the leftmost-first pivot columns. Each step replaces every other row i by
+    times the reduced row echelon form of the integer ``matrix``, d > 0 the
+    last pivot's minor (1 when there is no pivot), and ``pivots`` the
+    leftmost-first pivot columns. Each step replaces every other row i by
     (p * row_i - a_ic * row_r) // q, p the new pivot and q the previous one;
     Sylvester's identity makes every such division exact."""
-    work = _integer_rows(matrix)
+    work = matrix.astype(object)
     n_rows, n_cols = work.shape
     pivots = []
     prev = 1
@@ -74,9 +58,9 @@ def independent_columns(matrix: np.ndarray) -> Tuple[int, ...]:
     return _eliminate(matrix)[1]
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b exactly for square invertible ``a``; b may be a matrix.
-    The solution is an object array of ``Fraction``."""
+def solve(a: np.ndarray, b: np.ndarray) -> Ints:
+    """Solve a @ x = b exactly for square invertible integer ``a``; b may be
+    a matrix. The solution is canonical ``(num, den)``, x = num / den."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("solve needs a square matrix")
@@ -84,7 +68,4 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reduced, pivots, d = _eliminate(np.concatenate([a, b], axis=1))
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    out = np.empty((n, b.shape[1]), dtype=object)
-    if out.size:
-        out[...] = [[Fraction(x, d) for x in row] for row in reduced[:, n:].tolist()]
-    return out
+    return _canonical(reduced[:, n:], d)

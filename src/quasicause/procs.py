@@ -9,10 +9,12 @@ made; they are never read off a matrix.
 
 A rational process is computed on as an integer numerator array over one
 positive common denominator, kept canonical (the gcd of every numerator and
-the denominator is 1). Composition, Kronecker and mode products, sums,
-scalings, mixtures and comparisons are numpy integer kernels on those
-numerators: int64 where a bound on the operands' magnitudes proves that
-nothing overflows, object arrays of Python ints otherwise, and never a
+the denominator is 1). Compositions and mode products multiply through
+``check._int_matmul``, the exact product of ``check.tucker`` too: BLAS in
+binary64 where every partial sum is an integer below 2^53. Kronecker
+products, sums, scalings, mixtures and comparisons are numpy integer kernels
+on the numerators: int64 where a bound on the operands' magnitudes proves
+that nothing overflows, object arrays of Python ints otherwise, and never a
 per-entry ``gcd``. ``Fraction`` entries exist only in the ``.matrix`` view
 (an object array), which a composition result builds on its first read.
 A rational process keeps two derived, read-only forms, each built once, on
@@ -75,6 +77,7 @@ from .check import (
     _apply,
     _canonical,
     _float_of,
+    _int_matmul,
     _to_ints,
     _widened,
     max_gap,
@@ -282,11 +285,6 @@ def _operands(*ps: LinearProcess) -> list:
     return [_operand(p, binary64=binary64) for p in ps]
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_cap(len(a), b.shape[1], "matrix product")
-    return a @ b
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices, every entry one product a_ij * b_kl,
     without np.kron's per-call overhead (most operands here are tiny)."""
@@ -323,21 +321,21 @@ def numerators(p: LinearProcess) -> Ints:
 def mode_product(tensor: Operand, matrix: Operand, axis: int) -> Operand:
     """Multiply ``matrix`` into one axis of ``tensor``: that axis's length
     becomes matrix.shape[0]. Two rational operands give ``(num, den_t * den_m)``,
-    in int64 where ``_widened`` proves it exact, else on Python ints; the
-    result is binary64 if either operand is. These are ``np.tensordot``'s
-    own steps, then ``np.moveaxis``'s, without their per-call wrappers (axis
-    to the front, one 2-D ``np.dot``, axis back), so the result is theirs
-    bit for bit."""
+    each product exact by ``check._int_matmul``, the exact product of
+    ``check.tucker`` too; the result is binary64 if either operand is. These
+    are ``np.tensordot``'s own steps, then ``np.moveaxis``'s, without their
+    per-call wrappers (axis to the front, one 2-D product, axis back), so a
+    binary64 result is theirs bit for bit."""
     if isinstance(tensor, tuple) and isinstance(matrix, tuple):
         (tn, td), (mn, md) = tensor, matrix
-        return _mode(*_widened(tn, mn, mn.shape[1]), axis), td * md
-    return _mode(_float_of(tensor), _float_of(matrix), axis)
+        return _mode(tn, mn, axis, _int_matmul), td * md
+    return _mode(_float_of(tensor), _float_of(matrix), axis, np.dot)
 
 
-def _mode(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+def _mode(tensor: np.ndarray, matrix: np.ndarray, axis: int, product: Callable) -> np.ndarray:
     (front, back), shape = _axis_moves(tensor.ndim, axis), tensor.shape
     rest = shape[:axis] + shape[axis + 1:]
-    out = np.dot(matrix, tensor.transpose(front).reshape(shape[axis], math.prod(rest)))
+    out = product(matrix, tensor.transpose(front).reshape(shape[axis], math.prod(rest)))
     return out.reshape(len(matrix), *rest).transpose(back)
 
 
@@ -421,10 +419,11 @@ def compose_seq(f: LinearProcess, g: LinearProcess) -> LinearProcess:
             num, den = _ints(g)
             return _exact(f.inputs, g.outputs, num[:, f._rows], den)
         return _trusted(f.inputs, g.outputs, g.matrix[:, f._rows])
+    _check_cap(g.outputs.dim, f.inputs.dim, "matrix product")
     if f.arithmetic == g.arithmetic == RATIONAL:
         (fn, fd), (gn, gd) = _ints(f), _ints(g)
-        return _exact(f.inputs, g.outputs, _matmul(*_widened(gn, fn, fn.shape[0])), fd * gd)
-    return _trusted(f.inputs, g.outputs, _matmul(_binary64(g), _binary64(f)))
+        return _exact(f.inputs, g.outputs, _int_matmul(gn, fn), fd * gd)
+    return _trusted(f.inputs, g.outputs, _binary64(g) @ _binary64(f))
 
 
 def _kron_indexed(left: bool, index: LinearProcess, dense: np.ndarray) -> np.ndarray:

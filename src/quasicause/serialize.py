@@ -32,13 +32,14 @@ from .check import (
     DENSE_CAP,
     FORMAT_VERSION,
     RATIONAL,
+    Operand,
     SchemaError,
     _expect,
     decode_number,
 )
 from .decompose import CommonCauseRealization, QuasiMixture, nonzero_entries
 from .nonsignalling import MultipartiteChannel, NSReport, _prechecked
-from .procs import _bare, _freeze, _made, _operand
+from .procs import _made, _operand
 from .theories import QUANT, STOCH
 from .wires import (
     CLASSICAL,
@@ -56,9 +57,10 @@ from .wires import (
 # -- number and matrix encoding ---------------------------------------------
 
 def encode_number(x) -> object:
+    """A scalar: a float as it is, a rational as "p/q" (or "p")."""
     if isinstance(x, float):
         return x
-    return str(Fraction(x))
+    return str(x if type(x) in (int, Fraction) else Fraction(x))
 
 
 def _ratio(n: int, den: int) -> str:
@@ -67,8 +69,13 @@ def _ratio(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def encode_matrix(matrix: np.ndarray) -> List[object]:
-    return [encode_number(x) for x in matrix.reshape(-1)]
+def encode_matrix(x: Operand) -> List[object]:
+    """A matrix's entries in C order: a rational one's (``Ints``) as "p/q"
+    strings printed from its numerators, binary64 ones as floats."""
+    if not isinstance(x, tuple):
+        return x.reshape(-1).tolist()
+    num, den = x
+    return [_ratio(n, den) for n in num.reshape(-1).tolist()]
 
 
 def _wing_type_to_json(t: SystemType) -> Dict:
@@ -94,7 +101,7 @@ def channel_to_json(channel: MultipartiteChannel) -> Dict:
             }
             for i, (w_in, w_out) in enumerate(channel.wings, start=1)
         ],
-        "matrix": encode_matrix(channel.body.matrix),
+        "matrix": encode_matrix(_operand(channel.body)),
     }
 
 
@@ -151,7 +158,7 @@ def certificate_to_json(channel: MultipartiteChannel, digest: str, report: NSRep
         "realization": {
             "channelId": realization.channel_id,
             "xi": [{"indices": list(idx), "c": c} for c, idx in entries],
-            "etas": [encode_matrix(e.matrix) for e in realization.etas],
+            "etas": [encode_matrix(_operand(e)) for e in realization.etas],
             "brands": [
                 {"type": a.id, "channel": a.brand[0], "wing": a.brand[1], "carrier": a.vdim}
                 for a in realization.ancilla_types
@@ -168,18 +175,13 @@ def realization_from_certificate(
     obj: Dict, channel: MultipartiteChannel
 ) -> CommonCauseRealization:
     """Rebuild xi and the etas from certificate data alone, as
-    ``check.read_realization`` decodes them. A rational xi's matrix holds
-    the file's entries as ``Fraction``s and 0 elsewhere."""
+    ``check.read_realization`` decodes them, each made from its operand as
+    ``build_realization`` makes them: a rational xi's matrix is the same
+    deferred view of its numerators as a freshly built one's."""
     dims = [(w_in.vdim, w_out.vdim) for w_in, w_out in channel.wings]
-    channel_id, carriers, points, xi, etas = check.read_realization(obj, dims)
+    channel_id, carriers, xi, etas = check.read_realization(obj, dims)
     ancillas = tuple(extension(channel_id, i, k) for i, k in enumerate(carriers, start=1))
-    if isinstance(xi, tuple):
-        num, den = xi
-        core = np.zeros(num.shape, dtype=object)
-        core[points, 0] = [Fraction(n, den) for n in num[points, 0].tolist()]
-        xi = _bare(EMPTY, Signature(ancillas), RATIONAL, matrix=_freeze(core), _ints=(_freeze(num), den))
-    else:
-        xi = _made(EMPTY, Signature(ancillas), xi)
+    xi = _made(EMPTY, Signature(ancillas), xi)
     etas = (_made(sig(w_in, a), sig(w_out), e) for (w_in, w_out), a, e in zip(channel.wings, ancillas, etas))
     return CommonCauseRealization(xi, tuple(etas))
 

@@ -53,7 +53,6 @@ from quasicause.procs import (
     _ints,
     _kron,
     _lincomb,
-    _matmul,
     _operand,
     _widened,
     compose_par,
@@ -71,6 +70,7 @@ from quasicause.theories import (
     STOCH,
     Theory,
     coords_to_density,
+    density_to_coords,
     discard_effect,
     hermitian_basis,
     instrument_problem,
@@ -504,7 +504,7 @@ def min_negativity_oracle(channel, frames) -> np.ndarray:
     coefficients minimizing sum |c_k|."""
     a = np.array([[1.0]])
     for frame in frames:
-        a = np.kron(a, frame.matrix(as_float=True))
+        a = np.kron(a, frame.operands(binary64=True)[0])
     b = _float_of(_wing_major_tensor(channel)).reshape(-1)
     n = a.shape[1]
     a_eq = np.block([[a, -a], [np.ones((1, n)), -np.ones((1, n))]])
@@ -529,7 +529,7 @@ def dense_lp_oracle(channel, frames) -> np.ndarray:
     pivoted QRs when that refit misses the rows at a degenerate vertex."""
     a = np.array([[1.0]])
     for frame in frames:
-        a = np.kron(a, frame.matrix(as_float=True)[list(frame.lp_rows)])
+        a = np.kron(a, frame.operands(binary64=True)[0][list(frame.lp_rows)])
     rows = [frame.lp_rows for frame in frames]
     b = _float_of(_wing_major_tensor(channel))[np.ix_(*rows)].reshape(-1)
     n = a.shape[1]
@@ -800,7 +800,7 @@ def fresh_binary64(p: LinearProcess) -> np.ndarray:
 
 
 def uncached_compose_seq(f, g):
-    return _matmul(fresh_binary64(g), fresh_binary64(f))
+    return fresh_binary64(g) @ fresh_binary64(f)
 
 
 def uncached_compose_par(f, g):
@@ -961,6 +961,26 @@ def oracle_assemblage_channel(asm, tol: float = 1e-9) -> MultipartiteChannel:
     if not report.verdict:
         raise InvalidAssemblage(f"encoded channel signals (residual {report.max_residual})")
     return channel
+
+
+def unsteerable_table_oracle(p_table, rho) -> np.ndarray:
+    """``assemblages.unsteerable_assemblage``'s table, one element at a time."""
+    n_out, n_in = p_table.shape
+    coords = density_to_coords(rho)
+    table = np.zeros((n_out, n_in, coords.size))
+    for a in range(n_out):
+        for x in range(n_in):
+            table[a, x] = float(p_table[a, x]) * coords
+    return table
+
+
+def pr_correlated_table_oracle(rho) -> np.ndarray:
+    """``assemblages.pr_correlated_assemblage``'s table, one element at a time."""
+    coords = density_to_coords(rho)
+    table = np.zeros((2, 2, 2, 2, 4))
+    for x, y, a, b in product(range(2), repeat=4):
+        table[a, b, x, y] = (0.5 if (a ^ b) == (x & y) else 0.0) * coords
+    return table
 
 
 def op_equiv_oracle(gt, f, g, extra=None, depth=None, tol=None):

@@ -30,8 +30,11 @@ from quasicause.theories import coords_to_density, density_to_coords
 
 from tests.helpers import (
     oracle_assemblage_channel,
+    pr_correlated_table_oracle,
     random_density_coords,
     random_stochastic_float,
+    random_stochastic_rational,
+    unsteerable_table_oracle,
     validate_assemblage,
 )
 
@@ -52,6 +55,24 @@ def test_unsteerable_factorizes():
     assert check_nonsignalling(chan).verdict
     qm = decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
     assert negativity(qm) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3), n_out=st.integers(1, 4),
+       n_in=st.integers(1, 4), exact=st.booleans())
+def test_fixture_tables_match_the_loop_oracles(seed, d, n_out, n_in, exact):
+    """The broadcast fixtures build the element loops' tables bit for bit,
+    signed zeros included, from rational or signed binary64 weights."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    p = random_stochastic_rational(rng, n_out, n_in) if exact else rng.normal(size=(n_out, n_in))
+    pairs = [(unsteerable_assemblage(p, rho), unsteerable_table_oracle(p, rho))]
+    if d == 2:
+        pairs.append((pr_correlated_assemblage(rho), pr_correlated_table_oracle(rho)))
+    for asm, want in pairs:
+        assert asm.table.dtype == want.dtype and asm.table.shape == want.shape
+        assert asm.table.tobytes() == want.tobytes()
 
 
 def test_normalization_violation_rejected():

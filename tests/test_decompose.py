@@ -150,24 +150,25 @@ def test_shared_frame_matches_a_fresh_build(theory, w_in, w_out):
     assert fresh is not frame
     want = fresh_frame_data(fresh)
     assert frame.exact == (want["exact_dual"] is not None)
-    assert frame.matrix().dtype == want["matrix"].dtype
-    assert np.array_equal(frame.matrix(), want["matrix"])
-    assert np.array_equal(frame.matrix(as_float=True), want["float_matrix"])
+    columns, dual = frame.operands()
+    floats, float_dual = frame.operands(binary64=True)
+    assert isinstance(columns, tuple) == isinstance(dual, tuple) == frame.exact
+    assert np.array_equal(procs._fractions(*columns) if frame.exact else columns, want["matrix"])
+    assert np.array_equal(floats, want["float_matrix"])
     assert frame.retained == want["retained"]
     assert frame.lp_rows == want["lp_rows"]
-    assert np.array_equal(frame.dual(as_float=True), want["float_dual"])
+    assert np.array_equal(float_dual, want["float_dual"])
     a, a_eq = decompose._lp_matrices((frame, frame))
     rows = want["float_matrix"][list(want["lp_rows"])]
     assert np.array_equal(a.toarray(), np.kron(rows, rows))
     assert np.array_equal(a_eq.toarray(), np.hstack([a.toarray(), -a.toarray()]))
-    kept = [frame.matrix(), frame.matrix(as_float=True), frame.dual(as_float=True)]
+    kept = [floats, float_dual]
     kept += [getattr(lp, part) for lp in (a, a_eq) for part in ("data", "indices", "indptr")]
     if frame.exact:
-        assert frame.dual().dtype == object
-        assert np.array_equal(frame.dual(), want["exact_dual"])
-        kept.append(frame.dual())
+        assert np.array_equal(procs._fractions(*dual), want["exact_dual"])
+        kept += [columns[0], dual[0]]
     assert not any(arr.flags.writeable for arr in kept)
-    assert frame.eta_problem() is None and frame.eta_problem(as_float=True) is None
+    assert frame.eta_problem() is None and frame.eta_problem(binary64=True) is None
 
 
 def test_identical_wings_share_one_frame():
@@ -188,12 +189,13 @@ def test_caller_built_frame_derives_its_own_data(mode):
     assert got.terms == want.terms
     build_realization(pr_box(), got, (own, own))
     kept = {
-        MIN_NORM: {"retained", "_exact_dual", "_eta_problem"},
+        MIN_NORM: {"retained", "_exact_operands", "_eta_problem"},
         MIN_NEGATIVITY: {"lp_rows", "_float_eta_problem"},
     }[mode]
     assert kept <= set(vars(own))
-    assert vars(own)["_matrix"] is not vars(shared)["_matrix"]
-    assert np.array_equal(own.matrix(), shared.matrix())
+    (own_num, own_den), (shared_num, shared_den) = vars(own)["_columns"], vars(shared)["_columns"]
+    assert own_num is not shared_num
+    assert np.array_equal(own_num, shared_num) and own_den == shared_den
 
 
 def test_frame_with_an_invalid_member_fails_build_realization():
@@ -206,8 +208,8 @@ def test_frame_with_an_invalid_member_fails_build_realization():
     frame = WingFrame(BIT, BIT, det + (bad,))
     shared = local_channel_frame(STOCH, BIT, BIT)
     qm = decompose_quasimixture(pr_box())
-    qm = replace(qm, coefficients=np.pad(qm.coefficients, ((0, 0), (0, 1))))
-    floats = replace(qm, coefficients=qm.coefficients.astype(float))
+    qm = replace(qm, tensor=np.pad(qm.coefficients, ((0, 0), (0, 1))))
+    floats = replace(qm, tensor=qm.coefficients.astype(float))
     build_realization(pr_box(), floats, (shared, frame))
     with pytest.raises(ResidualTooLarge, match="eta for wing 2 is not completely positive"):
         build_realization(pr_box(), qm, (shared, frame))
@@ -236,7 +238,22 @@ def test_pruning_matches_the_loop_oracle(sizes, exact, data):
     tensor = coeffs.reshape(sizes)
     got = QuasiMixture(tensor if exact else decompose._pruned(tensor), None, MIN_NORM).terms
     want = pruned_terms_oracle(coeffs, tuple(sizes), exact)
+    if exact and all(F(c).denominator == 1 for c in values):  # the mixture's denominator is 1
+        want = tuple((int(c), idx) for c, idx in want)
     assert repr(got) == repr(want)
+
+
+def test_object_coefficients_become_numerators_or_are_rejected():
+    """A mixture made from an object array of ints and Fractions holds it as
+    canonical numerators, read back as the same values; an object array with
+    a float in it is refused, not taken as binary64."""
+    qm = QuasiMixture(np.array([[F(1, 2), 0], [F(3, 4), F(-1, 4)]], dtype=object), None, MIN_NORM)
+    num, den = qm.tensor
+    assert den == 4 and num.tolist() == [[2, 0], [3, -1]] and not num.flags.writeable
+    assert qm.coefficients.tolist() == [[F(1, 2), 0], [F(3, 4), F(-1, 4)]]
+    assert qm.coefficient_sum == 1 and qm.min_coefficient() == F(-1, 4)
+    with pytest.raises(TypeError, match="non-rational entry"):
+        QuasiMixture(np.array([F(1, 2), 0.5], dtype=object), None, MIN_NORM)
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,59 +449,68 @@ def test_independent_columns_match_the_greedy_oracle_on_wide_matrices(rows, extr
         matrix[:, j] = matrix[:, rng.integers(0, j, size=2)].sum(axis=1) if j else 0
     want = _greedy_columns(matrix, False)
     with mock.patch.object(np.linalg, "matrix_rank", wraps=np.linalg.matrix_rank) as rank_test:
-        got = decompose._independent_columns(matrix, exact_mode=False)
+        got = decompose._independent_columns(matrix)
     assert got == want
     assert rank_test.call_count == (got[-1] + 1 if len(got) == rows else cols)
 
 
 def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
-    """On an exact m = 3 channel the channel's construction, the NS check,
-    the min-norm decomposition, its coefficient sum, negativity and least
-    coefficient, build_realization, verify_realization, the certificate's
-    encoding and verify_certificate work on integer numerators: with
-    Fraction's multiplication, addition and truth test patched to record
-    each call, none is made (the frames' data are built before patching);
-    the truth test is what a nonzero scan of a Fraction array calls. Past the
-    construction, which derives the body's integer form, no Fraction matrix
-    is converted to integers either, the decoding of both files by
-    verify_certificate included."""
-    rng = np.random.default_rng(5)
-    body = sum(
-        w * reduce(np.kron, [random_stochastic_rational(rng, 2, 2, grain=12) for _ in range(3)])
-        for w in (F(1, 3), F(2, 3))
-    )
-    warm = _binary_channel(body)
-    build_realization(warm, decompose_quasimixture(warm))  # builds the frames' data
-    calls = []
-
+    """On exact m = 3 and m = 4 channels the channel's construction, the NS
+    check, the min-norm decomposition, its coefficient sum, negativity and
+    least coefficient, build_realization, verify_realization, the
+    certificate's encoding and verify_certificate work on integer
+    numerators: with Fraction's multiplication, addition and truth test
+    patched to record each call, none is made (the frames' data are built
+    before patching); the truth test is what a nonzero scan of a Fraction
+    array calls. Past the construction, which derives the body's integer
+    form, no Fraction matrix is converted to integers either, the decoding
+    of both files by verify_certificate included. Fraction constructions
+    are counted too: besides the NS report's one residual per wing, as many
+    are built at m = 4 as at m = 3, so none is built per entry of the body,
+    the mixture, xi or a file."""
     def spy(owner, name):
         original = getattr(owner, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__bool__"):
-        monkeypatch.setattr(Fraction, name, spy(Fraction, name))
-    assert F(1, 2) * F(1, 3) + 1 == F(7, 6) and calls == ["__mul__", "__add__"]
-    calls.clear()
-    chan = _binary_channel(body)
-    with monkeypatch.context() as patched:
-        for module in (procs, decompose, check):
-            patched.setattr(module, "_to_ints", spy(module, "_to_ints"))
-        report = check_nonsignalling(chan)
-        qm = decompose_quasimixture(chan, ns_report=report)
-        total = qm.coefficient_sum
-        least, negative = qm.min_coefficient(), negativity(qm)
-        real = build_realization(chan, qm)
-        residual = verify_realization(chan, real)
-        obj = channel_to_json(chan)
-        cert = certificate_to_json(chan, channel_digest(obj), report, qm, real, residual, 0)
-        verified = verify_certificate(json.loads(json.dumps(cert)), obj)
-    monkeypatch.undo()
-    assert calls == []
-    assert report.max_residual == qm.residual == residual == 0
-    assert total == 1
-    assert verified[0] and verified[1] == 0
-    assert least == min(c for c, _ in qm.terms)
-    assert negative == sum(max(-c, 0) for c, _ in qm.terms)
+    built = {}
+    for m in (3, 4):
+        rng = np.random.default_rng(5)
+        body = sum(
+            w * reduce(np.kron, [random_stochastic_rational(rng, 2, 2, grain=12) for _ in range(m)])
+            for w in (F(1, 3), F(2, 3))
+        )
+        warm = _binary_channel(body)
+        build_realization(warm, decompose_quasimixture(warm))  # builds the frames' data
+        calls, new = [], []
+        construct = Fraction.__new__
+        with monkeypatch.context() as patched:
+            for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__bool__"):
+                patched.setattr(Fraction, name, spy(Fraction, name))
+            patched.setattr(Fraction, "__new__", staticmethod(
+                lambda cls, *args, **kwargs: new.append(cls) or construct(cls, *args, **kwargs)))
+            assert F(1, 2) * F(1, 3) + 1 == F(7, 6) and calls == ["__mul__", "__add__"]
+            calls.clear()
+            new.clear()
+            chan = _binary_channel(body)
+            for module in (procs, decompose, check):
+                patched.setattr(module, "_to_ints", spy(module, "_to_ints"))
+            report = check_nonsignalling(chan)
+            qm = decompose_quasimixture(chan, ns_report=report)
+            total = qm.coefficient_sum
+            least, negative = qm.min_coefficient(), negativity(qm)
+            real = build_realization(chan, qm)
+            residual = verify_realization(chan, real)
+            obj = channel_to_json(chan)
+            cert = certificate_to_json(chan, channel_digest(obj), report, qm, real, residual, 0)
+            verified = verify_certificate(json.loads(json.dumps(cert)), obj)
+        assert calls == []
+        built[m] = len(new) - len(report.checks)
+        assert report.max_residual == qm.residual == residual == 0
+        assert total == 1
+        assert verified[0] and verified[1] == 0
+        assert least == min(c for c, _ in qm.terms)
+        assert negative == sum(max(-c, 0) for c, _ in qm.terms)
+    assert built[3] == built[4]
 
 
 def test_min_negativity_matches_full_row_oracle_on_bb84():
@@ -512,7 +538,7 @@ def test_min_negativity_lp_has_one_row_per_unit_of_rank(build, monkeypatch):
     monkeypatch.setattr(scipy.optimize, "milp", spy)
     decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
     frames = default_frames(chan)
-    ranks = [np.linalg.matrix_rank(f.matrix(as_float=True)) for f in frames]
+    ranks = [np.linalg.matrix_rank(f.operands(binary64=True)[0]) for f in frames]
     assert shapes == [(math.prod(ranks), 2 * math.prod(map(len, frames)))]
     if chan.m == 4:
         assert shapes == [(81, 512)]
@@ -572,7 +598,7 @@ def test_pr_realization_exact_roundtrip():
 def test_coefficients_off_one_are_rejected(mode):
     chan = pr_box()
     qm = decompose_quasimixture(chan, mode=mode)
-    doubled = replace(qm, coefficients=2 * qm.coefficients)
+    doubled = replace(qm, tensor=2 * qm.coefficients)
     with pytest.raises(ResidualTooLarge, match="coefficients sum to"):
         build_realization(chan, doubled)
 

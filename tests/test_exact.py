@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: echelon form, rank and solve."""
+"""Exact linear algebra on integer numerators: echelon form, rank and solve."""
 
 import math
 from fractions import Fraction
@@ -22,16 +22,30 @@ def to_obj(rows):
     return np.array([[F(x) for x in row] for row in rows], dtype=object)
 
 
+def numerators(*matrices):
+    """Rational matrices times one common denominator, as object arrays of
+    Python ints: they pivot alike, and a @ x = b has the same solutions."""
+    den = math.lcm(*(F(x).denominator for m in matrices for x in m.flat))
+    return [np.array([int(F(x) * den) for x in m.flat], dtype=object).reshape(m.shape) for m in matrices]
+
+
+def as_fractions(x):
+    """A canonical (num, den) pair as an object array of ``Fraction``."""
+    num, den = x
+    assert den > 0 and math.gcd(den, *map(int, num.flat)) == 1
+    return np.array([F(int(n), den) for n in num.flat], dtype=object).reshape(num.shape)
+
+
 def test_rref_identity():
     a = to_obj([[2, 0], [0, 3]])
     reduced, pivots = rref(a)
     assert pivots == (0, 1)
     assert reduced[0, 0] == 1 and reduced[1, 1] == 1
-    assert independent_columns(a) == pivots
+    assert independent_columns(*numerators(a)) == pivots
 
 
 def test_rank_and_columns():
-    a = to_obj([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    a, = numerators(to_obj([[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
     assert rank(a) == 2
     assert independent_columns(a) == (0, 1)
 
@@ -39,7 +53,7 @@ def test_rank_and_columns():
 def test_solve_exact():
     a = to_obj([[2, 1], [1, 3]])
     b = to_obj([[1], [2]])
-    x = solve(a, b)
+    x = as_fractions(solve(*numerators(a, b)))
     assert list((a @ x)[:, 0]) == [F(1), F(2)]
 
 
@@ -68,12 +82,11 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_pivots_agree_with_the_fraction_rref(matrix):
     _, pivots = rref(matrix)
-    assert independent_columns(matrix) == pivots
-    assert rank(matrix) == len(pivots)
-    # integer numerators over one positive denominator pivot alike
-    den = math.lcm(*(F(x).denominator for x in matrix.flat))
-    ints = np.array([[int(x * den) for x in row] for row in matrix], dtype=np.int64)
-    assert independent_columns(ints.reshape(matrix.shape)) == pivots
+    ints, = numerators(matrix)
+    assert independent_columns(ints) == pivots
+    assert rank(ints) == len(pivots)
+    # int64 numerators pivot alike
+    assert independent_columns(ints.astype(np.int64)) == pivots
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,8 +101,8 @@ def test_solutions_agree_with_the_fraction_rref(data, n, k):
         want = solve_oracle(a, b)
     except ValueError:
         with pytest.raises(ValueError):
-            solve(a, b)
+            solve(*numerators(a, b))
         return
-    got = solve(a, b)
+    got = as_fractions(solve(*numerators(a, b)))
     assert got.shape == want.shape
-    assert all(type(x) is F and x == y for x, y in zip(got.flat, want.flat))
+    assert all(x == y for x, y in zip(got.flat, want.flat))

@@ -514,6 +514,9 @@ def test_xi_faults_keep_the_per_entry_message(case):
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3), exact=st.booleans(),
        shuffle=st.booleans())
 def test_xi_core_matches_the_per_entry_decode(seed, m, exact, shuffle):
+    """The rebuilt xi holds the per-entry decode's values, and equals the
+    freshly built xi entry for entry, types included (a rational zero is the
+    same ``Fraction(0)`` in both)."""
     g = gen.common_cause(np.random.default_rng(seed), m, exact=exact)
     bit = classical(2)
     wires = (bit,) * m
@@ -523,7 +526,8 @@ def test_xi_core_matches_the_per_entry_decode(seed, m, exact, shuffle):
     if shuffle:  # entry order is free
         np.random.default_rng(seed).shuffle(cert["realization"]["xi"])
     want = xi_core_oracle(cert["realization"], _carriers(cert), exact)
+    fresh = build_realization(chan, decompose_quasimixture(chan)).xi.matrix
     got = realization_from_certificate(cert, chan).xi.matrix
-    assert got.dtype == want.dtype
-    assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
-    assert (got == want).all()
+    assert got.dtype == want.dtype == fresh.dtype
+    assert [type(x) for x in got.flat] == [type(x) for x in fresh.flat]
+    assert (got == want).all() and (got == fresh).all()
