@@ -23,13 +23,21 @@ channel: the leg functionals e · eta_leg · (s ⊗ ·), over the leg's probe
 states s and effects e, as the rows of one matrix on the ancilla. An
 ancilla's effect candidates are its own leg's rows; its state candidates are
 xi's coefficient tensor mode-multiplied by every other leg's matrix. No
-candidate diagram is evaluated; each candidate keeps the term that names it.
+candidate diagram is evaluated, and a span builds the terms of its kept
+candidates alone; ``state_span`` and ``effect_span`` cut the kept processes
+from the span's stack when called.
 
 The theory object is single-writer during register calls and read-shared
-afterwards. Queries are not pure reads: base-wire spans and S and E products
-are cached per base theory, shared by its generated theories; the rest of the
-tester work fills a per-theory cache (each register call clears only that);
-and the first ``recomposition_term`` call for a channel binds its wire route.
+afterwards. Queries are not pure reads. Work that reads no channel is cached
+per base theory and shared by its generated theories: base-wire spans and S
+and E products over base wires, and per (base theory, wing frame, depth,
+arithmetic) a leg's kernel, its effect span's picks and stack, and its
+extension discard with the probe gap (``register`` realizes every wing over
+the one shared ``local_channel_frame``, so the eta is the frame's). What
+names or reads a channel fills a per-theory cache, which each register call
+clears: the terms, the xi-dependent state spans and the products over
+extension wires. The first ``recomposition_term`` call for a channel binds
+its wire route.
 Two concurrent queries may both compute one entry; either result is the same.
 """
 
@@ -38,17 +46,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .decompose import (
     CommonCauseRealization,
+    WingFrame,
     _independent_columns,
     build_realization,
     decompose_quasimixture,
     default_frames,
+    local_channel_frame,
     verify_realization,
 )
 from .diagrams import Leaf, Mix, Par, Seq, Term, eval_diagram, infer_signature
@@ -69,6 +80,7 @@ from .procs import (
     _made,
     _operand,
     _operands,
+    _resigned,
     add,
     compose_par,
     compose_seq,
@@ -142,13 +154,15 @@ class GeneratedTheory:
         for j, e in enumerate(self.base.effect_frame(t)):
             self.bind(f"ef:{t.id}:{j}", e)
 
+    def _merged(self, extra: Optional[Dict[str, LinearProcess]]) -> Dict[str, LinearProcess]:
+        """The bindings with ``extra`` over them; the bindings themselves if none."""
+        return self.bindings if not extra else {**self.bindings, **extra}
+
     def eval(self, term: Term, extra: Optional[Dict[str, LinearProcess]] = None):
-        bindings = self.bindings if not extra else {**self.bindings, **extra}
-        return eval_diagram(term, bindings)
+        return eval_diagram(term, self._merged(extra))
 
     def infer(self, term: Term, extra: Optional[Dict[str, LinearProcess]] = None):
-        bindings = self.bindings if not extra else {**self.bindings, **extra}
-        return infer_signature(term, bindings)
+        return infer_signature(term, self._merged(extra))
 
 
 def new_theory(base: Theory, tester_depth: int = 2) -> GeneratedTheory:
@@ -161,9 +175,10 @@ def register(
     channel_id: Optional[str] = None,
     tol: Optional[object] = None,
 ) -> str:
-    """Decompose, realize, verify and install generators; returns the id."""
+    """Decompose, realize, verify and install generators; returns the id.
+    The default id is the first free ``c{k}`` from k = (channels registered) + 1."""
     if channel_id is None:
-        channel_id = f"c{len(gt.registered) + 1}"
+        channel_id = next(f"c{k}" for k in count(len(gt.registered) + 1) if f"c{k}" not in gt.registered)
     if channel_id in gt.registered:
         raise ValueError(f"channel id {channel_id!r} already registered")
     report = check_nonsignalling(channel, tol)
@@ -182,7 +197,7 @@ def register(
         )
 
     gt.registered[channel_id] = RegisteredChannel(channel, realization, residual)
-    gt._span_cache.clear()  # the per-theory entries; base-wire ones stay valid
+    gt._span_cache.clear()  # the per-theory entries; the shared per-base ones stay valid
     # xi is the dense coefficient tensor, prod |F_i| entries on the ancillas
     gt.bind(f"xi:{channel_id}", realization.xi)
     for i, eta in enumerate(realization.etas, start=1):
@@ -234,11 +249,12 @@ def is_in_base(
 ) -> bool:
     """Evaluate a diagram whose boundary is all base wires and test base
     validity. Well-typed generator diagrams must always pass."""
-    ins, outs = gt.infer(term, extra)
+    bindings = gt._merged(extra)
+    ins, outs = infer_signature(term, bindings)
     for w in tuple(ins) + tuple(outs):
         if w.kind == EXTENSION:
             raise WrongKind(f"boundary wire {w.id} is an extension type")
-    return gt.base.valid(gt.eval(term, extra), tol)
+    return gt.base.valid(eval_diagram(term, bindings), tol)
 
 
 def _probe_discard(gt: GeneratedTheory, ext_type: SystemType):
@@ -247,13 +263,8 @@ def _probe_discard(gt: GeneratedTheory, ext_type: SystemType):
     of the wing's leg kernel. Returns the effect that the reference state
     gives, and the largest gap to it over the frame states."""
     channel_id, wing = _owner(gt, ext_type)
-    kernel = _leg_kernel(gt, channel_id, wing, 2)
-    _, effects = _probes(gt, channel_id, wing, 2)
-    rows = list(range(0, kernel.outputs.dim, len(effects)))
-    label = sig(classical(len(rows)))
-    probed = _block(kernel, kernel.inputs, label, rows=rows)
-    reference = _block(kernel, kernel.inputs, label, rows=[0] * len(rows))
-    return _block(kernel, kernel.inputs, EMPTY, rows=[0]), max_abs_diff(probed, reference)
+    reference, gap = _leg(gt, channel_id, wing, 2).discard
+    return _resigned(reference, sig(ext_type), EMPTY), gap
 
 
 def discard_ext(
@@ -287,38 +298,6 @@ def _owner(gt: GeneratedTheory, t: SystemType) -> Tuple[str, int]:
     return t.brand
 
 
-def _probes(
-    gt: GeneratedTheory, channel_id: str, leg: int, depth: int
-) -> Tuple[List[str], List[str]]:
-    """Binding names of the leg's probe states (the reference state, then at
-    depth 2 and above the frame states of its input) and probe effects (the
-    discard, then the frame effects of its output)."""
-    w_in, w_out = gt.registered[channel_id].channel.wings[leg - 1]
-    gt._bind_base_type(w_in)
-    gt._bind_base_type(w_out)
-    states = [f"ref:{w_in.id}"]
-    effects = [f"dis:{w_out.id}"]
-    if depth >= 2:
-        states += [f"st:{w_in.id}:{l}" for l in range(len(gt.base.state_frame(w_in)))]
-        effects += [f"ef:{w_out.id}:{j}" for j in range(len(gt.base.effect_frame(w_out)))]
-    return states, effects
-
-
-def _leg_functionals(
-    gt: GeneratedTheory, channel_id: str, leg: int, depth: int
-) -> List[Term]:
-    """Terms of shape A_leg -> I built from eta_leg with frame probes, in the
-    leg kernel's row order: probe states outer, probe effects inner."""
-    anc = gt.registered[channel_id].realization.ancilla_types[leg - 1]
-    states, effects = _probes(gt, channel_id, leg, depth)
-    eta = Leaf(f"eta{leg}:{channel_id}")
-    return [
-        Seq(Seq(Par(Leaf(s), Leaf(f"id:{anc.id}")), eta), Leaf(e))
-        for s in states
-        for e in effects
-    ]
-
-
 def _stack(t: SystemType, kind: str, procs: Sequence[LinearProcess]) -> LinearProcess:
     """States (``kind`` "state") as the columns of classical(n) -> t, or
     effects as the rows of t -> classical(n); binary64 unless all are
@@ -336,36 +315,88 @@ def _block(p: LinearProcess, inputs: Signature, outputs: Signature, rows=slice(N
     return _made(inputs, outputs, _apply(_operand(p), lambda a: a[rows][:, cols]))
 
 
-def _select(stack: LinearProcess, kind: str, picks: List[int], label: Signature) -> LinearProcess:
+def _select(stack: LinearProcess, kind: str, picks: Sequence[int], label: Signature) -> LinearProcess:
     """Candidates ``picks`` of a stack (its columns when ``kind`` is
     "state", its rows otherwise), on ``label`` in place of classical(n)."""
     if kind == "state":
-        return _block(stack, label, stack.outputs, cols=picks)
-    return _block(stack, stack.inputs, label, rows=picks)
+        return _block(stack, label, stack.outputs, cols=list(picks))
+    return _block(stack, stack.inputs, label, rows=list(picks))
 
 
-def _leg_kernel(gt: GeneratedTheory, channel_id: str, leg: int, depth: int) -> LinearProcess:
-    """The leg functionals as one process A_leg -> classical(n): row (s, e)
-    is e · eta_leg · (s ⊗ ·), in ``_leg_functionals`` order. The probe
-    effects and then the probe states are mode-multiplied into the eta
-    matrix (out, in, |F|), on integer numerators when every piece is
-    rational, else in binary64. Cached per theory; depths from 2 on share
-    one kernel."""
-    anc = gt.registered[channel_id].realization.ancilla_types[leg - 1]
-    key = ("leg", anc.id, min(depth, 2))
-    if key not in gt._span_cache:
-        w_in, w_out = gt.registered[channel_id].channel.wings[leg - 1]
-        states, effects = _probes(gt, channel_id, leg, depth)
-        s, e, eta = _operands(
-            _stack(w_in, "state", [gt.bindings[n] for n in states]),
-            _stack(w_out, "effect", [gt.bindings[n] for n in effects]),
-            gt.bindings[f"eta{leg}:{channel_id}"],
-        )
-        probed = mode_product(_apply(eta, lambda a: a.reshape(w_out.vdim, w_in.vdim, -1)), e, 0)
-        probed = mode_product(probed, _apply(s, np.transpose), 1)  # (effects, states, |F|)
-        rows = _apply(probed, lambda a: a.transpose(1, 0, 2))  # the states outer
-        gt._span_cache[key] = _made(sig(anc), sig(classical(len(states) * len(effects))), rows)
-    return gt._span_cache[key]
+@dataclass(frozen=True, eq=False)
+class _Leg:
+    """The tester work of a leg that reads only its frame. ``kernel`` holds
+    the leg functionals e · eta · (s ⊗ ·) as the rows of classical(|F|) ->
+    classical(n), the probe states s outer and the probe effects e inner,
+    ``effects`` of them per state. The effect span, its rows named by their
+    indices, and the extension discard with its probe gap are derived on
+    first use."""
+
+    kernel: LinearProcess
+    effects: int
+
+    @cached_property
+    def span(self):
+        return _kept("effect", self.kernel, int)
+
+    @cached_property
+    def discard(self):
+        """The reference state's (s, dis) row, and its largest gap to the
+        (s, dis) row of a frame state."""
+        k = self.kernel
+        rows = list(range(0, k.outputs.dim, self.effects))
+        label = sig(classical(len(rows)))
+        probed = _block(k, k.inputs, label, rows=rows)
+        reference = _block(k, k.inputs, label, rows=[0] * len(rows))
+        return _block(k, k.inputs, EMPTY, rows=[0]), max_abs_diff(probed, reference)
+
+
+@lru_cache(maxsize=None)
+def _frame_leg(theory: Theory, frame: WingFrame, depth: int, binary64: bool) -> _Leg:
+    """The leg work of an eta on ``frame``'s members (binary64 if
+    ``binary64``) probed by ``theory``'s states and effects: the reference
+    state, then at depth 2 the frame states of the input, and the discard,
+    then at depth 2 the frame effects of the output. The probe effects and
+    then the probe states are mode-multiplied into the eta matrix (out, in,
+    |F|), on integer numerators when every piece is rational, else in
+    binary64. Built once per key and shared by every generated theory over
+    ``theory``; ``depth`` is at most 2."""
+    w_in, w_out = frame.in_type, frame.out_type
+    states, effects = [theory.reference_state(w_in)], [theory.discard(w_out)]
+    if depth >= 2:
+        states += theory.state_frame(w_in)
+        effects += theory.effect_frame(w_out)
+    control = classical(len(frame))
+    s, e, eta = _operands(
+        _stack(w_in, "state", states),
+        _stack(w_out, "effect", effects),
+        _made(sig(w_in, control), sig(w_out), frame.operands(binary64)[0]),
+    )
+    probed = mode_product(_apply(eta, lambda a: a.reshape(w_out.vdim, w_in.vdim, -1)), e, 0)
+    probed = mode_product(probed, _apply(s, np.transpose), 1)  # (effects, states, |F|)
+    rows = _apply(probed, lambda a: a.transpose(1, 0, 2))  # the states outer
+    return _Leg(_made(sig(control), sig(classical(len(states) * len(effects))), rows), len(effects))
+
+
+def _leg(gt: GeneratedTheory, channel_id: str, leg: int, depth: int) -> _Leg:
+    """The shared leg work of a registered channel's leg: its eta is the
+    controlled frame ``register`` realized the wing over."""
+    entry = gt.registered[channel_id]
+    frame = local_channel_frame(entry.channel.theory, *entry.channel.wings[leg - 1])
+    return _frame_leg(gt.base, frame, min(depth, 2), entry.realization.arithmetic == FLOAT64)
+
+
+def _leg_term(gt: GeneratedTheory, channel_id: str, leg: int, effects: int, j: int) -> Term:
+    """The term of row j of the leg's kernel, of shape A_leg -> I: probe
+    state j // effects beside the ancilla, into eta_leg, then probe effect
+    j % effects."""
+    entry = gt.registered[channel_id]
+    w_in, w_out = entry.channel.wings[leg - 1]
+    anc = entry.realization.ancilla_types[leg - 1]
+    s, e = divmod(j, effects)
+    state = Leaf(f"st:{w_in.id}:{s - 1}" if s else f"ref:{w_in.id}")
+    effect = Leaf(f"ef:{w_out.id}:{e - 1}" if e else f"dis:{w_out.id}")
+    return Seq(Seq(Par(state, Leaf(f"id:{anc.id}")), Leaf(f"eta{leg}:{channel_id}")), effect)
 
 
 def _candidates(
@@ -385,28 +416,26 @@ def _candidates(
         return _frame_candidates(gt.base, kind, t)
     channel_id, wing = _owner(gt, t)
     if kind == "effect":
-        terms = _leg_functionals(gt, channel_id, wing, depth)
-        return _leg_kernel(gt, channel_id, wing, depth), terms.__getitem__
+        leg = _leg(gt, channel_id, wing, depth)
+        kernel = _resigned(leg.kernel, sig(t), leg.kernel.outputs)
+        return kernel, lambda j: _leg_term(gt, channel_id, wing, leg.effects, j)
     m = gt.registered[channel_id].channel.m
     xi = gt.bindings[f"xi:{channel_id}"]
-    legs = [leg for leg in range(1, m + 1) if leg != wing]
-    kernels = [_leg_kernel(gt, channel_id, leg, depth) for leg in legs]
-    core, *ops = _operands(xi, *kernels)
+    others = {i: _leg(gt, channel_id, i, depth) for i in range(1, m + 1) if i != wing}
+    core, *ops = _operands(xi, *(leg.kernel for leg in others.values()))
     core = _apply(core, lambda a: a.reshape(xi.outputs.dims))
-    for leg, op in zip(legs, ops):
-        core = mode_product(core, op, leg - 1)
+    for i, op in zip(others, ops):
+        core = mode_product(core, op, i - 1)
     rows = _apply(core, lambda a: np.moveaxis(a, wing - 1, -1).reshape(-1, t.vdim).T)
-    stack = _made(sig(classical(math.prod(k.outputs.dim for k in kernels))), sig(t), rows)
-
-    per_leg = [
-        [Leaf(f"id:{t.id}")] if leg == wing else _leg_functionals(gt, channel_id, leg, depth)
-        for leg in range(1, m + 1)
-    ]
-    radices = [len(terms) for terms in per_leg]
+    radices = [leg.kernel.outputs.dim for leg in others.values()]
+    stack = _made(sig(classical(math.prod(radices))), sig(t), rows)
 
     def term(j: int) -> Term:
-        digits = unravel_index(j, radices)
-        return Seq(Leaf(f"xi:{channel_id}"), _par([p[d] for p, d in zip(per_leg, digits)]))
+        digits = dict(zip(others, unravel_index(j, radices)))
+        return Seq(Leaf(f"xi:{channel_id}"), _par([
+            _leg_term(gt, channel_id, i, others[i].effects, digits[i]) if i in others else Leaf(f"id:{t.id}")
+            for i in range(1, m + 1)
+        ]))
 
     return stack, term
 
@@ -438,12 +467,11 @@ def _frame_candidates(theory: Theory, kind: str, t: SystemType):
 
 
 def _kept(kind: str, stack: LinearProcess, term: Callable[[int], Term]):
-    """The leftmost-first maximal-rank subset of a ``_candidates`` stack as
-    (term, process) pairs, and its own stack (None when empty)."""
+    """A span: the terms of the leftmost-first maximal-rank subset of a
+    ``_candidates`` stack, and their own stack (None when there are none)."""
     values = _operand(stack)
-    picks = list(_independent_columns(values if kind == "state" else _apply(values, np.transpose)))
-    kept = tuple((term(j), _select(stack, kind, [j], EMPTY)) for j in picks)
-    return kept, _select(stack, kind, picks, sig(classical(len(picks)))) if picks else None
+    picks = _independent_columns(values if kind == "state" else _apply(values, np.transpose))
+    return tuple(map(term, picks)), _select(stack, kind, picks, sig(classical(len(picks)))) if picks else None
 
 
 @lru_cache(maxsize=None)
@@ -453,31 +481,47 @@ def _base_span(theory: Theory, kind: str, t: SystemType):
 
 
 def _span(gt: GeneratedTheory, kind: str, t: SystemType, depth: int):
-    """``_kept`` of a wire's generated states or effects."""
+    """A wire's span: the terms of a maximal-rank subset of its generated
+    states or effects, and their stack. An ancilla's effect span is its leg's
+    shared picks, named and put on the ancilla; its state span is cached per
+    theory, as xi is the theory's."""
     if t.kind != EXTENSION:
         gt._bind_base_type(t)
         return _base_span(gt.base, kind, t)
     key = (kind, t.id, depth)
     if key not in gt._span_cache:
-        gt._span_cache[key] = _kept(kind, *_candidates(gt, kind, t, depth))
+        if kind == "state":
+            gt._span_cache[key] = _kept(kind, *_candidates(gt, kind, t, depth))
+        else:
+            channel_id, wing = _owner(gt, t)
+            leg = _leg(gt, channel_id, wing, depth)
+            picks, stack = leg.span
+            terms = tuple(_leg_term(gt, channel_id, wing, leg.effects, j) for j in picks)
+            gt._span_cache[key] = terms, stack and _resigned(stack, sig(t), stack.outputs)
     return gt._span_cache[key]
+
+
+def _members(kind: str, span) -> List[Tuple[Term, LinearProcess]]:
+    """A span's (term, process) pairs, each process cut from the span's stack."""
+    terms, stack = span
+    return [(term, _select(stack, kind, [i], EMPTY)) for i, term in enumerate(terms)]
 
 
 def state_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated states of a wire."""
-    return list(_span(gt, "state", t, depth or gt.tester_depth)[0])
+    return _members("state", _span(gt, "state", t, depth or gt.tester_depth))
 
 
 def effect_span(gt: GeneratedTheory, t: SystemType, depth: Optional[int] = None):
     """A maximal-rank subset of the generated effects of a wire."""
-    return list(_span(gt, "effect", t, depth or gt.tester_depth)[0])
+    return _members("effect", _span(gt, "effect", t, depth or gt.tester_depth))
 
 
 def _product(spans):
-    """Each span's members, and the Kronecker product of the stacks (None when one is empty)."""
+    """Each span's terms, and the Kronecker product of the stacks (None when one is empty)."""
     stacks = [stack for _, stack in spans]
     product = None if any(s is None for s in stacks) else reduce(compose_par, stacks, number(1))
-    return tuple(kept for kept, _ in spans), product
+    return tuple(terms for terms, _ in spans), product
 
 
 @lru_cache(maxsize=256)
@@ -513,12 +557,13 @@ def op_equiv(
     (leftmost wire most significant). The witness is the first differing
     pair in state-major order: product state i, then product effect j."""
     depth = depth or gt.tester_depth
-    f_in, f_out = gt.infer(f, extra)
-    g_in, g_out = gt.infer(g, extra)
+    bindings = gt._merged(extra)
+    f_in, f_out = infer_signature(f, bindings)
+    g_in, g_out = infer_signature(g, bindings)
     if f_in.wires != g_in.wires or f_out.wires != g_out.wires:
         raise SignatureMismatch("operands have different signatures")
-    fp = gt.eval(f, extra)
-    gp = gt.eval(g, extra)
+    fp = eval_diagram(f, bindings)
+    gp = eval_diagram(g, bindings)
 
     state_sets, states = _testers(gt, "state", f_in, depth)
     effect_sets, effects = _testers(gt, "effect", f_out, depth)
@@ -534,11 +579,11 @@ def op_equiv(
 
     gaps = abs(add(lhs, scale(-1, rhs)).matrix.T) > tolerance
     i, j = (int(k[0]) for k in np.nonzero(gaps.astype(bool)))
-    s_digits = unravel_index(i, [len(kept) for kept in state_sets])
-    e_digits = unravel_index(j, [len(kept) for kept in effect_sets])
+    s_digits = unravel_index(i, [len(terms) for terms in state_sets])
+    e_digits = unravel_index(j, [len(terms) for terms in effect_sets])
     witness = TesterWitness(
-        _par([kept[d][0] for kept, d in zip(state_sets, s_digits)]),
-        _par([kept[d][0] for kept, d in zip(effect_sets, e_digits)]),
+        _par([terms[d] for terms, d in zip(state_sets, s_digits)]),
+        _par([terms[d] for terms, d in zip(effect_sets, e_digits)]),
         lhs.matrix[j, i],
         rhs.matrix[j, i],
     )
@@ -605,7 +650,9 @@ def quotient_suite(
 ) -> QuotientReport:
     """Sample equivalent-by-construction representative pairs and check that
     sequential, parallel and convex composition respect equivalence; run the
-    depth-1 kernel-perturbation mixtures; plant one inequivalent pair."""
+    depth-1 kernel-perturbation mixtures; plant one inequivalent pair. Each
+    sampled pair is evaluated once and bound, like each recomposition; the
+    three closures compose those values (evaluation is compositional)."""
     if not gt.registered:
         raise UnknownType("register at least one channel first")
     depth = depth or gt.tester_depth
@@ -630,11 +677,12 @@ def quotient_suite(
         t = base_terms[int(rng.integers(0, len(base_terms)))]
         variants = _padded_variants(gt, t, extra)
         idx = rng.permutation(len(variants))[:2]
-        a, b = variants[int(idx[0])], variants[int(idx[1])]
         pairs += 1
+        # evaluate the pair once; the closures below compose the bound values
+        extra["pair:a"], extra["pair:b"] = (gt.eval(variants[int(k)], extra) for k in idx)
+        a, b = Leaf("pair:a"), Leaf("pair:b")
         # sequential closure: wire both into the output discard
-        _, outs = gt.infer(a, extra)
-        ctx = _discard_term(gt, outs, extra)
+        ctx = _discard_term(gt, extra["pair:a"].outputs, extra)
         if ctx is not None:
             res = op_equiv(gt, Seq(a, ctx), Seq(b, ctx), extra, depth)
             seq_failures += res.distinguished

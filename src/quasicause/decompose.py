@@ -192,16 +192,26 @@ def _controlled_frame_problem(frame: WingFrame, binary64: bool) -> Optional[str]
 def _independent_columns(x: Operand) -> Tuple[int, ...]:
     """Leftmost-first maximal linearly independent column subset: the pivots
     of one exact elimination (``exact._eliminate``) of a rational operand's
-    numerators, which pivot like the matrix, and a greedy rank test at 1e-9
-    in binary64, which stops at full row rank."""
+    numerators, which pivot like the matrix; in binary64, rank tests at 1e-9
+    in blocks of at most twice as many columns as rows. Trial b of a block
+    holds the columns kept so far and the block's columns 0..b, the rest
+    zeroed, and one batched ``matrix_rank`` ranks every trial: where the rank
+    steps up, the column is kept. The scan stops at full row rank, so a block
+    holds at most rows x 3 rows x 2 rows entries however many columns come."""
     if isinstance(x, tuple):
         return exact.independent_columns(x[0])
+    rows, cols = x.shape
     kept: List[int] = []
-    for j in range(x.shape[1]):
-        if len(kept) == x.shape[0]:  # full row rank: no later column is independent
-            break
-        if np.linalg.matrix_rank(x[:, kept + [j]], tol=1e-9) == len(kept) + 1:
-            kept.append(j)
+    start = 0
+    while start < cols and len(kept) < rows:  # at full row rank no later column is independent
+        block = x[:, start:start + 2 * rows]
+        width = block.shape[1]
+        trials = np.zeros((width, rows, len(kept) + width))
+        trials[:, :, :len(kept)] = x[:, kept]
+        trials[:, :, len(kept):] = np.where(np.tri(width, dtype=bool)[:, None, :], block, 0.0)
+        ranks = np.linalg.matrix_rank(trials, tol=1e-9)
+        kept += (start + np.flatnonzero(np.diff(ranks, prepend=len(kept)))).tolist()
+        start += width
     return tuple(kept)
 
 

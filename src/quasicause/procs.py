@@ -246,6 +246,13 @@ def _made(inputs: Signature, outputs: Signature, x: Operand) -> LinearProcess:
     return _exact(inputs, outputs, *x) if isinstance(x, tuple) else _trusted(inputs, outputs, x)
 
 
+def _resigned(p: LinearProcess, inputs: Signature, outputs: Signature) -> LinearProcess:
+    """``p`` between other signatures of the same dimensions, sharing the
+    forms it has built."""
+    d = vars(p)
+    return _bare(inputs, outputs, p.arithmetic, **{k: d[k] for k in ("matrix", "_ints", "_floats") if k in d})
+
+
 # -- integer numerators --------------------------------------------------------
 
 def _fractions(num: np.ndarray, den: int) -> np.ndarray:

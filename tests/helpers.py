@@ -18,12 +18,21 @@ from scipy.linalg import qr as scipy_qr
 from scipy.optimize import linprog
 
 from quasicause.assemblages import Assemblage
-from quasicause.check import _amax, choi_of_transfer, vec_basis_matrix
+from quasicause.check import _amax, _apply, choi_of_transfer, vec_basis_matrix
 from quasicause.completion import (
     EquivResult,
+    QuotientReport,
     TesterWitness,
-    effect_span,
-    state_span,
+    _bind_shared_bit,
+    _discard_term,
+    _frame_candidates,
+    _kernel_mixture_checks,
+    _padded_variants,
+    _planted_inequivalent,
+    _select,
+    _stack,
+    op_equiv,
+    recomposition_term,
 )
 from quasicause.decompose import (
     PRUNE,
@@ -31,7 +40,7 @@ from quasicause.decompose import (
     _wing_major_tensor,
     default_frames,
 )
-from quasicause.diagrams import Leaf, Par, Seq
+from quasicause.diagrams import Leaf, Mix, Par, Seq
 from quasicause.errors import (
     InvalidAssemblage,
     ResidualTooLarge,
@@ -53,7 +62,9 @@ from quasicause.procs import (
     _ints,
     _kron,
     _lincomb,
+    _made,
     _operand,
+    _operands,
     _widened,
     compose_par,
     compose_seq,
@@ -986,7 +997,8 @@ def pr_correlated_table_oracle(rho) -> np.ndarray:
 def op_equiv_oracle(gt, f, g, extra=None, depth=None, tol=None):
     """The tester search as a loop: every product span state against every
     product span effect, state-major, each pair composed and compared as a
-    1x1 number; the first pair that differs is the witness."""
+    1x1 number; the first pair that differs is the witness. The spans are
+    ``span_oracle``'s, built per theory without the shared caches."""
     depth = depth or gt.tester_depth
     f_in, f_out = gt.infer(f, extra)
     g_in, g_out = gt.infer(g, extra)
@@ -995,8 +1007,8 @@ def op_equiv_oracle(gt, f, g, extra=None, depth=None, tol=None):
     fp = gt.eval(f, extra)
     gp = gt.eval(g, extra)
 
-    state_sets = [state_span(gt, w, depth) for w in f_in]
-    effect_sets = [effect_span(gt, w, depth) for w in f_out]
+    state_sets = [span_oracle(gt, "state", w, depth)[0] for w in f_in]
+    effect_sets = [span_oracle(gt, "effect", w, depth)[0] for w in f_out]
     # one tolerance for every pair: binary64 if any operand or tester is
     testers = [p for spans in (state_sets, effect_sets) for span in spans for _, p in span]
     exact_mode = all(p.arithmetic == RATIONAL for p in [fp, gp] + testers)
@@ -1034,22 +1046,91 @@ def _par_fold(combo):
 # kernel in ``completion`` must give the same terms, in the same order, and the
 # same values.
 
-def _oracle_leg_terms(gt, channel_id, leg, depth):
-    """Terms A_leg -> I from eta_leg with frame probes, states outer."""
-    entry = gt.registered[channel_id]
-    w_in, w_out = entry.channel.wings[leg - 1]
-    anc = entry.realization.ancilla_types[leg - 1]
-    states = [Leaf(f"ref:{w_in.id}")]
-    effects = [Leaf(f"dis:{w_out.id}")]
+def _oracle_probes(gt, channel_id, leg, depth):
+    """Binding names of the leg's probe states (the reference state, then at
+    depth 2 the frame states of its input) and probe effects (the discard,
+    then the frame effects of its output)."""
+    w_in, w_out = gt.registered[channel_id].channel.wings[leg - 1]
+    states = [f"ref:{w_in.id}"]
+    effects = [f"dis:{w_out.id}"]
     if depth >= 2:
-        states += [Leaf(f"st:{w_in.id}:{l}") for l in range(len(gt.base.state_frame(w_in)))]
-        effects += [Leaf(f"ef:{w_out.id}:{j}") for j in range(len(gt.base.effect_frame(w_out)))]
-    out = []
-    for s in states:
-        for e in effects:
-            front = Par(s, Leaf(f"id:{anc.id}"))
-            out.append(Seq(Seq(front, Leaf(f"eta{leg}:{channel_id}")), e))
-    return out
+        states += [f"st:{w_in.id}:{l}" for l in range(len(gt.base.state_frame(w_in)))]
+        effects += [f"ef:{w_out.id}:{j}" for j in range(len(gt.base.effect_frame(w_out)))]
+    return states, effects
+
+
+def leg_functionals_oracle(gt, channel_id, leg, depth):
+    """Terms A_leg -> I from eta_leg with frame probes, states outer, every
+    one built."""
+    anc = gt.registered[channel_id].realization.ancilla_types[leg - 1]
+    states, effects = _oracle_probes(gt, channel_id, leg, depth)
+    eta = Leaf(f"eta{leg}:{channel_id}")
+    return [
+        Seq(Seq(Par(Leaf(s), Leaf(f"id:{anc.id}")), eta), Leaf(e))
+        for s in states
+        for e in effects
+    ]
+
+
+def leg_kernel_oracle(gt, channel_id, leg, depth):
+    """The leg functionals as one process A_leg -> classical(n), built afresh
+    for one theory from its bindings (its eta binding included): probe
+    effects and then probe states mode-multiplied into the eta matrix."""
+    entry = gt.registered[channel_id]
+    anc = entry.realization.ancilla_types[leg - 1]
+    w_in, w_out = entry.channel.wings[leg - 1]
+    states, effects = _oracle_probes(gt, channel_id, leg, depth)
+    s, e, eta = _operands(
+        _stack(w_in, "state", [gt.bindings[n] for n in states]),
+        _stack(w_out, "effect", [gt.bindings[n] for n in effects]),
+        gt.bindings[f"eta{leg}:{channel_id}"],
+    )
+    probed = mode_product(_apply(eta, lambda a: a.reshape(w_out.vdim, w_in.vdim, -1)), e, 0)
+    probed = mode_product(probed, _apply(s, np.transpose), 1)
+    rows = _apply(probed, lambda a: a.transpose(1, 0, 2))
+    return _made(sig(anc), sig(classical(len(states) * len(effects))), rows)
+
+
+def kept_oracle(kind, stack, term):
+    """The greedy leftmost-first maximal-rank candidates of a stack (its
+    columns for "state", its rows otherwise), one rank test per candidate,
+    as (term, process) pairs with every term and process built, and their
+    own stack (None when there are none)."""
+    values = _operand(stack)
+    exact_mode = isinstance(values, tuple)
+    matrix = values[0].astype(object) if exact_mode else values
+    picks = list(_greedy_columns(matrix if kind == "state" else matrix.T, exact_mode))
+    kept = tuple((term(j), _select(stack, kind, [j], EMPTY)) for j in picks)
+    return kept, _select(stack, kind, picks, sig(classical(len(picks)))) if picks else None
+
+
+def span_oracle(gt, kind, t, depth):
+    """``kept_oracle`` of a wire's candidates, each stack built per theory:
+    a base wire's frame; an ancilla's leg kernel, or xi mode-multiplied by
+    every other leg's ``leg_kernel_oracle``, with terms in ``product``
+    order."""
+    if t.kind != EXTENSION:
+        return kept_oracle(kind, *_frame_candidates(gt.base, kind, t))
+    channel_id, wing = t.brand
+    if kind == "effect":
+        terms = leg_functionals_oracle(gt, channel_id, wing, depth)
+        return kept_oracle(kind, leg_kernel_oracle(gt, channel_id, wing, depth), terms.__getitem__)
+    m = gt.registered[channel_id].channel.m
+    xi = gt.bindings[f"xi:{channel_id}"]
+    legs = [leg for leg in range(1, m + 1) if leg != wing]
+    kernels = [leg_kernel_oracle(gt, channel_id, leg, depth) for leg in legs]
+    core, *ops = _operands(xi, *kernels)
+    core = _apply(core, lambda a: a.reshape(xi.outputs.dims))
+    for leg, op in zip(legs, ops):
+        core = mode_product(core, op, leg - 1)
+    rows = _apply(core, lambda a: np.moveaxis(a, wing - 1, -1).reshape(-1, t.vdim).T)
+    stack = _made(sig(classical(math.prod(k.outputs.dim for k in kernels))), sig(t), rows)
+    per_leg = [
+        [Leaf(f"id:{t.id}")] if leg == wing else leg_functionals_oracle(gt, channel_id, leg, depth)
+        for leg in range(1, m + 1)
+    ]
+    combos = list(product(*per_leg))
+    return kept_oracle(kind, stack, lambda j: Seq(Leaf(f"xi:{channel_id}"), _oracle_par(combos[j])))
 
 
 def _oracle_par(terms):
@@ -1068,7 +1149,7 @@ def state_candidates_oracle(gt, t, depth):
         return [(Leaf(n), gt.bindings[n]) for n in names]
     channel_id, wing = t.brand
     per_leg = [
-        [Leaf(f"id:{t.id}")] if leg == wing else _oracle_leg_terms(gt, channel_id, leg, depth)
+        [Leaf(f"id:{t.id}")] if leg == wing else leg_functionals_oracle(gt, channel_id, leg, depth)
         for leg in range(1, gt.registered[channel_id].channel.m + 1)
     ]
     out = []
@@ -1084,7 +1165,7 @@ def effect_candidates_oracle(gt, t, depth):
         names = [f"ef:{t.id}:{j}" for j in range(len(gt.base.effect_frame(t)))]
         return [(Leaf(n), gt.bindings[n]) for n in names]
     channel_id, wing = t.brand
-    return [(term, gt.eval(term)) for term in _oracle_leg_terms(gt, channel_id, wing, depth)]
+    return [(term, gt.eval(term)) for term in leg_functionals_oracle(gt, channel_id, wing, depth)]
 
 
 def probe_discard_oracle(gt, ext_type):
@@ -1106,3 +1187,42 @@ def probe_discard_oracle(gt, ext_type):
     for s in gt.base.state_frame(w_in):
         worst = max(worst, max_abs_diff(probe(s), reference))
     return reference, worst
+
+
+def quotient_suite_oracle(gt, samples, rng, depth=None):
+    """``quotient_suite`` with every closure run on the full sampled
+    diagrams, each of a and b evaluated inside all three closures."""
+    depth = depth or gt.tester_depth
+    ids = sorted(gt.registered)
+    extra = {}
+    seq_failures = par_failures = mix_failures = 0
+    base_terms = []
+    for cid in ids:
+        base_terms += [Leaf(f"eta{i}:{cid}") for i in range(1, gt.registered[cid].channel.m + 1)]
+        base_terms.append(Leaf(f"xi:{cid}"))
+        extra[f"recomp:{cid}"] = gt.eval(recomposition_term(gt, cid))
+        base_terms.append(Leaf(f"recomp:{cid}"))
+    for _ in range(samples):
+        t = base_terms[int(rng.integers(0, len(base_terms)))]
+        variants = _padded_variants(gt, t, extra)
+        idx = rng.permutation(len(variants))[:2]
+        a, b = variants[int(idx[0])], variants[int(idx[1])]
+        _, outs = gt.infer(a, extra)
+        ctx = _discard_term(gt, outs, extra)
+        if ctx is not None:
+            seq_failures += op_equiv(gt, Seq(a, ctx), Seq(b, ctx), extra, depth).distinguished
+        pad = Leaf(_bind_shared_bit(gt))
+        par_failures += op_equiv(gt, Par(a, pad), Par(b, pad), extra, depth).distinguished
+        w = float(rng.random())
+        mix = op_equiv(gt, Mix(w, a, variants[0]), Mix(w, b, variants[0]), extra, depth)
+        mix_failures += mix.distinguished
+    kernel_pairs, kernel_failures = _kernel_mixture_checks(gt, ids[0], rng, extra)
+    return QuotientReport(
+        pairs_checked=samples,
+        seq_failures=seq_failures,
+        par_failures=par_failures,
+        mix_failures=mix_failures,
+        kernel_pairs=kernel_pairs,
+        kernel_failures=kernel_failures,
+        negative_control=_planted_inequivalent(gt, ids[0], extra),
+    )

@@ -48,17 +48,22 @@ from quasicause.procs import (
     effective_tol,
     identity,
     max_abs_diff,
+    numerators,
     permutation,
 )
 from quasicause.wires import Signature, interleave
+from tests import helpers
 from tests.helpers import (
     effect_candidates_oracle,
     greedy_rank_subset,
+    leg_kernel_oracle,
     op_equiv_oracle,
     probe_discard_oracle,
+    quotient_suite_oracle,
     random_cptp_transfer,
     random_density_coords,
     random_stochastic_rational,
+    span_oracle,
     state_candidates_oracle,
 )
 
@@ -686,17 +691,36 @@ def hybrid_pr_bb84():
     return gt
 
 
-SHARED_SPAN_CASES = {"quant-pr-bb84": hybrid_pr_bb84, "stoch-pr": lambda: pr_theory(STOCH)}
+SHARED_SPAN_CASES = {
+    "quant-pr-bb84": hybrid_pr_bb84,
+    "stoch-pr": lambda: pr_theory(STOCH),
+    "quant-bb84": bb84_theory,
+    "gen-m2-exact": lambda: generated_theory(STOCH, 2, True),
+    "gen-m3-float": lambda: generated_theory(STOCH, 3, False),
+}
+
+
+def assert_identical(got, want):
+    """Same signatures, arithmetic and entries, bit for bit."""
+    assert (got.inputs, got.outputs, got.arithmetic) == (want.inputs, want.outputs, want.arithmetic)
+    if got.arithmetic == RATIONAL:
+        (got_num, got_den), (want_num, want_den) = numerators(got), numerators(want)
+        assert got_den == want_den and np.array_equal(got_num, want_num)
+    else:
+        assert np.array_equal(got.matrix, want.matrix)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("name", sorted(SHARED_SPAN_CASES))
 def test_shared_spans_agree_with_the_oracles_cold_and_warm(name, depth):
     """With the shared caches emptied, then again on a second theory over the
-    filled ones: spans equal the greedy subset of their candidates, and
-    op_equiv equals the pairwise oracle on base, ancilla and mixed wires."""
+    filled ones: every leg kernel and extension discard is the per-theory
+    oracle's bit for bit; spans equal the greedy subset of their candidates
+    and, terms and processes, the per-theory ``span_oracle``; and op_equiv
+    equals the pairwise oracle on base, ancilla and mixed wires."""
     completion._base_span.cache_clear()
     completion._base_testers.cache_clear()
+    completion._frame_leg.cache_clear()
     for gt in (SHARED_SPAN_CASES[name](), SHARED_SPAN_CASES[name]()):
         wires = theory_wires(gt)
         for w in wires:
@@ -705,6 +729,19 @@ def test_shared_spans_agree_with_the_oracles_cold_and_warm(name, depth):
                 exact_mode = all(p.arithmetic == RATIONAL for _, p in cands)
                 want = [term for term, _ in greedy_rank_subset(cands, exact_mode)]
                 assert [term for term, _ in span(gt, w, depth)] == want
+            for kind, span in (("state", state_span), ("effect", effect_span)):
+                kept, stack = span_oracle(gt, kind, w, depth)
+                got = span(gt, w, depth)
+                assert [term for term, _ in got] == [term for term, _ in kept]
+                for (_, p), (_, q) in zip(got, kept):
+                    assert_identical(p, q)
+                assert_identical(completion._span(gt, kind, w, depth)[1], stack)
+        for cid, entry in gt.registered.items():
+            for wing, anc in enumerate(entry.realization.ancilla_types, start=1):
+                kernel = leg_kernel_oracle(gt, cid, wing, depth)
+                assert_identical(completion._candidates(gt, "effect", anc, depth)[0], kernel)
+                reference = leg_kernel_oracle(gt, cid, wing, 2)
+                assert_identical(discard_ext(gt, anc), completion._block(reference, sig(anc), sig(), rows=[0]))
         base = [w for w in wires if w.kind != "extension"]
         ancs = [w for w in wires if w.kind == "extension"]
         for seed, (ins, outs) in enumerate([
@@ -715,6 +752,64 @@ def test_shared_spans_agree_with_the_oracles_cold_and_warm(name, depth):
                 check_op_equiv_against_oracle(
                     gt, sig(*ins), sig(*outs), True, seed % 2 == 0, shift, True, depth, seed
                 )
+
+
+def test_theories_over_one_base_share_the_leg_work():
+    """Two theories registering different channels over the same wing types
+    read one kernel object per leg, and their effect spans and discards share
+    its numerators; a later registration leaves the shared work in place."""
+    gt, other = pr_theory(STOCH), generated_theory(STOCH, 2, True)
+    (cid,) = other.registered
+    for wing in (1, 2):
+        leg = completion._leg(gt, "pr", wing, 2)
+        assert leg is completion._leg(other, cid, wing, 2) is completion._leg(gt, "pr", 3 - wing, 3)
+        anc, other_anc = (t.registered[c].realization.ancilla_types[wing - 1] for t, c in ((gt, "pr"), (other, cid)))
+        spans = [completion._span(t, "effect", a, 2)[1] for t, a in ((gt, anc), (other, other_anc))]
+        assert [s.inputs for s in spans] == [sig(anc), sig(other_anc)]
+        assert spans[0]._ints[0] is spans[1]._ints[0] is leg.span[1]._ints[0]
+        assert discard_ext(gt, anc)._ints[0] is discard_ext(other, other_anc)._ints[0]
+    assert completion._leg(gt, "pr", 1, 1) is not completion._leg(gt, "pr", 1, 2)
+    register(gt, pr_box(), "pr-again")
+    assert not gt._span_cache
+    assert completion._leg(gt, "pr", 1, 2) is completion._leg(gt, "pr-again", 1, 2) is leg
+
+
+def test_default_channel_ids_skip_taken_ones():
+    gt = new_theory(STOCH)
+    assert register(gt, pr_box(), "c2") == "c2"
+    assert register(gt, pr_box()) == "c3"
+    assert register(gt, pr_box()) == "c4"
+    fresh = new_theory(STOCH)
+    assert [register(fresh, pr_box()) for _ in range(2)] == ["c1", "c2"]
+
+
+@pytest.mark.parametrize("name", ["quant-pr-bb84", "stoch-pr"])
+def test_quotient_suite_reports_as_with_the_full_diagrams(name, monkeypatch):
+    """For seeds 0..19 the suite, which evaluates each sampled pair once,
+    reports field for field (negative-control witness included) what the
+    three closures give on the full diagrams, and each of its op_equiv calls
+    compares the very processes the full diagrams evaluate to."""
+    gt = SHARED_SPAN_CASES[name]()
+
+    def run(suite, seed):
+        calls = []
+
+        def spy(gt, f, g, extra=None, depth=None, tol=None):
+            calls.append([gt.eval(t, extra) for t in (f, g)])
+            return op_equiv(gt, f, g, extra, depth, tol)
+
+        for module in (completion, helpers):
+            monkeypatch.setattr(module, "op_equiv", spy)
+        return suite(gt, 8, np.random.default_rng(seed)), calls
+
+    for seed in range(20):
+        (got, got_calls), (want, want_calls) = run(quotient_suite, seed), run(quotient_suite_oracle, seed)
+        assert got == want
+        assert got.negative_control.witness == want.negative_control.witness is not None
+        assert len(got_calls) == len(want_calls)
+        for pair, want_pair in zip(got_calls, want_calls):
+            for p, q in zip(pair, want_pair):
+                assert_identical(p, q)
 
 
 def test_dropped_theories_leave_the_shared_caches_as_the_first_left_them():

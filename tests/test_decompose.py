@@ -440,8 +440,9 @@ def test_sparse_lp_matches_the_dense_linprog_oracle(m, pr_weight, push, seed, co
 def test_independent_columns_match_the_greedy_oracle_on_wide_matrices(rows, extra, rank, planted, seed):
     """The binary64 column selection keeps the columns of one rank test per
     column on wide matrices of any rank with planted dependencies (zero
-    columns and copies or sums of earlier columns), and once it holds as
-    many columns as there are rows it tests no more."""
+    columns and copies or sums of earlier columns). It makes one batched rank
+    call per block of 2 x rows columns, and once it holds as many columns as
+    there are rows it makes no more."""
     rng = np.random.default_rng(seed)
     cols = rows + extra
     matrix = rng.standard_normal((rows, min(rank, rows))) @ rng.standard_normal((min(rank, rows), cols))
@@ -451,7 +452,23 @@ def test_independent_columns_match_the_greedy_oracle_on_wide_matrices(rows, extr
     with mock.patch.object(np.linalg, "matrix_rank", wraps=np.linalg.matrix_rank) as rank_test:
         got = decompose._independent_columns(matrix)
     assert got == want
-    assert rank_test.call_count == (got[-1] + 1 if len(got) == rows else cols)
+    scanned = got[-1] + 1 if len(got) == rows else cols
+    assert rank_test.call_count == math.ceil(scanned / (2 * rows))
+
+
+
+def test_independent_columns_hold_one_block_at_a_time():
+    """A rank-deficient binary64 matrix never reaches full row rank, so every
+    column is scanned; the scan's peak memory is a block's, a small fraction
+    of the matrix, and its picks are the greedy oracle's."""
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 8000))
+    tracemalloc.start()
+    got = decompose._independent_columns(matrix)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got == (0, 1) == _greedy_columns(matrix[:, :50], False)
+    assert peak < matrix.nbytes // 10
 
 
 def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
