@@ -34,11 +34,14 @@ otherwise, and derives everything else from it once (``WingFrame``). A
 rational mixture is likewise its integer numerators: ``Fraction`` values
 appear only in the ``coefficients`` and ``.matrix`` views, built when read.
 
-Only the min-negativity mode needs an LP solver. scipy, ``scipy.sparse``
-included, loads on the first min-negativity solve, inside
-``_min_negativity_coefficients`` and the sparse LP system it builds, and
-nowhere else: importing this module, the min-norm mode, realization and
-verification never load it.
+Only the min-negativity mode needs an LP solver: HiGHS, through the bindings
+scipy bundles (``scipy.optimize._highspy._core``, scipy >= 1.15), called
+directly rather than through ``scipy.optimize.milp``, whose per-column Python
+loops (one variable type in, one basis status out per column) cost about as
+much as the solve itself. scipy, ``scipy.sparse`` included, loads on the first
+min-negativity solve, inside ``_min_negativity_coefficients`` and the sparse
+LP system it builds, and nowhere else: importing this module, the min-norm
+mode, realization and verification never load it.
 """
 
 from __future__ import annotations
@@ -478,32 +481,45 @@ def _min_negativity_coefficients(channel, frames) -> np.ndarray:
     body that the frames cannot reach, or a float body that is only nearly
     consistent, is caught by the full-body residual check after it.
 
-    HiGHS solves it through ``scipy.optimize.milp`` with no integrality
-    and presolve off: the LP ``linprog`` would hand it, but fed the prebuilt
-    sparse system of ``_lp_matrices`` as it is, with no per-call conversion
-    of a dense matrix and no presolve. The solution is then polished on its
-    support: re-solved by LU when the support is a square nonsingular basis
-    (the usual vertex), by least squares otherwise.
+    HiGHS solves it by dual simplex with presolve off, the prebuilt sparse
+    system of ``_lp_matrices`` passed as it is (unit costs, columns in
+    [0, inf), rows fixed at the body) to a fresh solver per call, through
+    scipy's bundled bindings. ``scipy.optimize.milp`` would hand HiGHS the
+    same model and options, so the same vertex, but loops in Python once per
+    column to build integrality types and to read basis statuses for
+    marginals it discards. The solution is then polished on its support:
+    re-solved by LU when the support is a square nonsingular basis (the
+    usual vertex), by least squares otherwise.
 
     scipy (``scipy.sparse`` too, in ``_lp_matrices``) is imported here, on
     the first min-negativity solve, and nowhere else in the package: a
     process that solves no LP never loads it.
     """
     from scipy.linalg import qr
-    from scipy.optimize import LinearConstraint, milp
+    from scipy.optimize._highspy import _core as highs
 
     a, a_eq = _lp_matrices(frames)
     rows = [frame.lp_rows for frame in frames]
     b = _wing_major_tensor(channel, binary64=True)[np.ix_(*rows)].reshape(-1)
     n = a.shape[1]
-    # milp passes the matrix's index arrays on to its HiGHS wrapper
-    # uncopied; a writeable copy keeps any wrapper from refusing, or writing
-    # to, the cached read-only system (0.04 ms at m = 4)
-    res = milp(np.ones(2 * n), constraints=LinearConstraint(a_eq.copy(), b, b),
-               options={"presolve": False})
-    if not res.success:
-        raise ResidualTooLarge(f"negativity LP failed: {res.message}")
-    coeffs = res.x[:n] - res.x[n:]
+    # the array form of passModel reads numpy arrays without a per-entry
+    # conversion (filling a HighsLp's fields instead, entry by entry, is
+    # four times slower at m = 4) and copies them into HiGHS, so the cached
+    # read-only system is passed as it is: costs, column bounds, row bounds,
+    # the CSC matrix and all-continuous integrality
+    width = 2 * n
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("presolve", "off")
+    solver.passModel(width, len(b), a_eq.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+                     np.ones(width), np.zeros(width), np.full(width, np.inf), b, b,
+                     a_eq.indptr, a_eq.indices, a_eq.data, np.zeros(width, dtype=np.int32))
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise ResidualTooLarge(f"negativity LP failed: {solver.modelStatusToString(status)}")
+    values = np.array(solver.getSolution().col_value)
+    coeffs = values[:n] - values[n:]
     tol = effective_tol(FLOAT64)
 
     def misfit(x):

@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
-from scipy.optimize import linprog
+from scipy.optimize import LinearConstraint, linprog, milp
 
 from quasicause.assemblages import Assemblage
 from quasicause.check import _amax, _apply, choi_of_transfer, vec_basis_matrix
@@ -37,6 +37,7 @@ from quasicause.completion import (
 from quasicause.decompose import (
     PRUNE,
     WingFrame,
+    _lp_matrices,
     _wing_major_tensor,
     default_frames,
 )
@@ -55,6 +56,7 @@ from quasicause.nonsignalling import (
     _prechecked,
 )
 from quasicause.procs import (
+    FLOAT64,
     RATIONAL,
     LinearProcess,
     _as_rational,
@@ -512,7 +514,9 @@ def verify_diagonal(channel, realization: DiagonalRealization) -> object:
 def min_negativity_oracle(channel, frames) -> np.ndarray:
     """The min-negativity LP on every row of the product frame (x)_i F_i plus
     an explicit sum-to-one row, polished against that whole system: full-frame
-    coefficients minimizing sum |c_k|."""
+    coefficients minimizing sum |c_k|. HiGHS's primal and dual feasibility
+    tolerances are 1e-10, not its default 1e-7: near a degenerate vertex the
+    default stops up to 1e-7 short of the optimum on this larger system."""
     a = np.array([[1.0]])
     for frame in frames:
         a = np.kron(a, frame.operands(binary64=True)[0])
@@ -520,7 +524,9 @@ def min_negativity_oracle(channel, frames) -> np.ndarray:
     n = a.shape[1]
     a_eq = np.block([[a, -a], [np.ones((1, n)), -np.ones((1, n))]])
     b_eq = np.concatenate([b, [1.0]])
-    res = linprog(np.ones(2 * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(np.ones(2 * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     coeffs = res.x[:n] - res.x[n:]
     support = np.abs(coeffs) > 1e-10
@@ -531,6 +537,64 @@ def min_negativity_oracle(channel, frames) -> np.ndarray:
         if np.abs(a @ polished - b).max() <= np.abs(a @ coeffs - b).max() + 1e-12:
             coeffs = polished
     return coeffs
+
+
+def milp_lp_oracle(channel, frames) -> np.ndarray:
+    """The library's min-negativity LP solved through ``scipy.optimize.milp``:
+    HiGHS with no integrality and presolve off on the cached sparse system of
+    ``_lp_matrices``, then the library's polish on the support. ``milp``
+    hands HiGHS the model and options the library passes to the bindings
+    directly, so the coefficients agree bit for bit."""
+    a, a_eq = _lp_matrices(tuple(frames))
+    rows = [frame.lp_rows for frame in frames]
+    b = _wing_major_tensor(channel, binary64=True)[np.ix_(*rows)].reshape(-1)
+    n = a.shape[1]
+    # milp passes the matrix's index arrays on to its HiGHS wrapper
+    # uncopied; a writeable copy keeps any wrapper from refusing, or writing
+    # to, the cached read-only system
+    res = milp(np.ones(2 * n), constraints=LinearConstraint(a_eq.copy(), b, b),
+               options={"presolve": False})
+    if not res.success:
+        raise ResidualTooLarge(f"negativity LP failed: {res.message}")
+    coeffs = res.x[:n] - res.x[n:]
+    tol = effective_tol(FLOAT64)
+
+    def misfit(x):
+        return np.abs(a @ x - b).max()
+
+    # polish: a refit on the LP support tightens the equality constraints to
+    # machine precision without changing the support. A square support is
+    # re-solved by LU, kept if it meets the rows within tol; any other by
+    # least squares, and at a degenerate vertex (support rank below the row
+    # count) that can miss b; then the support is completed to a square
+    # basis, by pivoted QRs of the support and of the other columns projected
+    # off its span, and refit. Only the columns read are made dense
+    def refit(cols):
+        x, sub = np.zeros(n), a[:, cols].toarray()
+        if len(cols) == len(b):
+            try:
+                x[cols] = np.linalg.solve(sub, b)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if misfit(x) <= tol:
+                    return x, len(b)
+        x[cols], _, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
+        return x, rank
+
+    support = np.flatnonzero(np.abs(coeffs) > 1e-10)
+    if support.size:
+        polished, rank = refit(support)
+        if rank < len(b) and misfit(polished) > tol:
+            q, _, kept = scipy_qr(a[:, support].toarray(), mode="economic", pivoting=True)
+            q, rest = q[:, :rank], np.setdiff1d(np.arange(n), support)
+            others = a[:, rest].toarray()
+            _, added = scipy_qr(others - q @ (q.T @ others), mode="r", pivoting=True)
+            basis = np.concatenate([support[kept[:rank]], rest[added[:len(b) - rank]]])
+            polished = min(polished, refit(basis)[0], key=misfit)
+        if misfit(polished) <= misfit(coeffs) + 1e-12:
+            coeffs = polished
+    return coeffs.reshape(tuple(len(f) for f in frames))
 
 
 def dense_lp_oracle(channel, frames) -> np.ndarray:

@@ -10,10 +10,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, milp
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_core
 
 from perfbench import gen
 from quasicause import (
@@ -70,6 +70,7 @@ from tests.helpers import (
     diagonal_realization,
     fraction_compose_seq,
     fresh_frame_data,
+    milp_lp_oracle,
     min_negativity_oracle,
     pruned_oracle,
     pruned_terms_oracle,
@@ -377,6 +378,7 @@ def _assert_min_negativity_matches_oracle(chan):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 @example(m=3, pr_weight=0.75, push=0.99999, seed=0)  # a degenerate LP vertex
+@example(m=3, pr_weight=0.99999, push=0.0, seed=2)  # needs the oracle's tight tolerances
 def test_min_negativity_matches_full_row_oracle(m, pr_weight, push, seed):
     """The LP on each wing's independent rows against the LP on every row
     of the product frame plus a sum-to-one row: equal negativity."""
@@ -427,6 +429,42 @@ def test_sparse_lp_matches_the_dense_linprog_oracle(m, pr_weight, push, seed, co
     assert abs(np.maximum(-got, 0).sum() - np.maximum(-want, 0).sum()) <= 1e-12
     qm = decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
     assert qm.residual <= effective_tol(FLOAT64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 4),
+    pr_weight=st.floats(0, 1),
+    push=st.floats(0, 1),
+    seed=st.integers(0, 2 ** 32 - 1),
+    common_cause=st.booleans(),
+)
+@example(m=3, pr_weight=0.75, push=0.99999, seed=0, common_cause=False)  # a degenerate LP vertex
+def test_lp_on_the_bindings_matches_the_milp_route_bit_for_bit(m, pr_weight, push, seed, common_cause):
+    """HiGHS called through its bindings gets the model and options that
+    ``milp`` would pass, so the polished coefficients are the ``milp``
+    route's bit for bit, on pushed PR-box mixtures and generated common
+    causes."""
+    if common_cause:
+        chan = _binary_channel(gen.common_cause(np.random.default_rng(seed), m, exact=False).matrix)
+    else:
+        chan = _pushed_pr_channel(m, pr_weight, push, seed)
+    frames = default_frames(chan)
+    assert np.array_equal(decompose._min_negativity_coefficients(chan, frames),
+                          milp_lp_oracle(chan, frames))
+
+
+def test_a_negativity_lp_stopped_early_is_rejected(monkeypatch):
+    """A solver stopped before optimality raises, naming HiGHS's model
+    status. The subclass also pins the binding names the library calls."""
+    class Stopped(highs_core._Highs):
+        def run(self):
+            self.setOptionValue("simplex_iteration_limit", 0)
+            return super().run()
+
+    monkeypatch.setattr(highs_core, "_Highs", Stopped)
+    with pytest.raises(ResidualTooLarge, match="negativity LP failed: Iteration limit reached"):
+        decompose_quasimixture(pr_box(), mode=MIN_NEGATIVITY)
 
 
 @settings(max_examples=80, deadline=None)
@@ -531,10 +569,14 @@ def test_exact_pipeline_does_no_fraction_arithmetic(monkeypatch):
 
 
 def test_min_negativity_matches_full_row_oracle_on_bb84():
-    """The hybrid classical/qubit channel, whose least negativity is 1."""
+    """The hybrid classical/qubit channel, whose least negativity is 1; its
+    coefficients are the ``milp`` route's bit for bit."""
     chan = assemblage_to_channel(bb84_assemblage())
     _assert_min_negativity_matches_oracle(chan)
     assert abs(negativity(decompose_quasimixture(chan, mode=MIN_NEGATIVITY)) - 1) <= 1e-9
+    frames = default_frames(chan)
+    assert np.array_equal(decompose._min_negativity_coefficients(chan, frames),
+                          milp_lp_oracle(chan, frames))
 
 
 @pytest.mark.parametrize("build", [
@@ -547,12 +589,13 @@ def test_min_negativity_lp_has_one_row_per_unit_of_rank(build, monkeypatch):
     chan = build()
     shapes = []
 
-    def spy(cost, constraints, **kwargs):
-        shapes.append(constraints.A.shape)
-        return milp(cost, constraints=constraints, **kwargs)
+    class Spy(highs_core._Highs):
+        def passModel(self, *model):
+            shapes.append((model[1], model[0]))  # (rows, columns)
+            return super().passModel(*model)
 
-    # decompose imports milp when it solves, so the spy goes on scipy
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    # decompose reaches the solver class through the module when it solves
+    monkeypatch.setattr(highs_core, "_Highs", Spy)
     decompose_quasimixture(chan, mode=MIN_NEGATIVITY)
     frames = default_frames(chan)
     ranks = [np.linalg.matrix_rank(f.operands(binary64=True)[0]) for f in frames]
