@@ -26,7 +26,7 @@ from .decompose import CommonCauseRealization
 from .errors import InvalidAssemblage
 from .nonsignalling import MultipartiteChannel, _prechecked, check_nonsignalling
 from .procs import LinearProcess
-from .theories import QUANT, density_to_coords, instrument_problem
+from .theories import QUANT, STOCH, density_to_coords, instrument_problem
 from .wires import UNIT, Signature, classical, quantum
 
 
@@ -59,14 +59,15 @@ class Assemblage:
         return self.table[tuple(a) + tuple(x)]
 
 
-def assemblage_to_channel(asm: Assemblage, tol: float = 1e-9) -> MultipartiteChannel:
+def assemblage_to_channel(asm: Assemblage, tol: Optional[float] = None) -> MultipartiteChannel:
     """Encode as an m-partite channel; the trusted wing has a trivial input.
 
     Column x of the body stacks sigma_{a|x} over the outcomes a, so the body
     is the table with its coordinate axis moved in front of the settings.
     The assemblage is valid exactly when that body is: ``instrument_problem``
     decides positivity and normalization, and ``check_nonsignalling`` decides
-    no-signalling, each within ``tol`` and each raising ``InvalidAssemblage``.
+    no-signalling, each within ``tol`` (by default binary64's, see
+    ``procs.effective_tol``) and each raising ``InvalidAssemblage``.
     A table holding NaN or inf is never valid. No-signalling bounds each
     setting's marginal against the average over settings, so two settings'
     marginals may differ by up to 2 * ``tol``; ``register`` applies the same
@@ -98,9 +99,15 @@ def assemblage_to_channel(asm: Assemblage, tol: float = 1e-9) -> MultipartiteCha
 
 
 def extract_assemblage(channel: MultipartiteChannel) -> Assemblage:
-    """Read the conditional states back out of an encoded channel."""
-    *untrusted, trusted = channel.wings
-    d = trusted[1].hilbert_dim
+    """Read the conditional states back out of an encoded channel: classical
+    untrusted wings, then a trusted quantum output with a trivial input."""
+    *untrusted, (t_in, t_out) = channel.wings
+    d = t_out.hilbert_dim
+    if d is None or t_in.vdim != 1:
+        raise InvalidAssemblage(f"wing {channel.m} is not a trusted quantum output with a trivial input")
+    for i, pair in enumerate(untrusted, start=1):
+        if not all(map(STOCH.contains, pair)):
+            raise InvalidAssemblage(f"wing {i} is not classical")
     settings = tuple(w.vdim for w, _ in untrusted)
     outcomes = tuple(w.vdim for _, w in untrusted)
     stacked = channel.body.matrix.astype(float).reshape(outcomes + (d * d,) + settings)
@@ -114,7 +121,7 @@ def realize_assemblage(
     tol: Optional[float] = None,
 ) -> Tuple[str, CommonCauseRealization]:
     """Encode, register in the generated theory, return the verified result."""
-    channel = assemblage_to_channel(asm, tol if tol is not None else 1e-9)
+    channel = assemblage_to_channel(asm, tol)
     cid = register(gt, channel, channel_id=channel_id, tol=tol)
     return cid, gt.registered[cid].realization
 

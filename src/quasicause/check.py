@@ -27,6 +27,8 @@ FORMAT_VERSION, CERTIFICATE_VERSION = 1, 2  # channel and assemblage files; cert
 # 4^8 for eight binary wings; a recomposition diagram D_in^2 * prod |F_i|, 2^24 at six.
 DENSE_CAP = 2 ** 26
 _PLAIN = re.compile(r"-?[0-9]+/[0-9]+(?:/-?[0-9]+/[0-9]+)*")  # "p/q" entries joined by "/"
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")  # a decimal string's exponent, as Fraction reads it
+_MAX_EXPONENT = 1000  # 10^1000 builds at once; Fraction("1e10000000") takes seconds
 _INT64_LIMIT = 2 ** 63  # int64 kernels run only when every value they form is below this
 _EXACT_FLOAT = 2 ** 53  # binary64 holds every integer up to this exactly
 
@@ -46,6 +48,15 @@ class SchemaError(QuasicauseError):
 def _amax(num: np.ndarray) -> int:
     """Largest magnitude in ``num`` (0 when empty), as a Python int."""
     return int(np.abs(num).max()) if num.size else 0
+
+def _show(x) -> str:
+    """``str(x)``, or for a rational whose parts pass the int-to-string digit limit its sign and
+    binary magnitude, which cannot raise."""
+    try:
+        return str(x)
+    except ValueError:
+        n, d = x.numerator, x.denominator
+        return f"{'-' if n < 0 else ''}~2^{n.bit_length() - d.bit_length()} (too long to print)"
 
 def _fit(num: np.ndarray) -> np.ndarray:
     """int64 when every value is below 2^63 in magnitude, Python ints otherwise."""
@@ -214,7 +225,7 @@ def instrument_problem(x: Operand, outs: Sequence[Wire], ins: Sequence[Wire], to
             low = np.linalg.eigvalsh(choi_of_transfer(blocks, *dims)).min()
     if not low >= -eps:
         low = Fraction(low, den) if exact else low
-        return f"is not completely positive (lowest Choi eigenvalue {low})"
+        return f"is not completely positive (lowest Choi eigenvalue {_show(low)})"
     if exact:
         safe = _amax(num) * len(num) + den < _INT64_LIMIT  # the column sums fit in int64
         gap = _amax(num.sum(axis=0, dtype=None if safe else object) - den)
@@ -225,7 +236,7 @@ def instrument_problem(x: Operand, outs: Sequence[Wire], ins: Sequence[Wire], to
         gap = abs(np.tensordot(u_out, blocks.sum(axis=0), axes=(0, 1)) - u_in).max()
     if gap <= eps:
         return None
-    return f"is not discard-preserving (gap {Fraction(gap, den) if exact else gap})"
+    return f"is not discard-preserving (gap {_show(Fraction(gap, den) if exact else gap)})"
 
 
 def canonical_bytes(obj) -> bytes:
@@ -242,10 +253,13 @@ def _expect(value, kind: type, what: str):
 
 def decode_number(x, exact: bool):
     """A "p/q" string or an int in either mode, or a JSON float in binary64 mode; anything else,
-    and anything non-finite, is a SchemaError."""
+    anything non-finite and a decimal exponent beyond ``_MAX_EXPONENT`` is a SchemaError."""
     if isinstance(x, bool) or not isinstance(x, (str, int) if exact else (str, int, float)):
         raise SchemaError(f"{'rational' if exact else 'float64'} file holds entry {x!r}")
     try:
+        power = _EXPONENT.search(x) if isinstance(x, str) else None
+        if power and abs(int(power[1])) > _MAX_EXPONENT:
+            raise SchemaError(f"exponent of {x!r} is beyond {_MAX_EXPONENT} in magnitude")
         value = Fraction(x) if isinstance(x, str) else x
         value = Fraction(value) if exact else float(value)
     except (ValueError, ZeroDivisionError, OverflowError) as err:
@@ -408,9 +422,9 @@ def verify(cert, channel_obj, tol=None) -> Tuple[bool, object, str]:
     failed = [f"eta {i} {problem}" for i, problem in enumerate(problems, start=1) if problem]
     total = _sum(xi) if exact else xi.sum()
     if not (total == 1 if exact else abs(total - 1) <= tol):
-        failed.append(f"coefficients sum to {total}, not 1")
+        failed.append(f"coefficients sum to {_show(total)}, not 1")
     if not residual <= tol:
-        failed.append(f"recontraction residual {residual} exceeds tolerance {tol}")
+        failed.append(f"recontraction residual {_show(residual)} exceeds tolerance {_show(tol)}")
     if failed:
         return False, residual, "; ".join(failed)
-    return True, residual, f"recontraction residual {residual} within tolerance {tol}"
+    return True, residual, f"recontraction residual {_show(residual)} within tolerance {_show(tol)}"

@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count, product
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -624,9 +624,6 @@ def negativity(qm: QuasiMixture):
     return sum(max(-c, 0) for c, _ in qm.terms)
 
 
-_fresh = count(1)
-
-
 def build_realization(
     channel: MultipartiteChannel,
     qm: QuasiMixture,
@@ -636,7 +633,9 @@ def build_realization(
     """Package a quasi-mixture in product form: its coefficient tensor as
     ``xi`` on branded ancillas of carrier |F_i|, each wing's frame as its
     controlled channel ``eta_i``, in the tensor's arithmetic. Every frame
-    member must be a valid channel, whether or not the mixture weights it."""
+    member must be a valid channel, whether or not the mixture weights it.
+    With no ``channel_id``, the brands name the channel by ``ch`` and the
+    first 12 hex digits of its file's digest, so one channel gets one id."""
     if frames is None:
         frames = default_frames(channel)
     frames = tuple(frames)
@@ -645,7 +644,9 @@ def build_realization(
     if shape != sizes:
         raise SignatureMismatch(f"coefficients of shape {shape} on frames of sizes {sizes}")
     if channel_id is None:
-        channel_id = f"ch{next(_fresh)}"
+        from .serialize import channel_digest, channel_to_json  # serialize imports this module
+
+        channel_id = "ch" + channel_digest(channel_to_json(channel)).partition(":")[2][:12]
 
     ancillas = tuple(extension(channel_id, i, len(f)) for i, f in enumerate(frames, start=1))
 

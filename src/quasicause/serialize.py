@@ -42,9 +42,7 @@ from .nonsignalling import MultipartiteChannel, NSReport, _prechecked
 from .procs import _made, _operand
 from .theories import QUANT, STOCH
 from .wires import (
-    CLASSICAL,
     EMPTY,
-    QUANTUM,
     Signature,
     SystemType,
     classical,
@@ -79,11 +77,9 @@ def encode_matrix(x: Operand) -> List[object]:
 
 
 def _wing_type_to_json(t: SystemType) -> Dict:
-    if t.kind == QUANTUM:
-        return {"kind": "quantum", "dim": t.hilbert_dim}
-    if t.kind == CLASSICAL:
-        return {"kind": "classical", "dim": t.vdim}
-    raise SchemaError(f"cannot serialize wire kind {t.kind}")
+    if not QUANT.contains(t):
+        raise SchemaError(f"cannot serialize wire kind {t.kind}")
+    return {"kind": t.kind, "dim": t.hilbert_dim or t.vdim}
 
 
 # -- channel files -----------------------------------------------------------
@@ -111,7 +107,7 @@ def channel_from_json(obj: Dict) -> MultipartiteChannel:
     wings, body = check.read_channel(obj)
     wings = tuple(tuple(quantum(d) if d else classical(v) for v, d in wing) for wing in wings)
     in_sig, out_sig = (Signature(tuple(w[k] for w in wings)) for k in (0, 1))
-    theory = QUANT if any(t.kind == QUANTUM for pair in wings for t in pair) else STOCH
+    theory = STOCH if all(STOCH.contains(t) for pair in wings for t in pair) else QUANT
     return _prechecked(wings, _made(in_sig, out_sig, body), theory)
 
 

@@ -1,9 +1,11 @@
 """Concrete base theories embedded in real linear maps.
 
-``STOCH`` is classical probability: wires are outcome spaces, channels are
-column-stochastic matrices. ``QUANT`` adds quantum wires in trace-orthonormal
-Hermitian coordinates (transfer matrices are real), with instrument-style
-validity for classical/quantum hybrids.
+Wire kinds are data: ``_WIRES`` maps each kind to the builder of a wire's
+discard row, reference state and frames. Classical wires are outcome spaces;
+quantum wires carry trace-orthonormal Hermitian coordinates, so transfer
+matrices are real. A ``Theory`` is the set of kinds it serves: ``STOCH`` is
+{classical}, with column-stochastic channels, and ``QUANT`` is {classical,
+quantum}, with instrument-style validity for classical/quantum hybrids.
 
 Every validity predicate here (``stoch_valid``, ``quant_valid``,
 ``hybrid_valid``, ``Theory.valid``) is one call to ``instrument_problem``.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from . import check
 from .check import hermitian_basis
 from .errors import UnknownType, WrongKind
-from .procs import LinearProcess, _operand, effect, state
+from .procs import LinearProcess, _operand, compose_par, effect, number, state
 from .wires import CLASSICAL, EXTENSION, QUANTUM, Signature, SystemType
 
 
@@ -72,27 +74,57 @@ def _wire_kinds(p: LinearProcess) -> set:
     return {w.kind for w in tuple(p.inputs) + tuple(p.outputs)}
 
 
-def discard_row(t: SystemType) -> LinearProcess:
-    """The unique deterministic effect for one wire.
+# A wire's discard row, reference state, state frame and effect frame.
+WireKit = Tuple[LinearProcess, LinearProcess, Tuple[LinearProcess, ...], Tuple[LinearProcess, ...]]
 
-    Classical (and extension carriers): all-ones row. Quantum: the trace
-    functional, sqrt(d) on the B_0 coordinate.
-    """
-    if t.kind == QUANTUM:
-        row = np.zeros(t.vdim)
-        row[0] = math.sqrt(t.hilbert_dim)
-        return effect(row, t, exact=False)
-    return effect([1] * t.vdim, t)
+
+def _classical_wire(t: SystemType) -> WireKit:
+    """The all-ones row, the uniform distribution, the point masses and the
+    point indicators."""
+    points = [[1 if i == j else 0 for i in range(t.vdim)] for j in range(t.vdim)]
+    return (
+        effect([1] * t.vdim, t),
+        state([Fraction(1, t.vdim)] * t.vdim, t),
+        tuple(state(p, t) for p in points),
+        tuple(effect(p, t) for p in points),
+    )
+
+
+def _quantum_wire(t: SystemType) -> WireKit:
+    """The trace functional (sqrt(d) on B_0) and the maximally mixed state,
+    each first in its frame, then per traceless basis element B_a the state
+    I/d + B_a/(d |B_a|) and the effect (I + B_a/|B_a|)/2, with |B_a| the
+    operator norm."""
+    d = t.hilbert_dim
+    trace = np.zeros(t.vdim)
+    trace[0] = math.sqrt(d)
+    mixed = np.zeros(t.vdim)
+    mixed[0] = 1 / math.sqrt(d)
+    states = [state(mixed, t, exact=False)]
+    effects = [effect(trace, t, exact=False)]
+    for a, b in enumerate(hermitian_basis(d)[1:], start=1):
+        opnorm = float(np.abs(np.linalg.eigvalsh(b)).max())
+        coords = mixed.copy()
+        coords[a] = 1 / (d * opnorm)
+        states.append(state(coords, t, exact=False))
+        row = trace / 2
+        row[a] = 1 / (2 * opnorm)
+        effects.append(effect(row, t, exact=False))
+    return effects[0], states[0], tuple(states), tuple(effects)
+
+
+_WIRES = {CLASSICAL: _classical_wire, QUANTUM: _quantum_wire}
+
+
+def discard_row(t: SystemType) -> LinearProcess:
+    """The unique deterministic effect for one wire, from its kind's builder;
+    extension carriers take the classical one (the all-ones row)."""
+    return _WIRES.get(t.kind, _classical_wire)(t)[0]
 
 
 def discard_effect(signature: Signature) -> LinearProcess:
     """Discard of a composite: parallel composition of per-wire discards."""
-    from .procs import compose_par, number
-
-    out = number(1)
-    for w in signature:
-        out = compose_par(out, discard_row(w))
-    return out
+    return reduce(compose_par, map(discard_row, signature), number(1))
 
 
 def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optional[str]:
@@ -103,17 +135,8 @@ def instrument_problem(p: LinearProcess, tol: Optional[float] = None) -> Optiona
     (0 for rationals: the check is exact) and of binary64 with one (the Choi
     spectrum is computed in floats).
     """
-    def wires(s: Signature):
-        return [(w.vdim, w.hilbert_dim if w.kind == QUANTUM else None) for w in s]
-
-    return check.instrument_problem(_operand(p), wires(p.outputs), wires(p.inputs), tol)
-
-
-def stoch_valid(p: LinearProcess, tol: Optional[float] = None) -> bool:
-    """Column-stochastic test: entries >= 0, columns summing to one."""
-    if _wire_kinds(p) - {CLASSICAL}:
-        raise WrongKind("stochastic validity applies to all-classical wires")
-    return instrument_problem(p, tol) is None
+    outs, ins = ([(w.vdim, w.hilbert_dim) for w in s] for s in (p.outputs, p.inputs))
+    return check.instrument_problem(_operand(p), outs, ins, tol)
 
 
 def quant_valid(p: LinearProcess, tol: Optional[float] = None) -> bool:
@@ -132,103 +155,54 @@ def hybrid_valid(p: LinearProcess, tol: Optional[float] = None) -> bool:
 
 @dataclass(frozen=True)
 class Theory:
-    """A base theory: validity, discard, reference states and frames.
+    """A base theory: the set of wire ``kinds`` it serves. ``valid`` is the
+    instrument test on processes with wires of those kinds only. A served
+    wire's discard, reference state and frames are its kit from ``_WIRES``,
+    built once per (theory, type) and shared; other kinds raise UnknownType.
 
     Frames span the full coordinate space of each wire (local tomography),
     so spanning-state and spanning-effect families both have rank vdim.
     """
 
     name: str
-    quantum_allowed: bool
+    kinds: frozenset
 
     def contains(self, t: SystemType) -> bool:
-        if t.kind == CLASSICAL:
-            return True
-        return t.kind == QUANTUM and self.quantum_allowed
-
-    def _require(self, t: SystemType):
-        if not self.contains(t):
-            raise UnknownType(f"{self.name} does not serve wire {t!r}")
+        return t.kind in self.kinds
 
     def valid(self, p: LinearProcess, tol: Optional[float] = None) -> bool:
         kinds = _wire_kinds(p)
         if EXTENSION in kinds:
             raise WrongKind("extension wires are outside the base theory")
-        if QUANTUM in kinds and not self.quantum_allowed:
-            raise WrongKind(f"{self.name} has no quantum wires")
+        if kinds - self.kinds:
+            raise WrongKind(f"{self.name} has no {' or '.join(sorted(kinds - self.kinds))} wires")
         return instrument_problem(p, tol) is None
 
     @lru_cache(maxsize=None)
-    def discard(self, t: SystemType) -> LinearProcess:
-        """``discard_row``, once per (theory, type); a refused type raises on every call."""
-        self._require(t)
-        return discard_row(t)
+    def _wire(self, t: SystemType) -> WireKit:
+        """``t``'s kit; a refused type raises on every call."""
+        if not self.contains(t):
+            raise UnknownType(f"{self.name} does not serve wire {t!r}")
+        return _WIRES[t.kind](t)
 
-    @lru_cache(maxsize=None)
+    def discard(self, t: SystemType) -> LinearProcess:
+        return self._wire(t)[0]
+
     def reference_state(self, t: SystemType) -> LinearProcess:
-        """Uniform distribution / maximally mixed state; cached like ``discard``."""
-        self._require(t)
-        if t.kind == CLASSICAL:
-            return state([Fraction(1, t.vdim)] * t.vdim, t)
-        coords = np.zeros(t.vdim)
-        coords[0] = 1 / math.sqrt(t.hilbert_dim)
-        return state(coords, t, exact=False)
+        return self._wire(t)[1]
 
     def state_frame(self, t: SystemType) -> Tuple[LinearProcess, ...]:
-        """Spanning states of ``t``: the point masses for a classical wire,
-        the maximally mixed state then one state per traceless basis element
-        for a quantum wire. Built once per (theory, type) and shared."""
-        self._require(t)
-        return _state_frame(self, t)
+        return self._wire(t)[2]
 
     def effect_frame(self, t: SystemType) -> Tuple[LinearProcess, ...]:
-        """Spanning effects of ``t``: the point indicators for a classical
-        wire, the discard then one effect per traceless basis element for a
-        quantum wire. Built once per (theory, type) and shared."""
-        self._require(t)
-        return _effect_frame(self, t)
+        return self._wire(t)[3]
 
 
-@lru_cache(maxsize=None)
-def _state_frame(theory: Theory, t: SystemType) -> Tuple[LinearProcess, ...]:
-    if t.kind == CLASSICAL:
-        return tuple(
-            state([1 if i == j else 0 for i in range(t.vdim)], t)
-            for j in range(t.vdim)
-        )
-    d = t.hilbert_dim
-    basis = hermitian_basis(d)
-    frame = [theory.reference_state(t)]
-    for a, b in enumerate(basis[1:], start=1):
-        opnorm = float(np.abs(np.linalg.eigvalsh(b)).max())
-        coords = np.zeros(t.vdim)
-        coords[0] = 1 / math.sqrt(d)
-        coords[a] = 1 / (d * opnorm)
-        frame.append(state(coords, t, exact=False))
-    return tuple(frame)
+STOCH = Theory("Stoch", frozenset({CLASSICAL}))
+QUANT = Theory("Quant", frozenset({CLASSICAL, QUANTUM}))
 
-
-@lru_cache(maxsize=None)
-def _effect_frame(theory: Theory, t: SystemType) -> Tuple[LinearProcess, ...]:
-    if t.kind == CLASSICAL:
-        return tuple(
-            effect([1 if i == j else 0 for i in range(t.vdim)], t)
-            for j in range(t.vdim)
-        )
-    d = t.hilbert_dim
-    basis = hermitian_basis(d)
-    frame = [theory.discard(t)]
-    for a, b in enumerate(basis[1:], start=1):
-        opnorm = float(np.abs(np.linalg.eigvalsh(b)).max())
-        row = np.zeros(t.vdim)
-        row[0] = math.sqrt(d) / 2
-        row[a] = 1 / (2 * opnorm)
-        frame.append(effect(row, t, exact=False))
-    return tuple(frame)
-
-
-STOCH = Theory("Stoch", quantum_allowed=False)
-QUANT = Theory("Quant", quantum_allowed=True)
+# column-stochastic test: entries >= 0, columns summing to one
+stoch_valid = STOCH.valid
 
 
 def embed_stochastic(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:

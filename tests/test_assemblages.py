@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicause import QUANT
+from quasicause import QUANT, UNIT, process, quantum, sig
 from quasicause.assemblages import (
     Assemblage,
     assemblage_to_channel,
@@ -17,6 +17,7 @@ from quasicause.assemblages import (
     realize_assemblage,
     unsteerable_assemblage,
 )
+from quasicause.boxes import pr_box
 from quasicause.completion import new_theory
 from quasicause.decompose import (
     MIN_NEGATIVITY,
@@ -25,7 +26,7 @@ from quasicause.decompose import (
     verify_realization,
 )
 from quasicause.errors import InvalidAssemblage, TypeMismatch
-from quasicause.nonsignalling import check_nonsignalling
+from quasicause.nonsignalling import MultipartiteChannel, check_nonsignalling
 from quasicause.theories import coords_to_density, density_to_coords
 
 from tests.helpers import (
@@ -248,3 +249,15 @@ def test_signalling_tolerance_is_the_channel_check():
     gt = new_theory(QUANT)
     cid, _ = realize_assemblage(gt, asm, channel_id="edge")
     assert gt.registered[cid].residual <= 1e-9
+
+
+def test_extracting_a_channel_that_is_no_assemblage_names_the_wing():
+    """The trusted wing must be a quantum output with a trivial input and
+    every other wing classical."""
+    with pytest.raises(InvalidAssemblage, match="wing 2 is not a trusted quantum output"):
+        extract_assemblage(pr_box())
+    qubit = quantum(2)
+    mixed = np.eye(4, 1) / np.sqrt(2)  # the maximally mixed qubit in Hermitian coordinates
+    body = process(np.kron(np.eye(4), mixed), sig(qubit, UNIT), sig(qubit, qubit))
+    with pytest.raises(InvalidAssemblage, match="wing 1 is not classical"):
+        extract_assemblage(MultipartiteChannel(((qubit, qubit), (UNIT, qubit)), body, QUANT))

@@ -297,3 +297,55 @@ def test_a_channel_file_whose_body_is_no_channel_is_a_schema_error():
         with pytest.raises(SchemaError) as err:
             read(bad)
         assert str(err.value) == want
+
+
+# -- numbers too long to build or to print -------------------------------------------------------
+
+# Each prints; their sum's denominator has about 4400 digits, past CPython's int-to-string limit.
+LONG = [f"1/{10 ** 2200 + 1}", f"1/{10 ** 2200 + 3}"]
+
+
+def _pr_files():
+    (cert, obj), _ = _fresh("pr")
+    return json.loads(json.dumps(cert)), json.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float64"])
+def test_a_decimal_exponent_past_the_bound_is_refused_before_the_integer_is_built(exact):
+    """``Fraction("1e10000000")`` alone takes seconds; the decoder refuses it first."""
+    for x in ("1e10000000", "-1E-10000000", "1e1_001", " 1e+1001 "):
+        with pytest.raises(SchemaError, match="exponent"):
+            check.decode_number(x, exact)
+    assert check.decode_number("1e1000", True) == 10 ** 1000
+
+
+def test_channel_entries_too_long_for_a_message_are_schema_errors():
+    _, obj = _pr_files()
+    obj["matrix"][0] = "1e5000"
+    with pytest.raises(SchemaError, match="exponent"):
+        check.read_channel(obj)
+    _, obj = _pr_files()
+    obj["matrix"][0], obj["matrix"][4] = LONG  # both in column 0, which no longer sums to 1
+    with pytest.raises(SchemaError, match=r"gap ~2\^-\d+ \(too long to print\)"):
+        check.read_channel(obj)
+
+
+@pytest.mark.parametrize("where", ["xi", "eta"])
+def test_a_certificate_entry_with_a_huge_exponent_is_a_schema_error(where):
+    cert, obj = _pr_files()
+    real = cert["realization"]
+    if where == "xi":
+        real["xi"][0]["c"] = "1e5000"
+    else:
+        real["etas"][0][0] = "1e5000"
+    with pytest.raises(SchemaError, match="exponent"):
+        verify_certificate(cert, obj)
+
+
+def test_coefficients_whose_sum_is_too_long_to_print_fail_the_verdict():
+    cert, obj = _pr_files()
+    xi = cert["realization"]["xi"]
+    xi[0]["c"], xi[1]["c"] = LONG
+    ok, _, detail = verify_certificate(cert, obj)
+    assert not ok
+    assert "coefficients sum to ~2^0 (too long to print), not 1" in detail

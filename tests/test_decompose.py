@@ -994,3 +994,13 @@ def test_deferred_xi_matches_dense_oracle(m, carriers, exact, data, seed):
     assert np.array_equal(dense, oracle)
     if exact:
         assert [str(x) for x in dense.flat] == [str(x) for x in oracle.flat]
+
+
+def test_the_default_channel_id_is_read_off_the_channel_digest():
+    """With no id given, a channel is named ``ch`` and the first 12 hex
+    digits of its file's SHA-256: one channel realized twice gets one id,
+    two channels get two."""
+    pr, bb84 = pr_box(), assemblage_to_channel(bb84_assemblage())
+    ids = [build_realization(c, decompose_quasimixture(c)).channel_id for c in (pr, pr, bb84)]
+    assert ids[0] == ids[1] != ids[2]
+    assert ids[0] == "ch" + channel_digest(channel_to_json(pr)).removeprefix("sha256:")[:12]

@@ -175,3 +175,19 @@ def test_checker_imports_only_the_standard_library_and_numpy():
             assert name not in {"__import__", "import_module"}, f"check.py:{node.lineno} imports by call"
     others = sorted(imported - set(sys.stdlib_module_names) - {"numpy"})
     assert others == [], f"check imports {others}"
+
+
+def test_only_the_wire_and_theory_modules_name_the_quantum_kind():
+    """The name ``QUANTUM`` appears in no module of the package but ``wires``
+    (which defines it), ``theories`` (whose kind table holds its builder)
+    and ``__init__`` (which re-exports it): elsewhere a wire's kind is asked
+    of a theory, never switched on."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((PYPROJECT.parent / "src" / "quasicause").glob("*.py"))
+        if path.name not in {"wires.py", "theories.py", "__init__.py"}
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "QUANTUM")
+        or (isinstance(node, ast.alias) and "QUANTUM" in (node.name, node.asname))
+    ]
+    assert found == [], f"QUANTUM named outside wires and theories: {found}"

@@ -1,5 +1,6 @@
 """Base theories: basis convention, validity predicates, discard, frames."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -17,12 +18,13 @@ from quasicause import (
     compose_par,
     compose_seq,
     convex_mix,
+    extension,
     process,
     quantum,
     sig,
     state,
 )
-from quasicause import check, theories
+from quasicause import check
 from quasicause.check import choi_of_transfer, vec_basis_matrix
 from quasicause.errors import UnknownType, WrongKind
 from quasicause.theories import (
@@ -130,6 +132,8 @@ def test_discard_rows():
     composite = discard_effect(sig(BIT, BIT))
     both = compose_par(STOCH.discard(BIT), STOCH.discard(BIT))
     assert (composite.matrix == both.matrix).all()
+    # an extension carrier, which no theory serves, is discarded like a classical wire
+    assert discard_effect(sig(extension("c", 1, 3))).matrix.tolist() == [[1, 1, 1]]
 
 
 def test_measurement_channel_hybrid_valid():
@@ -193,11 +197,46 @@ def _entries(frame):
 @pytest.mark.parametrize("kind", ["state", "effect"])
 def test_frames_are_built_once_and_match_a_fresh_build(theory, t, kind):
     frame = getattr(theory, f"{kind}_frame")
-    fresh = getattr(theories, f"_{kind}_frame").__wrapped__(theory, t)
+    fresh = type(theory)._wire.__wrapped__(theory, t)[2 if kind == "state" else 3]
     first = frame(t)
     assert isinstance(first, tuple)
     assert _entries(first) == _entries(fresh)
     assert frame(t) is first
+
+
+# SHA-256 over dtype, shape and values (binary64 bytes, or repr(tolist()) of
+# an object array) of each wire's discard, reference state, state frame and
+# effect frame, in that order: certificates stay byte-stable only while these
+# do.
+KIT_PINS = {
+    ("Stoch", "I"): "47612d1b133ab5d0b442b7db40e0864ec448cd06e857b047cbcef16d776ba99a",
+    ("Stoch", "C2"): "0ef1fa07e03dc7d6cd251d4759897f79a4f81ab00be74bf0e050358ee28ed9da",
+    ("Stoch", "C3"): "97da51390008cf616a999eb027eaa4f4cadbc981380be847d851dd1639c1b640",
+    ("Stoch", "C4"): "34c7252ee62c75b55bac99d62fd0819ff0ce7fab0eabef0e29689ced92508281",
+    ("Quant", "I"): "47612d1b133ab5d0b442b7db40e0864ec448cd06e857b047cbcef16d776ba99a",
+    ("Quant", "C2"): "0ef1fa07e03dc7d6cd251d4759897f79a4f81ab00be74bf0e050358ee28ed9da",
+    ("Quant", "C3"): "97da51390008cf616a999eb027eaa4f4cadbc981380be847d851dd1639c1b640",
+    ("Quant", "C4"): "34c7252ee62c75b55bac99d62fd0819ff0ce7fab0eabef0e29689ced92508281",
+    ("Quant", "Q2"): "357da360b45a56158d87b1ac6f16743d10bfe0f37e844fb7fb5fdf202caf556c",
+    ("Quant", "Q3"): "5f8b966cfb72aea57ce0e4f88b29061a776317df4c999faf92a011af378003d1",
+    ("Quant", "Q4"): "6a08741b46f864f56ede13de838618f2ba32c96e9c8c94f996c4d362e7583faf",
+}
+
+
+@pytest.mark.parametrize(
+    "theory, t",
+    [(STOCH, classical(n)) for n in range(1, 5)]
+    + [(QUANT, classical(n)) for n in range(1, 5)]
+    + [(QUANT, quantum(d)) for d in range(2, 5)],
+    ids=lambda x: getattr(x, "name", getattr(x, "id", None)),
+)
+def test_discards_reference_states_and_frames_are_pinned_bit_for_bit(theory, t):
+    digest = hashlib.sha256()
+    for p in (theory.discard(t), theory.reference_state(t), *theory.state_frame(t), *theory.effect_frame(t)):
+        m = p.matrix
+        digest.update(f"{m.dtype}{m.shape}".encode())
+        digest.update(m.tobytes() if m.dtype == np.float64 else repr(m.tolist()).encode())
+    assert digest.hexdigest() == KIT_PINS[theory.name, t.id]
 
 
 @pytest.mark.parametrize("kind", ["state", "effect"])
@@ -213,10 +252,8 @@ def test_frames_of_a_refused_type_raise_on_every_call(kind):
     ids=["stoch-bit", "quant-bit", "quant-qubit"],
 )
 def test_reference_states_and_discards_are_built_once(theory, t):
-    for kind, fresh in (
-        ("reference_state", type(theory).reference_state.__wrapped__(theory, t)),
-        ("discard", type(theory).discard.__wrapped__(theory, t)),
-    ):
+    kit = type(theory)._wire.__wrapped__(theory, t)
+    for kind, fresh in (("reference_state", kit[1]), ("discard", kit[0])):
         first = getattr(theory, kind)(t)
         assert _entries([first]) == _entries([fresh])
         assert getattr(theory, kind)(t) is first
